@@ -46,35 +46,91 @@ def _degree_sequences(total: int, vcount: int) -> Iterator[tuple[int, ...]]:
 
 
 def _matrices(degseq: tuple[int, ...]) -> Iterator[tuple[list[int], list[list[int]]]]:
-    """Loop counts and multiplicity matrices realizing a degree sequence."""
+    """Connected loop/multiplicity matrices realizing ``degseq``, pruned while filled.
+
+    A matrix reads row by row as ``(loops[r], mult[r][r+1:])``; rows are
+    filled in that order with every entry counted down, so matrices come out
+    in descending order of that reading.  Two exact prunes cut branches:
+
+    * connectivity: once row ``i`` is done every edge at ``0..i`` is fixed,
+      so the component of ``i`` must reach past ``i`` or be the whole graph;
+    * equal-degree swap order: for adjacent vertices ``c, c+1`` of equal
+      degree, the first row ``r < c`` where columns ``c`` and ``c+1`` differ
+      must have ``mult[r][c] > mult[r][c+1]``, and if none does, row ``c+1``
+      must not read greater than row ``c`` (columns past ``c+1``).
+
+    The second condition says that swapping ``c`` and ``c+1``, which keeps
+    the degree sequence non-increasing, does not raise the reading.  The
+    greatest labeling of a class meets every such condition, so each class
+    survives at least once, and it is the first of its class to come out.
+    """
     n = len(degseq)
+    full = (1 << n) - 1
     loops = [0] * n
     mult = [[0] * n for _ in range(n)]
     res = list(degseq)
+    comp = [1 << v for v in range(n)]  # component of each vertex over the finished rows
+    # tied[c]: columns c and c+1 have equal degree and agree in every row so far
+    tied = [c + 1 < n and degseq[c] == degseq[c + 1] for c in range(n)]
 
     def fill_row(i: int) -> Iterator[tuple[list[int], list[list[int]]]]:
         if i == n:
             yield loops[:], [row[:] for row in mult]
             return
-        cols = list(range(i + 1, n))
+        row = mult[i]
+        prev = mult[i - 1] if i and tied[i - 1] else None  # row i may not read above it
+        room = [0] * (n + 1)  # room[j]: residual degree left in columns j..n-1
+        for j in range(n - 1, i, -1):
+            room[j] = room[j + 1] + res[j]
 
-        def assign(ci: int, rem: int) -> Iterator[tuple[list[int], list[list[int]]]]:
-            if ci == len(cols):
+        def close(cur: int) -> Iterator[tuple[list[int], list[list[int]]]]:
+            if not cur >> (i + 1) and cur != full:
+                return  # a finished component that misses part of the graph
+            saved = comp[:]
+            rest = cur
+            while rest:
+                b = rest & -rest
+                comp[b.bit_length() - 1] = cur
+                rest ^= b
+            yield from fill_row(i + 1)
+            comp[:] = saved
+
+        def assign(j: int, rem: int, cur: int, tight: bool
+                   ) -> Iterator[tuple[list[int], list[list[int]]]]:
+            if j == n:
                 if rem == 0:
-                    yield from fill_row(i + 1)
+                    yield from close(cur)
                 return
-            j = cols[ci]
             hi = min(rem, res[j])
-            for m in range(hi + 1):
-                mult[i][j] = mult[j][i] = m
+            pair = j - 1 > i and tied[j - 1]
+            if pair and row[j - 1] < hi:
+                hi = row[j - 1]
+            if tight and prev[j] < hi:
+                hi = prev[j]
+            lo = rem - room[j + 1]
+            for m in range(hi, max(lo, 0) - 1, -1):
+                row[j] = mult[j][i] = m
                 res[j] -= m
-                yield from assign(ci + 1, rem - m)
+                split = pair and m < row[j - 1]
+                if split:
+                    tied[j - 1] = False
+                yield from assign(j + 1, rem - m, cur | comp[j] if m else cur,
+                                  tight and m == prev[j])
+                if split:
+                    tied[j - 1] = True
                 res[j] += m
-            mult[i][j] = mult[j][i] = 0
+            row[j] = mult[j][i] = 0
 
-        for li in range(res[i] // 2 + 1):
+        top = res[i] // 2
+        if prev is not None and loops[i - 1] < top:
+            top = loops[i - 1]
+        for li in range(top, -1, -1):
+            rem = res[i] - 2 * li
+            if rem > room[i + 1]:
+                break
             loops[i] = li
-            yield from assign(0, res[i] - 2 * li)
+            yield from assign(i + 1, rem, comp[i],
+                              prev is not None and li == loops[i - 1])
         loops[i] = 0
 
     yield from fill_row(0)
@@ -95,26 +151,17 @@ def _matrix_graph(loops: list[int], mult: list[list[int]]) -> Multigraph:
     return build(range(n), edges)
 
 
-def _matrix_connected(loops: list[int], mult: list[list[int]]) -> bool:
-    n = len(mult)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in range(n):
-            if w not in seen and mult[u][w]:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
-
-
 def reduced_multigraphs(edge_count: int, max_edges: int = MAX_CENSUS_EDGES
                         ) -> Iterator[Multigraph]:
     """One representative per homeomorphism class with ``edge_count`` smoothed edges.
 
-    Connected multigraphs with all degrees 1 or >= 3, deduplicated by
-    canonical form; the one-loop circle joins the census at a single edge.
-    Deterministic order: vertex count, then degree sequence, then matrix.
+    Connected multigraphs with all degrees 1 or >= 3; the one-loop circle
+    joins the census at a single edge.  ``_matrices`` cuts disconnected fills
+    and most labeled duplicates while it fills (see there for the two exact
+    prunes and why every class survives), and a canonical-form dedupe drops
+    the few duplicates left.  Deterministic order: vertex count, then degree
+    sequence, then descending matrix reading; each class is yielded as the
+    greatest labeling of its sorted degree sequence.
     """
     if edge_count < 1:
         raise GraphError("edge_count must be >= 1")
@@ -127,8 +174,6 @@ def reduced_multigraphs(edge_count: int, max_edges: int = MAX_CENSUS_EDGES
     for vcount in range(1, edge_count + 2):
         for degseq in _degree_sequences(total, vcount):
             for loops, mult in _matrices(degseq):
-                if not _matrix_connected(loops, mult):
-                    continue
                 g = _matrix_graph(loops, mult)
                 code = canonical_form(g)
                 if code not in seen:
@@ -382,10 +427,10 @@ def _record_matches(rec: SearchRecord, profile: str) -> bool:
 
 def _profile_worker(payload):
     """Top-level worker: rebuild a graph from its edge list, profile it."""
-    vcount, edges, canon_hex, k = payload
+    vcount, edges, canon_hex, k, planar = payload
     g = build(range(vcount), edges)
     prof = ac_number(g, cap=7, counterexamples="probe")
-    return SearchRecord(canon_hex, k, is_planar(g), prof.label, prof.omega)
+    return SearchRecord(canon_hex, k, planar, prof.label, prof.omega)
 
 
 def _checkpoint_header(task: SearchTask) -> str:
@@ -396,6 +441,39 @@ def _checkpoint_header(task: SearchTask) -> str:
         sort_keys=True, separators=(",", ":"))
 
 
+def _load_checkpoint(path: str, header: str) -> dict[str, SearchRecord]:
+    """Records of an existing checkpoint, keyed by canonical hex.
+
+    A kill in the middle of an append can leave the last line torn (no
+    newline, or not parseable).  That line is cut off the file, so its graph
+    is recomputed and the next append starts on a line of its own.  A bad
+    line anywhere else is corruption and raises ``GraphError``.
+    """
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    if not lines or lines[0] != header.encode() + b"\n":
+        raise GraphError("checkpoint file does not match this task")
+    done: dict[str, SearchRecord] = {}
+    keep = len(lines[0])
+    for no, raw in enumerate(lines[1:], start=2):
+        if raw.endswith(b"\n") and not raw.strip():
+            keep += len(raw)
+            continue
+        try:
+            if not raw.endswith(b"\n"):
+                raise ValueError("line has no newline")
+            rec = SearchRecord.from_json(raw.decode("utf-8"))
+        except (ValueError, KeyError, TypeError) as exc:
+            if no < len(lines):
+                raise GraphError(f"checkpoint line {no} is corrupt: {exc}") from exc
+            break  # torn final line
+        done[rec.canon] = rec
+        keep += len(raw)
+    with open(path, "r+b") as fh:
+        fh.truncate(keep)
+    return done
+
+
 def search(task: SearchTask, stop_after: Optional[int] = None) -> Iterator[SearchRecord]:
     """Profile every census graph in range, checkpointing as it goes.
 
@@ -403,8 +481,12 @@ def search(task: SearchTask, stop_after: Optional[int] = None) -> Iterator[Searc
     census order, so re-runs and resumed runs produce the same stream).  The
     checkpoint file is append-only: a header line with the task parameters,
     then one JSON record per processed graph; on resume, codes present in the
-    file are not recomputed.  ``stop_after`` (testing hook) aborts after that
-    many newly processed graphs.
+    file are not recomputed (a torn final line is dropped and its graph
+    recomputed; corruption earlier in the file raises ``GraphError``).
+    Records are keyed by canonical code, which does not depend on the
+    labeling the census happens to yield, so any checkpoint of the same task
+    resumes.  ``stop_after`` (testing hook) aborts after that many newly
+    processed graphs.
     """
     done: dict[str, SearchRecord] = {}
     out = None
@@ -413,13 +495,7 @@ def search(task: SearchTask, stop_after: Optional[int] = None) -> Iterator[Searc
 
         header = _checkpoint_header(task)
         if os.path.exists(task.checkpoint):
-            with open(task.checkpoint, "r", encoding="utf-8") as fh:
-                lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-            if not lines or lines[0] != header:
-                raise GraphError("checkpoint file does not match this task")
-            for ln in lines[1:]:
-                rec = SearchRecord.from_json(ln)
-                done[rec.canon] = rec
+            done = _load_checkpoint(task.checkpoint, header)
             out = open(task.checkpoint, "a", encoding="utf-8")
         else:
             out = open(task.checkpoint, "w", encoding="utf-8")
@@ -435,7 +511,8 @@ def search(task: SearchTask, stop_after: Optional[int] = None) -> Iterator[Searc
         for k in range(task.edges_min, task.edges_max + 1):
             batch = []
             for g in reduced_multigraphs(k):
-                if task.planar_only and not is_planar(g):
+                planar = is_planar(g)
+                if task.planar_only and not planar:
                     continue
                 code = canonical_form(g).hex()
                 if code in done:
@@ -445,7 +522,7 @@ def search(task: SearchTask, stop_after: Optional[int] = None) -> Iterator[Searc
                     continue
                 gi = graph_index(g)
                 edges = [(e.eid, gi.vpos[e.a], gi.vpos[e.b]) for e in g.edges]
-                batch.append((gi.n, edges, code, k))
+                batch.append((gi.n, edges, code, k, planar))
             mapper = pool.map(_profile_worker, batch, chunksize=4) if pool \
                 else map(_profile_worker, batch)
             for rec in mapper:

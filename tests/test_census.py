@@ -22,6 +22,21 @@ from arcon.census import (
 from conftest import naive_census_codes
 from test_multigraph import graphs_connected
 
+# Homeomorphism classes by smoothed edge count.
+CENSUS_COUNTS = {1: 2, 2: 2, 3: 6, 4: 14, 5: 39, 6: 117, 7: 374, 8: 1274,
+                 9: 4625, 10: 17547}
+
+
+def _reading(n, edges, perm):
+    """Row-by-row reading ``(loops[r], mult[r][r+1:])`` of a relabeled graph."""
+    mult = [[0] * n for _ in range(n)]
+    for a, b in edges:
+        a, b = perm[a], perm[b]
+        mult[a][b] += 1
+        if a != b:
+            mult[b][a] += 1
+    return tuple(x for r in range(n) for x in [mult[r][r]] + mult[r][r + 1:])
+
 
 class TestReducedMultigraphs:
     def test_one_edge(self):
@@ -45,11 +60,41 @@ class TestReducedMultigraphs:
         assert canonical_form(corpus.theta()) in classes
         assert len(classes) == 6
 
-    @pytest.mark.parametrize("k,count", [(1, 2), (2, 2), (3, 6), (4, 14)])
+    @pytest.mark.parametrize("k,count", [(1, 2), (2, 2), (3, 6), (4, 14), (5, 39)])
     def test_census_matches_naive_oracle(self, k, count):
         codes = {canonical_form(g) for g in reduced_multigraphs(k)}
         assert len(codes) == count
         assert codes == naive_census_codes(k)
+
+    @pytest.mark.parametrize("k", [*range(1, 9), *(pytest.param(k, marks=pytest.mark.slow)
+                                                   for k in (9, 10))])
+    def test_class_counts(self, k):
+        assert sum(1 for _ in reduced_multigraphs(k)) == CENSUS_COUNTS[k]
+
+    def test_representative_is_greatest_labeling(self, small_census):
+        # the fill runs in descending reading order and both prunes spare the
+        # greatest labeling, so each class comes out as that labeling
+        import itertools
+
+        for k in range(2, 6):
+            for g in small_census[k]:
+                n = len(g.vertices)
+                deg = [g.degree(v) for v in range(n)]
+                assert deg == sorted(deg, reverse=True)
+                edges = [(e.a, e.b) for e in g.edges]
+                best = max(_reading(n, edges, perm)
+                           for perm in itertools.permutations(range(n))
+                           if [deg[perm.index(v)] for v in range(n)] == deg)
+                assert _reading(n, edges, range(n)) == best
+
+    def test_fill_leaves_few_duplicates(self):
+        # labeled matrices that reach the canonical dedupe at 8 edges, against
+        # about 7.5k connected fills before the in-fill prunes
+        from arcon.census import _degree_sequences, _matrices
+
+        fills = sum(1 for v in range(1, 10) for d in _degree_sequences(16, v)
+                    for _ in _matrices(d))
+        assert fills == 1340
 
     def test_no_two_emitted_homeomorphic(self, small_census):
         for k in (3, 4, 5):
@@ -179,6 +224,55 @@ class TestSearch:
         serial = [r.to_json() for r in search(SearchTask(1, 3, "=2"))]
         parallel = [r.to_json() for r in search(SearchTask(1, 3, "=2", jobs=2))]
         assert serial == parallel
+
+    def test_jobs_identical_streams(self, tmp_path):
+        streams = {}
+        for jobs in (1, 2):
+            ck = tmp_path / f"jobs{jobs}.jsonl"
+            recs = [r.to_json() for r in search(SearchTask(1, 5, "=2", checkpoint=str(ck),
+                                                           jobs=jobs))]
+            streams[jobs] = (recs, ck.read_text())
+        assert streams[1] == streams[2]
+        assert len(streams[1][1].splitlines()) == 1 + sum(CENSUS_COUNTS[k] for k in range(1, 6))
+
+    def test_planarity_once_per_graph(self, monkeypatch):
+        from arcon import census
+
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return is_planar(g)
+
+        monkeypatch.setattr(census, "is_planar", counted)
+        list(search(SearchTask(1, 4, "=2", planar_only=True)))
+        assert len(calls) == sum(CENSUS_COUNTS[k] for k in range(1, 5))
+
+    @pytest.mark.parametrize("torn", ["half", "no-newline"])
+    def test_checkpoint_torn_final_line(self, tmp_path, torn):
+        full = [r.to_json() for r in search(SearchTask(1, 4, "=2"))]
+        ck = tmp_path / "ck.jsonl"
+        task = SearchTask(1, 4, "=2", checkpoint=str(ck))
+        list(search(task, stop_after=9))
+        lines = ck.read_text().splitlines()
+        last = lines[-1][: len(lines[-1]) // 2] if torn == "half" else lines[-1]
+        ck.write_text("\n".join(lines[:-1] + [last]))  # killed mid-append
+        resumed = [r.to_json() for r in search(task)]
+        assert sorted(resumed) == sorted(full)
+        # the torn record was recomputed, and every record sits on its own line
+        recs = [SearchRecord.from_json(ln) for ln in ck.read_text().splitlines()[1:]]
+        assert len(recs) == sum(CENSUS_COUNTS[k] for k in range(1, 5))
+        assert len({r.canon for r in recs}) == len(recs)
+
+    def test_checkpoint_midfile_corruption(self, tmp_path):
+        ck = tmp_path / "ck.jsonl"
+        task = SearchTask(1, 3, "=2", checkpoint=str(ck))
+        list(search(task))
+        lines = ck.read_text().splitlines(keepends=True)
+        lines[2] = lines[2][: len(lines[2]) // 2] + "\n"
+        ck.write_text("".join(lines))
+        with pytest.raises(GraphError, match="line 3 is corrupt"):
+            list(search(task))
 
 
 class TestMinimality:

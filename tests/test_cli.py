@@ -138,6 +138,18 @@ class TestSearch:
         assert res2.exit_code == 0
         assert res1.output == res2.output
 
+    def test_corrupt_checkpoint_exit_2(self, runner, tmp_path):
+        ck = tmp_path / "ck.jsonl"
+        args = ["search", "--edges-min", "1", "--edges-max", "3",
+                "--profile", "omega", "--resume", str(ck)]
+        assert runner.invoke(main, args).exit_code == 0
+        lines = ck.read_text().splitlines(keepends=True)
+        lines[1] = "{not json\n"
+        ck.write_text("".join(lines))
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2
+        assert "corrupt" in res.output
+
     def test_bad_profile_exit_2(self, runner):
         res = runner.invoke(main, ["search", "--edges-min", "1", "--edges-max", "2",
                                    "--profile", "=9"])
