@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .multigraph import GraphError, Id, Multigraph
+from .multigraph import GraphError, Id, Multigraph, smooth
 from .obstructions import probe_placements
 from .placements import (
     Placement,
@@ -22,7 +22,7 @@ from .placements import (
     _to_placement,
     iter_placements_indexed,
 )
-from .symmetry import graph_index
+from .symmetry import GraphIndex, graph_index
 
 
 def _reach(nmask: list[int], seed: int, allowed: int) -> int:
@@ -197,7 +197,10 @@ def is_n_ac(g: Multigraph, n: int, counterexamples: str = "lex"
 
 @dataclass(frozen=True)
 class AcProfile:
-    """Verdicts of is_n_ac for n = 2..cap, with the usual downward closure."""
+    """Verdicts for n = 2..cap, with the usual downward closure.
+
+    Level 2 holds by connectivity; the others are ``is_n_ac`` verdicts.
+    """
 
     verdicts: tuple[tuple[int, bool], ...]
     cap: int
@@ -231,19 +234,36 @@ class AcProfile:
 def ac_number(g: Multigraph, cap: int = 7, counterexamples: str = "probe") -> AcProfile:
     """Largest n with is_n_ac true, capped; ω exactly when 7-ac.
 
-    Levels are checked in increasing order and the scan stops at the first
-    failure, which settles all higher levels (an (n+1)-arc-connected space is
-    n-arc connected).
+    Level 2 is settled by a theorem: a connected finite graph is arcwise
+    connected, so any two of its points lie on an arc.  Levels 3..cap run on
+    ``smooth(g)``, since n-arc connectivity is a property of the space.  They
+    are checked in increasing order and the scan stops at the first failure,
+    which settles all higher levels (an (n+1)-arc-connected space is n-arc
+    connected).
+
+    The counterexample is given in the ids of ``g``: smoothing keeps the
+    surviving vertex ids and the idkey-least edge id of each merged chain, and
+    points inside one piece of a chain sit in the same space as points inside
+    the merged edge.  When smoothing changed the graph, the counterexample is
+    certified once more on ``g`` itself by the exhaustive path search.
     """
     if cap < 2:
         raise GraphError("cap must be >= 2")
-    verdicts: list[tuple[int, bool]] = []
+    if not g.is_connected():
+        raise GraphError("ac_number expects a connected graph")
+    s = smooth(g)
+    verdicts: list[tuple[int, bool]] = [(2, True)]
     cex: Optional[Placement] = None
     cexn: Optional[int] = None
-    for n in range(2, cap + 1):
-        ok, c = is_n_ac(g, n, counterexamples=counterexamples)
+    for n in range(3, cap + 1):
+        ok, c = is_n_ac(s, n, counterexamples=counterexamples)
         verdicts.append((n, ok))
         if not ok:
+            if s is not g:
+                gi = GraphIndex(g)  # a one-off, not kept in g's cache
+                if _find_covering_path(*_realize_masks(gi, *_to_indexed(gi, c))) is not None:
+                    raise GraphError(f"internal: level-{n} counterexample of the smoothed "
+                                     "graph is covered on the input graph")
             cex, cexn = c, n
             for m in range(n + 1, cap + 1):
                 verdicts.append((m, False))

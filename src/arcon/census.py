@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Optional
 
 from .arcsearch import ac_number
@@ -20,6 +21,7 @@ from .symmetry import canonical_form, graph_index
 
 MAX_CENSUS_EDGES = 11
 CHECKPOINT_FORMAT = 1
+SEARCH_CHUNK = 256  # graphs handed to a search's process pool at a time
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -474,19 +476,42 @@ def _load_checkpoint(path: str, header: str) -> dict[str, SearchRecord]:
     return done
 
 
+def _profiled(items: Iterator, pool) -> Iterator[tuple[SearchRecord, bool]]:
+    """``(record, fresh)`` per item, in order.
+
+    An item is a resumed ``SearchRecord``, passed through, or a worker
+    payload, profiled.  Items are taken in chunks of ``SEARCH_CHUNK`` for a
+    process pool, one at a time without one, so records follow the census as
+    it streams instead of waiting for a whole edge count.
+    """
+    items = iter(items)
+    size = SEARCH_CHUNK if pool is not None else 1
+    while True:
+        chunk = list(islice(items, size))
+        if not chunk:
+            return
+        todo = [x for x in chunk if not isinstance(x, SearchRecord)]
+        fresh = pool.map(_profile_worker, todo, chunksize=4) if pool is not None \
+            else map(_profile_worker, todo)
+        for x in chunk:
+            yield (x, False) if isinstance(x, SearchRecord) else (next(fresh), True)
+
+
 def search(task: SearchTask, stop_after: Optional[int] = None) -> Iterator[SearchRecord]:
     """Profile every census graph in range, checkpointing as it goes.
 
-    Emits one record per processed graph whose profile matches the task (in
-    census order, so re-runs and resumed runs produce the same stream).  The
-    checkpoint file is append-only: a header line with the task parameters,
-    then one JSON record per processed graph; on resume, codes present in the
-    file are not recomputed (a torn final line is dropped and its graph
-    recomputed; corruption earlier in the file raises ``GraphError``).
-    Records are keyed by canonical code, which does not depend on the
-    labeling the census happens to yield, so any checkpoint of the same task
-    resumes.  ``stop_after`` (testing hook) aborts after that many newly
-    processed graphs.
+    Emits one record per processed graph whose profile matches the task, in
+    census order, so re-runs and resumed runs produce the same stream.
+    Graphs are profiled as the census yields them (``--jobs`` above 1 feeds
+    the pool ``SEARCH_CHUNK`` graphs at a time).  The checkpoint file is
+    append-only: a header line with the task parameters, then one JSON record
+    per processed graph; on resume, codes present in the file are not
+    recomputed (a torn final line is dropped and its graph recomputed;
+    corruption earlier in the file raises ``GraphError``).  Records are keyed
+    by canonical code, which does not depend on the labeling the census
+    happens to yield, so any checkpoint of the same task resumes.
+    ``stop_after`` (testing hook) aborts after that many newly processed
+    graphs.
     """
     done: dict[str, SearchRecord] = {}
     out = None
@@ -501,6 +526,21 @@ def search(task: SearchTask, stop_after: Optional[int] = None) -> Iterator[Searc
             out = open(task.checkpoint, "w", encoding="utf-8")
             out.write(header + "\n")
             out.flush()
+
+    def items() -> Iterator:
+        for k in range(task.edges_min, task.edges_max + 1):
+            for g in reduced_multigraphs(k):
+                planar = is_planar(g)
+                if task.planar_only and not planar:
+                    continue
+                code = canonical_form(g).hex()
+                if code in done:
+                    yield done[code]
+                    continue
+                gi = graph_index(g)
+                edges = [(e.eid, gi.vpos[e.a], gi.vpos[e.b]) for e in g.edges]
+                yield (gi.n, edges, code, k, planar)
+
     processed = 0
     pool = None
     try:
@@ -508,33 +548,16 @@ def search(task: SearchTask, stop_after: Optional[int] = None) -> Iterator[Searc
             from concurrent.futures import ProcessPoolExecutor
 
             pool = ProcessPoolExecutor(max_workers=task.jobs)
-        for k in range(task.edges_min, task.edges_max + 1):
-            batch = []
-            for g in reduced_multigraphs(k):
-                planar = is_planar(g)
-                if task.planar_only and not planar:
-                    continue
-                code = canonical_form(g).hex()
-                if code in done:
-                    rec = done[code]
-                    if _record_matches(rec, task.profile):
-                        yield rec
-                    continue
-                gi = graph_index(g)
-                edges = [(e.eid, gi.vpos[e.a], gi.vpos[e.b]) for e in g.edges]
-                batch.append((gi.n, edges, code, k, planar))
-            mapper = pool.map(_profile_worker, batch, chunksize=4) if pool \
-                else map(_profile_worker, batch)
-            for rec in mapper:
+        for rec, fresh in _profiled(items(), pool):
+            if fresh:
                 if out is not None:
                     out.write(rec.to_json() + "\n")
                     out.flush()
-                done[rec.canon] = rec
                 processed += 1
-                if _record_matches(rec, task.profile):
-                    yield rec
-                if stop_after is not None and processed >= stop_after:
-                    return
+            if _record_matches(rec, task.profile):
+                yield rec
+            if fresh and stop_after is not None and processed >= stop_after:
+                return
     finally:
         if pool is not None:
             pool.shutdown()

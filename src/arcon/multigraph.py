@@ -245,32 +245,34 @@ def smooth(g: Multigraph) -> Multigraph:
     suppressible vertex never changes the underlying space.  A cycle collapses
     to the one-vertex one-loop circle form, whose lone vertex is the only
     degree-2 vertex a smoothed graph may contain.
+
+    Each maximal chain through suppressible vertices becomes one edge that
+    keeps the idkey-least edge id of the chain; the surviving vertices keep
+    their ids, and a collapsed cycle keeps its idkey-greatest vertex.  An
+    already-smooth graph is returned as is.  Chains are found by walking the
+    segments out of the vertices that stay, so the cost is linear in the
+    graph.
     """
     if not g.is_connected():
         raise GraphError("smooth expects a connected graph")
     got = g._cache.get("smoothed")
     if got is not None:
         return got
-    cur = g
-    while True:
-        target = None
-        for v in cur.vertices:
-            pair = _suppressible(cur, v)
-            if pair is not None:
-                target = (v, pair)
-                break
-        if target is None:
-            break
-        v, (e1, e2) = target
-        if e1 is e2:
-            raise GraphError("internal: loop misclassified as suppressible")
-        a, b = e1.other(v), e2.other(v)
-        keep = e1.eid if idkey(e1.eid) <= idkey(e2.eid) else e2.eid
-        edges = [x for x in cur.edges if x.eid not in (e1.eid, e2.eid)]
-        edges.append(Edge(keep, a, b))
-        cur = Multigraph([u for u in cur.vertices if u != v], edges)
-    g._cache["smoothed"] = cur
-    return cur
+    keep = [v for v in g.vertices if _suppressible(g, v) is None]
+    if len(keep) == len(g.vertices):
+        s = g
+    elif not keep:  # a cycle
+        v = g.vertices[-1]
+        s = Multigraph([v], [Edge(g.edges[0].eid, v, v)])
+    else:
+        merged: dict[Id, Edge] = {}  # each chain is walked from both ends
+        for v in keep:
+            for seg in segments_from(g, v):
+                eid = min((e.eid for e in seg.edges), key=idkey)
+                merged[eid] = Edge(eid, seg.start, seg.end)
+        s = Multigraph(keep, merged.values())
+    g._cache["smoothed"] = s
+    return s
 
 
 def branch_points(g: Multigraph) -> frozenset[Id]:

@@ -13,8 +13,8 @@ import itertools
 import pytest
 from hypothesis import settings
 
-from arcon import build, canonical_form
-from arcon.multigraph import idkey
+from arcon import build, canonical_form, is_n_ac
+from arcon.multigraph import Edge, GraphError, Multigraph, _suppressible, idkey
 from arcon.symmetry import automorphisms
 
 settings.register_profile("ci", deadline=None, max_examples=40)
@@ -91,6 +91,46 @@ def naive_census_codes(k: int) -> set:
             if ok:
                 seen.add(canonical_form(g))
     return seen
+
+
+def naive_smooth(g):
+    """Suppress the idkey-least suppressible vertex and rebuild, until none is left.
+
+    Quadratic, and kept as the oracle for the one-pass ``smooth``.
+    """
+    if not g.is_connected():
+        raise GraphError("smooth expects a connected graph")
+    cur = g
+    while True:
+        target = None
+        for v in cur.vertices:
+            pair = _suppressible(cur, v)
+            if pair is not None:
+                target = (v, pair)
+                break
+        if target is None:
+            return cur
+        v, (e1, e2) = target
+        a, b = e1.other(v), e2.other(v)
+        keep = e1.eid if idkey(e1.eid) <= idkey(e2.eid) else e2.eid
+        edges = [x for x in cur.edges if x.eid not in (e1.eid, e2.eid)]
+        edges.append(Edge(keep, a, b))
+        cur = Multigraph([u for u in cur.vertices if u != v], edges)
+
+
+def raw_ac_label(g, cap: int = 7) -> str:
+    """ac label from ``is_n_ac`` at every level 2..cap on ``g`` itself, unsmoothed."""
+    for n in range(2, cap + 1):
+        if not is_n_ac(g, n, counterexamples="probe")[0]:
+            return str(n - 1)
+    return "omega" if cap >= 7 else str(cap)
+
+
+def randomly_subdivided(g, rng, times: int, most: int):
+    """``g`` with ``times`` random edges subdivided, each 1..most times."""
+    for _ in range(times):
+        g, _ = g.subdivide(rng.choice(g.edges).eid, rng.randint(1, most))
+    return g
 
 
 def relabeled(g, rng):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from arcon import (
@@ -7,10 +9,26 @@ from arcon import (
     covering_arc,
     is_n_ac,
     refine_check,
+    smooth,
 )
-from arcon import corpus
+from arcon import arcsearch, corpus
 from arcon.multigraph import germs, walk_segment
 from arcon.placements import Placement, realize
+
+from conftest import randomly_subdivided, raw_ac_label
+
+
+def spy_is_n_ac(monkeypatch):
+    """Record ``(graph, n)`` of every ``arcsearch.is_n_ac`` call."""
+    calls = []
+    real = arcsearch.is_n_ac
+
+    def spy(g, n, *a, **k):
+        calls.append((g, n))
+        return real(g, n, *a, **k)
+
+    monkeypatch.setattr(arcsearch, "is_n_ac", spy)
+    return calls
 
 
 class TestCoveringArc:
@@ -136,8 +154,6 @@ class TestAcNumber:
         assert prof.counterexample is not None
 
     def test_subdivision_invariance(self):
-        import random
-
         rng = random.Random(5)
         for name in ("triod", "circle-two-whiskers", "lollipop", "theta"):
             g = corpus.entry(name).builder()
@@ -145,11 +161,37 @@ class TestAcNumber:
             for _ in range(2):
                 e = rng.choice(h.edges)
                 h, _ = h.subdivide(e.eid, rng.randint(1, 2))
-            assert ac_number(h).label == ac_number(g).label
+            assert ac_number(h).label == ac_number(g).label == raw_ac_label(h)
 
     def test_cap(self):
         prof = ac_number(corpus.triod(), cap=4)
         assert prof.cap == 4 and not prof.omega and prof.number == 2
+
+    def test_disconnected_rejected(self):
+        with pytest.raises(GraphError):
+            ac_number(build("ab", [("a", "a"), ("b", "b")]))
+
+    def test_levels_three_up_run_on_smoothed_graph(self, monkeypatch):
+        h = randomly_subdivided(corpus.circle_two_chords(), random.Random(3), 3, 2)
+        s = smooth(h)
+        assert s is not h
+        calls = spy_is_n_ac(monkeypatch)
+        prof = ac_number(h)
+        assert prof.verdicts[0] == (2, True) and prof.label == "4"
+        assert [n for _, n in calls] == [3, 4, 5]
+        assert all(g is s for g, _ in calls)
+
+    def test_counterexample_on_subdivided_graph(self):
+        rng = random.Random(8)
+        for name in ("triod", "circle-two-whiskers", "circle-two-chords",
+                     "circle-three-spokes", "k33"):
+            h = randomly_subdivided(corpus.entry(name).builder(), rng, 3, 2)
+            assert smooth(h) is not h
+            prof = ac_number(h)
+            prof.counterexample.validate(h)
+            assert prof.counterexample.n == prof.counterexample_n
+            sub, marked = realize(h, prof.counterexample)
+            assert covering_arc(sub, marked) is None, name
 
 
 class TestWitnessTriodConditions:
@@ -209,6 +251,16 @@ class TestRefine:
 
     def test_k33_level_six(self):
         assert refine_check(corpus.k33(), 6)
+
+    def test_refine_check_stays_raw(self, monkeypatch):
+        theta = corpus.theta()
+        calls = spy_is_n_ac(monkeypatch)
+        assert refine_check(theta, 3)
+        assert [n for _, n in calls] == [3, 3]
+        assert calls[0][0] is theta
+        refined = calls[1][0]
+        assert len(refined.edges) == 2 * len(theta.edges)
+        assert smooth(refined) is not refined
 
     def test_bad_extra(self):
         with pytest.raises(GraphError):

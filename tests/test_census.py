@@ -208,6 +208,32 @@ class TestSearch:
         recs = [SearchRecord.from_json(ln) for ln in lines[1:]]
         assert len({r.canon for r in recs}) == len(recs)
 
+    def test_resumed_stream_in_census_order(self, tmp_path):
+        ck = tmp_path / "ck.jsonl"
+        task = SearchTask(1, 5, "=3", checkpoint=str(ck))
+        full = [r.to_json() for r in search(task)]
+        lines = ck.read_text().splitlines(keepends=True)
+        ck.write_text("".join(lines[:1] + lines[2::2]))  # every other graph done
+        assert [r.to_json() for r in search(task)] == full
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_stop_after_streams_the_census(self, monkeypatch, jobs):
+        from arcon import census
+
+        yielded = []
+        real = census.reduced_multigraphs
+
+        def counted(k):
+            for g in real(k):
+                yielded.append(g)
+                yield g
+
+        monkeypatch.setattr(census, "SEARCH_CHUNK", 8)
+        monkeypatch.setattr(census, "reduced_multigraphs", counted)
+        list(search(SearchTask(6, 6, "=2", jobs=jobs), stop_after=1))
+        assert len(yielded) == (1 if jobs == 1 else census.SEARCH_CHUNK)
+        assert len(yielded) < CENSUS_COUNTS[6]
+
     def test_checkpoint_task_mismatch(self, tmp_path):
         ck = tmp_path / "ck.jsonl"
         list(search(SearchTask(1, 2, "=2", checkpoint=str(ck))))

@@ -47,6 +47,13 @@ class TestAcnum:
         assert rec["counterexample_n"] == 3
         assert "counts" in rec["counterexample"]
 
+    def test_long_subdivided_circle(self, runner, tmp_path):
+        p = tmp_path / "circle.graph"
+        p.write_text("".join(f"v{i} v{(i + 1) % 1000}\n" for i in range(1000)))
+        res = runner.invoke(main, ["acnum", str(p)])
+        assert res.exit_code == 0
+        assert kv(res.output.strip())["ac"] == "omega"
+
     def test_malformed_file_exits_2(self, runner, tmp_path):
         p = tmp_path / "bad.graph"
         p.write_text("a b c d\n")

@@ -18,7 +18,7 @@ from arcon import (
 from arcon import corpus
 from arcon.multigraph import Edge, Multigraph
 
-from conftest import relabeled
+from conftest import naive_smooth, randomly_subdivided, relabeled
 
 
 @st.composite
@@ -130,6 +130,14 @@ class TestSubdivide:
         assert seen == list(fresh)
 
 
+def assert_same_smoothing(g):
+    """``smooth`` and the quadratic oracle agree up to edge orientation."""
+    got, want = smooth(g), naive_smooth(g)
+    assert got.vertices == want.vertices
+    assert {e.eid: {e.a, e.b} for e in got.edges} == {e.eid: {e.a, e.b} for e in want.edges}
+    assert (got is g) == (want is g)
+
+
 class TestSmooth:
     def test_path_to_edge(self):
         g = build("abc", [("a", "b"), ("b", "c")])
@@ -153,6 +161,28 @@ class TestSmooth:
         g = build("ab", [("a", "a"), ("b", "b")])
         with pytest.raises(GraphError):
             smooth(g)
+
+    def test_matches_naive_on_subdivided_corpus(self):
+        rng = random.Random(11)
+        for ce in corpus.CORPUS:
+            g = ce.builder()
+            assert_same_smoothing(g)
+            for _ in range(3):
+                assert_same_smoothing(randomly_subdivided(g, rng, 3, 3))
+
+    def test_matches_naive_on_census(self, small_census):
+        from arcon.census import reduced_multigraphs
+
+        rng = random.Random(12)
+        graphs = [g for k in small_census for g in small_census[k]]
+        graphs += list(reduced_multigraphs(6))
+        for g in graphs:
+            assert_same_smoothing(g)
+            assert_same_smoothing(randomly_subdivided(g, rng, 2, 2))
+
+    @given(graphs_connected)
+    def test_matches_naive_on_random(self, g):
+        assert_same_smoothing(g)
 
     @given(graphs_connected)
     def test_idempotent(self, g):
