@@ -101,12 +101,6 @@ class ArcWitness:
     vertices: tuple[Id, ...]
     edges: tuple[Id, ...]
 
-    def steps(self) -> tuple[tuple[Id, Optional[Id]], ...]:
-        out = []
-        for i, v in enumerate(self.vertices):
-            out.append((v, self.edges[i] if i < len(self.edges) else None))
-        return tuple(out)
-
     def validate(self) -> None:
         g = self.graph
         if len(set(self.vertices)) != len(self.vertices):
@@ -231,12 +225,13 @@ class AcProfile:
         return "omega" if self.omega else str(self.number)
 
 
-def ac_number(g: Multigraph, cap: int = 7, counterexamples: str = "probe") -> AcProfile:
+def ac_number(g: Multigraph, cap: int = 7) -> AcProfile:
     """Largest n with is_n_ac true, capped; ω exactly when 7-ac.
 
     Level 2 is settled by a theorem: a connected finite graph is arcwise
-    connected, so any two of its points lie on an arc.  Levels 3..cap run on
-    ``smooth(g)``, since n-arc connectivity is a property of the space.  They
+    connected, so any two of its points lie on an arc.  Levels 3..cap run
+    ``is_n_ac`` with the probe policy on ``smooth(g)``, since n-arc
+    connectivity is a property of the space.  They
     are checked in increasing order and the scan stops at the first failure,
     which settles all higher levels (an (n+1)-arc-connected space is n-arc
     connected).
@@ -256,7 +251,7 @@ def ac_number(g: Multigraph, cap: int = 7, counterexamples: str = "probe") -> Ac
     cex: Optional[Placement] = None
     cexn: Optional[int] = None
     for n in range(3, cap + 1):
-        ok, c = is_n_ac(s, n, counterexamples=counterexamples)
+        ok, c = is_n_ac(s, n, counterexamples="probe")
         verdicts.append((n, ok))
         if not ok:
             if s is not g:

@@ -369,16 +369,16 @@ def parse_profile(expr: str) -> tuple[str, int]:
     if expr == "omega":
         return ("omega", 0)
     if expr.startswith("="):
-        body = expr[1:]
-        if "," in body:
-            left, right = body.split(",", 1)
-            if not right.startswith("!"):
-                raise GraphError(f"bad profile {expr!r}")
+        left, comma, right = expr[1:].partition(",")
+        if comma and not right.startswith("!"):
+            raise GraphError(f"bad profile {expr!r}")
+        try:
             k = int(left)
-            if int(right[1:]) != k + 1:
-                raise GraphError(f"bad profile {expr!r}: expected !{k + 1}")
-        else:
-            k = int(body)
+            nxt = int(right[1:]) if comma else k + 1
+        except ValueError:
+            raise GraphError(f"bad profile {expr!r}") from None
+        if nxt != k + 1:
+            raise GraphError(f"bad profile {expr!r}: expected !{k + 1}")
         if not 2 <= k <= 6:
             raise GraphError("profile level must be in 2..6")
         return ("exact", k)
@@ -397,6 +397,8 @@ class SearchTask:
     def __post_init__(self):
         if self.edges_min < 1 or self.edges_max < self.edges_min:
             raise GraphError("bad edge range")
+        if self.jobs < 1:
+            raise GraphError("jobs must be >= 1")
         parse_profile(self.profile)
 
 
@@ -431,7 +433,7 @@ def _profile_worker(payload):
     """Top-level worker: rebuild a graph from its edge list, profile it."""
     vcount, edges, canon_hex, k, planar = payload
     g = build(range(vcount), edges)
-    prof = ac_number(g, cap=7, counterexamples="probe")
+    prof = ac_number(g, cap=7)
     return SearchRecord(canon_hex, k, planar, prof.label, prof.omega)
 
 
@@ -605,12 +607,12 @@ def verify_minimality(n: int, max_edges: Optional[int] = None) -> MinimalityRepo
         count = 0
         for g in reduced_multigraphs(k):
             count += 1
-            prof = ac_number(g, cap=n + 1, counterexamples="probe")
+            prof = ac_number(g, cap=n + 1)
             if prof.number == n:
                 violations.append(canonical_form(g).hex())
         sizes.append((k, count))
     name, builder = corpus.MINIMAL_WITNESSES[n]
     wg = builder()
-    wprof = ac_number(wg, cap=n + 1, counterexamples="probe")
+    wprof = ac_number(wg, cap=n + 1)
     return MinimalityReport(n, budget, tuple(sizes), tuple(violations),
                             name, wprof.number == n)

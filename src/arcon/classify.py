@@ -16,8 +16,7 @@ from typing import NamedTuple, Optional
 
 from .arcsearch import is_n_ac
 from .multigraph import Edge, GraphError, Multigraph, smooth
-from .obstructions import seven_point_obstruction
-from .placements import Placement
+from .obstructions import seven_point_obstruction as obstruction_7
 
 
 class HomeoClass(enum.Enum):
@@ -133,15 +132,6 @@ def necessary_conditions(g: Multigraph) -> ConditionReport:
     if count == 2 and min(degs) >= 4:
         fired.append(RULE_2DEG4)
     return ConditionReport(count, maxdeg, tuple(fired))
-
-
-def obstruction_7(g: Multigraph) -> Placement:
-    """A 7-point placement that no covering arc satisfies.
-
-    Requires at least three branch points; see
-    :func:`arcon.obstructions.seven_point_obstruction` for the construction.
-    """
-    return seven_point_obstruction(g)
 
 
 def cross_check(g: Multigraph, check_eight: bool = False) -> bool:

@@ -94,7 +94,11 @@ def acnum(file: str, cap: int, witness: bool, as_json: bool) -> None:
     if not g.is_connected():
         click.echo("error: graph is not connected", err=True)
         sys.exit(2)
-    prof = ac_number(g, cap=cap)
+    try:
+        prof = ac_number(g, cap=cap)
+    except GraphError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(2)
     rec: dict = {"ac": prof.label, "omega": prof.omega}
     for n, ok in prof.verdicts:
         rec[f"n{n}"] = ok

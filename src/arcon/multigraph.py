@@ -46,10 +46,6 @@ class Edge(NamedTuple):
     def is_loop(self) -> bool:
         return self.a == self.b
 
-    def pair(self) -> tuple[Id, Id]:
-        """Endpoints as an ordered pair (sorted by id key)."""
-        return (self.a, self.b) if idkey(self.a) <= idkey(self.b) else (self.b, self.a)
-
     def other(self, v: Id) -> Id:
         if v == self.a:
             return self.b

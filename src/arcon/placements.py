@@ -123,66 +123,44 @@ def _subsets_lex(ids: tuple[int, ...], maxlen: int) -> Iterator[tuple[int, ...]]
     yield from rec(0, [])
 
 
-def _candidates(gi: GraphIndex, n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All class-sorted (marks, counts) with |marks| + sum(counts) = n, lex order."""
-    for marks in _subsets_lex(tuple(range(gi.n)), n):
-        rem = n - len(marks)
-        for cvec in _compositions(rem, gi.nslots, gi.prev_slot):
-            yield marks, cvec
-
-
 def iter_placements_indexed(gi: GraphIndex, n: int):
     """Orbit representatives in lex order, as indexed (marks, counts) pairs.
 
-    With no collapsed twin blocks, canonicity splits: the mark set must be
-    lex-least over the group, and the count vector lex-least under the mark
-    set's stabilizer; rejecting a mark set discards all its count vectors at
-    once, and surviving mark sets usually have trivial stabilizers.
+    Marks compare first, so canonicity splits: the mark set must be lex-least
+    over the group, and the count vector lex-least under the mark set's
+    stabilizer.  Rejecting a mark set discards all its count vectors at once,
+    and surviving mark sets usually have small stabilizers.
     """
     sym = gi.symmetry()
-    if sym.trivial:
-        yield from _candidates(gi, n)
-        return
-    if sym.blocks:
-        is_canonical = sym.is_canonical
-        for marks, cvec in _candidates(gi, n):
-            if is_canonical(marks, cvec):
-                yield marks, cvec
-        return
-    autos = sym.fast_autos
+    autos, least_marks, image_counts = sym.autos, sym.least_marks, sym.image_counts
     nslots, prev = gi.nslots, gi.prev_slot
     for marks in _subsets_lex(tuple(range(gi.n)), n):
         lm = list(marks)
+        least = least_marks(marks)
         stab = []
-        reject = False
         for vperm, sp in autos:
-            im = sorted(vperm[v] for v in marks)
+            im = sorted(vperm[v] for v in least)
             if im < lm:
-                reject = True
                 break
             if im == lm:
-                stab.append(sp)
-        if reject:
-            continue
-        rem = n - len(marks)
-        if not stab:
-            for cvec in _compositions(rem, nslots, prev):
-                yield marks, cvec
-            continue
-        for cvec in _compositions(rem, nslots, prev):
-            ok = True
-            for sp in stab:
-                for t in range(nslots):
-                    d = cvec[sp[t]] - cvec[t]
+                stab.append((vperm, sp))
+        else:
+            for cvec in _compositions(n - len(marks), nslots, prev):
+                for vperm, sp in stab:
+                    if sp is None:
+                        if image_counts(marks, cvec, vperm) < cvec:
+                            break
+                        continue
+                    # the first slot where the image differs decides
+                    d = 0
+                    for t in range(nslots):
+                        d = cvec[sp[t]] - cvec[t]
+                        if d:
+                            break
                     if d < 0:
-                        ok = False
                         break
-                    if d > 0:
-                        break
-                if not ok:
-                    break
-            if ok:
-                yield marks, cvec
+                else:
+                    yield marks, cvec
 
 
 def enumerate_placements(g: Multigraph, n: int) -> Iterator[Placement]:

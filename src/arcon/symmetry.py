@@ -349,15 +349,18 @@ class _Block:
 class PlacementSymmetry:
     """Compiled automorphism action on placements.
 
-    Collapses interchangeable-vertex (twin) classes into blocks where safe,
-    enumerates the remaining skeleton automorphisms explicitly, and answers
-    the canonicity question for a placement: is (marks, counts) the
-    lexicographically least member of its orbit?  Block-internal symmetry is
-    folded in by sorting per-member payloads instead of enumerating the
-    blocks' factorial groups.
+    Collapses interchangeable-vertex (twin) classes into blocks where safe and
+    enumerates the remaining skeleton automorphisms explicitly.  Block-internal
+    symmetry is folded in by sorting per-member payloads instead of
+    enumerating the blocks' factorial groups.
+
+    ``autos`` lists ``(vperm, sp)`` pairs.  Without blocks, ``sp`` is the
+    slot permutation of ``vperm`` and the identity is left out, so a trivial
+    group has no entries.  With blocks, ``sp`` is ``None`` and the identity
+    stays: it carries the blocks' internal permutations.
     """
 
-    __slots__ = ("gi", "blocks", "block_of", "skeleton", "fast_autos", "trivial")
+    __slots__ = ("gi", "blocks", "block_of", "autos")
 
     def __init__(self, gi: GraphIndex):
         self.gi = gi
@@ -366,14 +369,12 @@ class PlacementSymmetry:
         self.block_of = [-1] * n
         self.blocks: list[_Block] = []
         self._choose_blocks(colors)
-        self.skeleton = self._skeleton_autos()
-        self.trivial = len(self.skeleton) == 1 and not self.blocks
-        self.fast_autos: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        if not self.blocks:
-            for vperm in self.skeleton:
-                if vperm == tuple(range(n)):
-                    continue
-                self.fast_autos.append((vperm, self._slot_perm(vperm)))
+        skeleton = self._skeleton_autos()
+        if self.blocks:
+            self.autos = [(vperm, None) for vperm in skeleton]
+        else:
+            self.autos = [(vperm, self._slot_perm(vperm)) for vperm in skeleton
+                          if vperm != tuple(range(n))]
 
     # .. block selection ....................................................
 
@@ -523,56 +524,33 @@ class PlacementSymmetry:
 
     # .. canonicity ..........................................................
 
-    def is_canonical(self, marks: tuple[int, ...], cvec: tuple[int, ...]) -> bool:
-        """Is (marks, counts) lex-least in its orbit?
+    def least_marks(self, marks: tuple[int, ...]) -> tuple[int, ...]:
+        """``marks`` with each block's marked members moved to its first members.
 
-        ``marks`` is a sorted tuple of vertex indices and ``cvec`` a
-        class-sorted count vector (ascending within each parallel class).
+        Skeleton automorphisms map block members in order, so the image of
+        this set under ``vperm`` is the least mark set that ``vperm`` composed
+        with block-internal permutations can reach.
         """
-        if self.trivial:
-            return True
         if not self.blocks:
-            for vperm, sp in self.fast_autos:
-                if marks:
-                    im = sorted(vperm[v] for v in marks)
-                    if im < list(marks):
-                        return False
-                    if im != list(marks):
-                        continue
-                for t in range(len(cvec)):
-                    d = cvec[sp[t]] - cvec[t]
-                    if d < 0:
-                        return False
-                    if d > 0:
-                        break
-            return True
-        self_key = (marks, cvec)
-        for vperm in self.skeleton:
-            if self._image_key(marks, cvec, vperm) < self_key:
-                return False
-        return True
+            return marks
+        block_of = self.block_of
+        out = [v for v in marks if block_of[v] == -1]
+        for bi, blk in enumerate(self.blocks):
+            out.extend(blk.members[:sum(1 for v in marks if block_of[v] == bi)])
+        return tuple(out)
 
-    def min_key(self, marks: tuple[int, ...], cvec: tuple[int, ...]):
-        """Orbit-minimal (marks, counts) key; exposed for cross-validation."""
-        if self.trivial:
-            return (marks, cvec)
-        best = None
-        for vperm in self.skeleton:
-            key = self._image_key(marks, cvec, vperm)
-            if best is None or key < best:
-                best = key
-        return best
+    def image_counts(self, marks: tuple[int, ...], cvec: tuple[int, ...],
+                     vperm: Sequence[int]) -> tuple[int, ...]:
+        """Least count vector over ``vperm`` composed with block permutations.
 
-    def _image_key(self, marks: tuple[int, ...], cvec: tuple[int, ...],
-                   vperm: Sequence[int]):
+        Marked block members are placed first in their target block, so for a
+        ``vperm`` stabilizing ``least_marks(marks)`` this is the least count
+        vector among the images that keep the mark set.
+        """
         gi = self.gi
         out_counts = [0] * gi.nslots
-        out_marks = []
         mset = set(marks)
         block_of = self.block_of
-        for v in marks:
-            if block_of[v] == -1:
-                out_marks.append(vperm[v])
         for (i, j, s, e) in gi.classes:
             if block_of[i] != -1 or block_of[j] != -1:
                 continue
@@ -599,8 +577,6 @@ class PlacementSymmetry:
             payloads.sort()
             for rank, word in enumerate(payloads):
                 tgt = tblk.members[rank]
-                if word[0] == 0:
-                    out_marks.append(tgt)
                 for wi, t in enumerate(nbr_order):
                     u = blk.nbrs[t]
                     tu = vperm[u]
@@ -609,5 +585,4 @@ class PlacementSymmetry:
                     vals = word[1 + wi]
                     for off, val in enumerate(vals):
                         out_counts[ts + off] = val
-        out_marks.sort()
-        return (tuple(out_marks), tuple(out_counts))
+        return tuple(out_counts)

@@ -66,6 +66,17 @@ class TestAcnum:
         res = runner.invoke(main, ["acnum", str(p)])
         assert res.exit_code == 2
 
+    def test_engine_bound_exits_2(self, runner, tmp_path, monkeypatch):
+        # 5 petals (two parallel c-a_i edges and a loop at a_i) have 120 skeleton
+        # automorphisms; the looped twins are not collapsed into a block
+        monkeypatch.setattr("arcon.symmetry.SKELETON_AUTO_LIMIT", 100)
+        p = tmp_path / "petals.graph"
+        p.write_text("".join(f"c a{i}\nc a{i}\na{i} a{i}\n" for i in range(5)))
+        res = runner.invoke(main, ["acnum", str(p)])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "error: automorphism group" in res.output
+
 
 class TestClassify:
     def test_lollipop(self, runner, tmp_path):
@@ -158,9 +169,19 @@ class TestSearch:
         assert "corrupt" in res.output
 
     def test_bad_profile_exit_2(self, runner):
+        for expr in ("=9", "=x", "=3,!x"):
+            res = runner.invoke(main, ["search", "--edges-min", "1", "--edges-max", "2",
+                                       "--profile", expr])
+            assert res.exit_code == 2, expr
+            assert isinstance(res.exception, SystemExit)
+            assert "error:" in res.output
+
+    def test_jobs_zero_exit_2(self, runner):
         res = runner.invoke(main, ["search", "--edges-min", "1", "--edges-max", "2",
-                                   "--profile", "=9"])
+                                   "--profile", "=3", "--jobs", "0"])
         assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "error: jobs" in res.output
 
 
 class TestVerifyPaper:

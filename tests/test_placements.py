@@ -1,11 +1,22 @@
 import pytest
 
-from arcon import GraphError, build
+from arcon import GraphError, build, reduced_multigraphs
 from arcon import corpus
 from arcon.placements import Placement, enumerate_placements, realize
 from arcon.symmetry import graph_index
 
 from conftest import naive_orbit_count
+
+
+def double_star():
+    return build(
+        "ab" + "pqr" + "xyz",
+        [("a", "b"), ("a", "p"), ("a", "q"), ("a", "r"),
+         ("b", "x"), ("b", "y"), ("b", "z")],
+    )
+
+
+GRAPHS = {"star(5)": lambda: corpus.star(5), "double-star": double_star}
 
 
 def key_of(g, p: Placement):
@@ -48,16 +59,12 @@ class TestEnumerate:
         assert len(list(enumerate_placements(g, n))) == naive_orbit_count(g, n)
 
     def test_twin_block_graphs_match_oracle(self):
-        star = corpus.star(5)
-        for n in (1, 2, 3):
-            assert len(list(enumerate_placements(star, n))) == naive_orbit_count(star, n)
-        dstar = build(
-            "ab" + "pqr" + "xyz",
-            [("a", "b"), ("a", "p"), ("a", "q"), ("a", "r"),
-             ("b", "x"), ("b", "y"), ("b", "z")],
-        )
-        for n in (1, 2, 3):
-            assert len(list(enumerate_placements(dstar, n))) == naive_orbit_count(dstar, n)
+        # every census class up to 5 edges: twin-block, trivial and other groups
+        graphs = [corpus.star(5), double_star()]
+        graphs += [g for k in range(1, 6) for g in reduced_multigraphs(k)]
+        for g in graphs:
+            for n in (1, 2, 3):
+                assert len(list(enumerate_placements(g, n))) == naive_orbit_count(g, n)
 
     def test_stream_is_lex_sorted_and_deterministic(self):
         g = corpus.circle_two_chords()
@@ -66,12 +73,13 @@ class TestEnumerate:
         assert keys == sorted(keys)
         assert reps == list(enumerate_placements(g, 3))
 
-    @pytest.mark.parametrize("name", ["theta", "dumbbell", "circle-two-whiskers"])
+    @pytest.mark.parametrize("name", ["theta", "dumbbell", "circle-two-whiskers",
+                                      "star(5)", "double-star", "k33"])
     def test_reps_are_lex_least_in_orbit(self, name):
         from arcon.symmetry import automorphisms
         from arcon.multigraph import idkey
 
-        g = corpus.entry(name).builder()
+        g = GRAPHS[name]() if name in GRAPHS else corpus.entry(name).builder()
         pairs = automorphisms(g)
         eids = sorted((e.eid for e in g.edges), key=idkey)
         eidx = {e: i for i, e in enumerate(eids)}
