@@ -11,18 +11,21 @@ automorphism orbit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .multigraph import GraphError, Id, Multigraph, smooth
 from .obstructions import probe_placements
 from .placements import (
     Placement,
+    _path_shadow,
     _realize_masks,
     _to_indexed,
     _to_placement,
     iter_placements_indexed,
 )
 from .symmetry import GraphIndex, graph_index
+
+WITNESS_CACHE = 8  # witness arcs kept by one is_n_ac scan
 
 
 def _reach(nmask: list[int], seed: int, allowed: int) -> int:
@@ -158,6 +161,59 @@ def covering_arc(gprime: Multigraph, marked: Iterable[Id]) -> Optional[ArcWitnes
     return witness
 
 
+def _witness_hit(witnesses: list[tuple[int, int]], marks: tuple[int, ...],
+                 cvec: tuple[int, ...]) -> bool:
+    """Does a witness arc found earlier in the scan cover ``(marks, cvec)``?
+
+    ``witnesses`` holds base-graph shadows ``(vmask, slots)`` of covering
+    paths (see ``_path_shadow``), most recently used first.  The placement is
+    covered when one shadow holds every marked vertex and every slot with
+    interior points; that shadow moves to the front.
+
+    Why a hit is sound: let A be the witness arc in the space.  For n >= 2
+    the path has an edge at each of its vertices, so A meets the interior of
+    every slot in ``slots`` in a nondegenerate interval.  A homeomorphism of
+    the space that fixes every vertex and maps each edge onto itself can
+    stretch that interval until it holds all of the edge's points of the new
+    placement, and the marked vertices lie on A already.  So the preimage of
+    A is an arc through all n points.  (For n = 1 every placement is covered
+    by its one point.)  This is the premise the placement quotient rests on.
+    """
+    mm = 0
+    for v in marks:
+        mm |= 1 << v
+    loaded = 0
+    for s, c in enumerate(cvec):
+        if c:
+            loaded |= 1 << s
+    for k, (vmask, slots) in enumerate(witnesses):
+        if not (mm & ~vmask or loaded & ~slots):
+            if k:
+                witnesses.insert(0, witnesses.pop(k))
+            return True
+    return False
+
+
+def _uncovered(gi: GraphIndex, n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The orbit representatives no arc covers, in lex order.
+
+    Keeps the shadows of up to ``WITNESS_CACHE`` covering paths found so far,
+    most recently used first.  A placement one of them covers
+    (``_witness_hit``) skips the realization and the path search; any other
+    is decided by the path search.
+    """
+    witnesses: list[tuple[int, int]] = []
+    for marks, cvec in iter_placements_indexed(gi, n):
+        if _witness_hit(witnesses, marks, cvec):
+            continue
+        path = _find_covering_path(*_realize_masks(gi, marks, cvec))
+        if path is None:
+            yield marks, cvec
+        else:
+            witnesses.insert(0, _path_shadow(gi, cvec, path))
+            del witnesses[WITNESS_CACHE:]
+
+
 def is_n_ac(g: Multigraph, n: int, counterexamples: str = "lex"
             ) -> tuple[bool, Optional[Placement]]:
     """Is every n-point placement coverable by one arc?
@@ -168,6 +224,11 @@ def is_n_ac(g: Multigraph, n: int, counterexamples: str = "lex"
     short list of constructed obstruction placements (each still certified by
     the exhaustive per-placement search), which typically finds a
     counterexample without scanning; the result boolean is identical.
+
+    The scan (``_uncovered``) reuses the covering paths it finds: a
+    placement one of them covers is coverable, so verdicts and
+    counterexamples are those of realizing and searching every
+    representative.
     """
     if n < 1:
         raise GraphError("n must be >= 1")
@@ -182,10 +243,8 @@ def is_n_ac(g: Multigraph, n: int, counterexamples: str = "lex"
                 return False, cand
     elif counterexamples != "lex":
         raise ValueError(f"unknown counterexample policy {counterexamples!r}")
-    for marks, cvec in iter_placements_indexed(gi, n):
-        nmask, mmask = _realize_masks(gi, marks, cvec)
-        if _find_covering_path(nmask, mmask) is None:
-            return False, _to_placement(gi, marks, cvec)
+    for marks, cvec in _uncovered(gi, n):
+        return False, _to_placement(gi, marks, cvec)
     return True, None
 
 

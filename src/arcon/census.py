@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .arcsearch import ac_number
 from .multigraph import BoundExceeded, GraphError, Multigraph, build
@@ -499,7 +499,9 @@ def _profiled(items: Iterator, pool) -> Iterator[tuple[SearchRecord, bool]]:
             yield (x, False) if isinstance(x, SearchRecord) else (next(fresh), True)
 
 
-def search(task: SearchTask, stop_after: Optional[int] = None) -> Iterator[SearchRecord]:
+def search(task: SearchTask, stop_after: Optional[int] = None,
+           progress: Optional[Callable[[SearchRecord], None]] = None
+           ) -> Iterator[SearchRecord]:
     """Profile every census graph in range, checkpointing as it goes.
 
     Emits one record per processed graph whose profile matches the task, in
@@ -513,7 +515,8 @@ def search(task: SearchTask, stop_after: Optional[int] = None) -> Iterator[Searc
     by canonical code, which does not depend on the labeling the census
     happens to yield, so any checkpoint of the same task resumes.
     ``stop_after`` (testing hook) aborts after that many newly processed
-    graphs.
+    graphs.  ``progress``, when given, is called once per processed record,
+    resumed or fresh, after the record has been checkpointed and emitted.
     """
     done: dict[str, SearchRecord] = {}
     out = None
@@ -558,6 +561,8 @@ def search(task: SearchTask, stop_after: Optional[int] = None) -> Iterator[Searc
                 processed += 1
             if _record_matches(rec, task.profile):
                 yield rec
+            if progress is not None:
+                progress(rec)
             if fresh and stop_after is not None and processed >= stop_after:
                 return
     finally:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
+from time import monotonic
 from typing import Optional
 
 import click
@@ -178,6 +179,32 @@ def enumerate_cmd(edges: int, planar_only: bool, out: Optional[str], as_json: bo
         sys.exit(2)
 
 
+class _SearchProgress:
+    """Progress of ``arcon search`` on stderr, at most one line a second.
+
+    Called once per processed record; ``report`` prints the line.
+    """
+
+    def __init__(self) -> None:
+        self.start = self.last = monotonic()
+        self.edges: Optional[int] = None
+        self.done = self.matches = 0
+
+    def __call__(self, rec) -> None:
+        self.edges = rec.edges
+        self.done += 1
+        now = monotonic()
+        if now - self.last >= 1.0:
+            self.last = now
+            self.report()
+
+    def report(self) -> None:
+        elapsed = monotonic() - self.start
+        rate = self.done / elapsed if elapsed > 0 else 0.0
+        click.echo(f"progress: edges={self.edges} done={self.done} "
+                   f"rate={rate:.1f}/s matches={self.matches}", err=True)
+
+
 @main.command("search")
 @click.option("--edges-min", required=True, type=int)
 @click.option("--edges-max", required=True, type=int)
@@ -194,12 +221,13 @@ def search_cmd(edges_min: int, edges_max: int, planar: bool, profile_expr: str,
     try:
         parse_profile(profile_expr)
         task = SearchTask(edges_min, edges_max, profile_expr, planar, checkpoint, jobs)
-        matches = 0
-        for rec in profile_search(task):
-            matches += 1
+        progress = _SearchProgress()
+        for rec in profile_search(task, progress=progress):
+            progress.matches += 1
             _emit({"canon": rec.canon, "edges": rec.edges, "planar": rec.planar,
                    "ac": rec.ac, "omega": rec.omega}, as_json)
-        _emit({"matches": matches}, as_json)
+        progress.report()
+        _emit({"matches": progress.matches}, as_json)
     except GraphError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)

@@ -224,6 +224,37 @@ def _realize_masks(gi: GraphIndex, marks: tuple[int, ...], cvec: tuple[int, ...]
     return nmask, marked
 
 
+def _path_shadow(gi: GraphIndex, cvec: tuple[int, ...], path: list[int]) -> tuple[int, int]:
+    """The base-graph shadow of a path found in ``_realize_masks(gi, marks, cvec)``.
+
+    Returns ``(vmask, slots)``: the base vertices on the path, and the edge
+    slots the path is known to run inside.  A slot counts when one of its
+    chain vertices is on the path.  A direct step between base vertices
+    ``i`` and ``j`` runs along an empty slot of that pair; it counts only
+    when exactly one slot of the pair is empty, since otherwise the slot it
+    used is not known.
+    """
+    n = gi.n
+    owner: list[int] = []  # slot of each chain vertex, in realization order
+    for s, (i, j) in enumerate(gi.slot_pairs):
+        c = cvec[s]
+        owner.extend([s] * (c + (2 - c if i == j and c < 2 else 0)))
+    vmask = slots = 0
+    prev = -1
+    for v in path:
+        if v >= n:
+            slots |= 1 << owner[v - n]
+        else:
+            vmask |= 1 << v
+            if 0 <= prev < n:
+                _, _, lo, hi = gi.classes[gi.class_of_pair[(min(prev, v), max(prev, v))]]
+                free = [s for s in range(lo, hi) if not cvec[s]]
+                if len(free) == 1:
+                    slots |= 1 << free[0]
+        prev = v
+    return vmask, slots
+
+
 def realize(g: Multigraph, p: Placement) -> tuple[Multigraph, frozenset]:
     """Subdivide ``g`` so the placement's interior points become vertices.
 

@@ -18,6 +18,7 @@ and mutually interchangeable (twin) vertices are branched only once.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Sequence
 
 from .multigraph import BoundExceeded, GraphError, Multigraph, idkey
@@ -368,8 +369,8 @@ class PlacementSymmetry:
         n = gi.n
         self.block_of = [-1] * n
         self.blocks: list[_Block] = []
-        self._choose_blocks(colors)
-        skeleton = self._skeleton_autos()
+        twin_classes = self._choose_blocks(colors)
+        skeleton = self._skeleton_autos(twin_classes)
         if self.blocks:
             self.autos = [(vperm, None) for vperm in skeleton]
         else:
@@ -378,7 +379,8 @@ class PlacementSymmetry:
 
     # .. block selection ....................................................
 
-    def _choose_blocks(self, colors: Sequence[int]) -> None:
+    def _choose_blocks(self, colors: Sequence[int]) -> list[list[int]]:
+        """Collapse the twin classes that can be blocks; return every twin class."""
         gi = self.gi
         n = gi.n
         groups: dict[int, list[int]] = {}
@@ -434,16 +436,23 @@ class PlacementSymmetry:
                 for m in members:
                     self.block_of[m] = bi
                     collapsed.add(m)
+        return [cl for classes in color_classes.values() for cl in classes]
 
     # .. skeleton enumeration ................................................
 
-    def _skeleton_autos(self) -> list[tuple[int, ...]]:
+    def _skeleton_autos(self, twin_classes: list[list[int]]) -> list[tuple[int, ...]]:
         gi = self.gi
         n = gi.n
         if not self.blocks:
-            vautos = _vertex_autos(n, gi.loops, gi.mult, gi.refined_colors(),
-                                   SKELETON_AUTO_LIMIT)
-            return vautos
+            # every permutation inside a twin class is an automorphism, so
+            # the product of the classes' factorials bounds the group below
+            size = 1
+            for cl in twin_classes:
+                size *= math.factorial(len(cl))
+            if size > SKELETON_AUTO_LIMIT:
+                raise BoundExceeded("automorphism group larger than the configured bound")
+            return _vertex_autos(n, gi.loops, gi.mult, gi.refined_colors(),
+                                 SKELETON_AUTO_LIMIT)
         # quotient: one node per block plus the uncollapsed vertices
         singles = [v for v in range(n) if self.block_of[v] == -1]
         qn = len(self.blocks) + len(singles)

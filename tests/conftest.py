@@ -14,8 +14,10 @@ import pytest
 from hypothesis import settings
 
 from arcon import build, canonical_form, is_n_ac
+from arcon.arcsearch import _find_covering_path
 from arcon.multigraph import Edge, GraphError, Multigraph, _suppressible, idkey
-from arcon.symmetry import automorphisms
+from arcon.placements import _realize_masks, _to_placement, iter_placements_indexed
+from arcon.symmetry import automorphisms, graph_index
 
 settings.register_profile("ci", deadline=None, max_examples=40)
 settings.load_profile("ci")
@@ -118,6 +120,20 @@ def naive_smooth(g):
         cur = Multigraph([u for u in cur.vertices if u != v], edges)
 
 
+def naive_is_n_ac(g, n: int):
+    """``is_n_ac(g, n, "lex")`` without witness reuse.
+
+    Realizes every orbit representative in lex order and runs the path
+    search on it; the first failure is the counterexample.  Kept as the
+    reference for the scan that skips placements a cached witness covers.
+    """
+    gi = graph_index(g)
+    for marks, cvec in iter_placements_indexed(gi, n):
+        if _find_covering_path(*_realize_masks(gi, marks, cvec)) is None:
+            return False, _to_placement(gi, marks, cvec)
+    return True, None
+
+
 def raw_ac_label(g, cap: int = 7) -> str:
     """ac label from ``is_n_ac`` at every level 2..cap on ``g`` itself, unsmoothed."""
     for n in range(2, cap + 1):
@@ -152,3 +168,12 @@ def small_census():
     from arcon.census import reduced_multigraphs
 
     return {k: list(reduced_multigraphs(k)) for k in range(1, 6)}
+
+
+@pytest.fixture(scope="session")
+def census_to_six(small_census):
+    """Every census class with at most 6 edges, in census order."""
+    from arcon.census import reduced_multigraphs
+
+    return [g for k in sorted(small_census) for g in small_census[k]] + \
+        list(reduced_multigraphs(6))

@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 
@@ -13,9 +14,10 @@ from arcon import (
 )
 from arcon import arcsearch, corpus
 from arcon.multigraph import germs, walk_segment
-from arcon.placements import Placement, realize
+from arcon.placements import Placement, _to_placement, realize
+from arcon.symmetry import graph_index
 
-from conftest import randomly_subdivided, raw_ac_label
+from conftest import naive_is_n_ac, randomly_subdivided, raw_ac_label
 
 
 def spy_is_n_ac(monkeypatch):
@@ -99,12 +101,44 @@ class TestIsNAc:
         ok, _ = is_n_ac(corpus.theta(), 7)
         assert ok
 
-    def test_policies_agree(self, small_census):
-        for g in small_census[3] + small_census[4]:
-            for n in (3, 4, 5):
-                lex, _ = is_n_ac(g, n, counterexamples="lex")
+    def test_policies_agree(self, census_to_six):
+        # the lex scan gives the plain scan's verdict and lex-least
+        # counterexample; the probe policy gives the same verdict
+        for g in census_to_six + [ce.builder() for ce in corpus.CORPUS]:
+            for n in range(3, 8):
+                lex = is_n_ac(g, n, counterexamples="lex")
+                assert lex == naive_is_n_ac(g, n)
                 probe, _ = is_n_ac(g, n, counterexamples="probe")
-                assert lex == probe
+                assert lex[0] == probe
+
+    def test_witness_hits_are_covered(self, monkeypatch, census_to_six):
+        # a placement skipped by witness reuse must be coverable on its own
+        # realization; the scan runs on past the first failure (up to ten),
+        # so placements with marked vertices at failing levels are checked
+        # too, and loops and parallel edges stress the slot shadows
+        looped_or_parallel = [
+            g for g in (ce.builder() for ce in corpus.CORPUS)
+            if len({frozenset((e.a, e.b)) for e in g.edges}) < len(g.edges)
+            or any(e.is_loop for e in g.edges)]
+        real = arcsearch._witness_hit
+        hits = 0
+        for g in census_to_six + looped_or_parallel:
+            gi = graph_index(g)
+
+            def checked(witnesses, marks, cvec):
+                nonlocal hits
+                hit = real(witnesses, marks, cvec)
+                if hit:
+                    hits += 1
+                    sub, marked = realize(g, _to_placement(gi, marks, cvec))
+                    assert covering_arc(sub, marked) is not None, (g, marks, cvec)
+                return hit
+
+            monkeypatch.setattr(arcsearch, "_witness_hit", checked)
+            for n in range(3, 8):
+                for _ in islice(arcsearch._uncovered(gi, n), 10):
+                    pass
+        assert hits > 0
 
     def test_probe_counterexample_is_genuine(self):
         _, cex = is_n_ac(corpus.k33(), 7, counterexamples="probe")

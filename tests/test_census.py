@@ -234,6 +234,16 @@ class TestSearch:
         assert len(yielded) == (1 if jobs == 1 else census.SEARCH_CHUNK)
         assert len(yielded) < CENSUS_COUNTS[6]
 
+    def test_progress_once_per_record(self, tmp_path):
+        ck = tmp_path / "ck.jsonl"
+        task = SearchTask(1, 4, "=2", checkpoint=str(ck))
+        list(search(task, stop_after=9))
+        seen = []
+        list(search(task, progress=seen.append))  # 9 resumed, the rest fresh
+        records = [SearchRecord.from_json(ln) for ln in ck.read_text().splitlines()[1:]]
+        assert sorted(r.to_json() for r in seen) == sorted(r.to_json() for r in records)
+        assert len(seen) == sum(CENSUS_COUNTS[k] for k in range(1, 5))
+
     def test_checkpoint_task_mismatch(self, tmp_path):
         ck = tmp_path / "ck.jsonl"
         list(search(SearchTask(1, 2, "=2", checkpoint=str(ck))))

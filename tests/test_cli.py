@@ -140,7 +140,7 @@ class TestSearch:
         res = runner.invoke(main, ["search", "--edges-min", "3", "--edges-max", "3",
                                    "--profile", "=2", "--json"])
         assert res.exit_code == 0
-        lines = res.output.strip().splitlines()
+        lines = res.stdout.strip().splitlines()
         recs = [json.loads(ln) for ln in lines[:-1]]
         # four of the six 3-edge classes stop at 2 (triod, 3-rose, both loop+leg forms)
         assert json.loads(lines[-1])["matches"] == 4
@@ -154,7 +154,35 @@ class TestSearch:
         assert res1.exit_code == 0
         res2 = runner.invoke(main, args)
         assert res2.exit_code == 0
-        assert res1.output == res2.output
+        assert res1.stdout == res2.stdout
+
+    def test_jobs_identical_stdout(self, runner):
+        out = {}
+        for jobs in ("1", "2"):
+            res = runner.invoke(main, ["search", "--edges-min", "1", "--edges-max", "5",
+                                       "--profile", "=3", "--jobs", jobs])
+            assert res.exit_code == 0
+            out[jobs] = res.stdout
+        assert out["1"] == out["2"]
+        assert kv(out["1"].splitlines()[-1])["matches"] == "15"
+
+    def test_progress_on_stderr(self, runner, monkeypatch):
+        from itertools import count
+
+        from arcon import cli
+
+        clock = count(0, 0.25)  # each reading a quarter second later
+        monkeypatch.setattr(cli, "monotonic", lambda: next(clock))
+        res = runner.invoke(main, ["search", "--edges-min", "1", "--edges-max", "5",
+                                   "--profile", "=3"])
+        assert res.exit_code == 0
+        lines = res.stderr.splitlines()
+        assert all(ln.startswith("progress: ") for ln in lines)
+        # 63 graphs: throttled to a line a second, then one final line
+        assert 2 <= len(lines) < 63
+        final = kv(lines[-1])
+        assert (final["edges"], final["done"], final["matches"]) == ("5", "63", "15")
+        assert "progress" not in res.stdout
 
     def test_corrupt_checkpoint_exit_2(self, runner, tmp_path):
         ck = tmp_path / "ck.jsonl"

@@ -102,3 +102,24 @@ def test_twin_block_symmetry_matches_explicit_group():
     sym = gi.symmetry()
     assert sym.blocks, "star leaves should collapse into a twin block"
     assert len(automorphisms(g, limit=10**6)) == 720
+
+
+def test_twin_classes_bound_the_group_before_listing(monkeypatch):
+    # 9 looped petals (two parallel c-a_i edges and a loop at a_i) are twins
+    # that do not collapse into a block; their 9! swaps exceed the bound, so
+    # the engine fails without listing a single automorphism
+    from arcon import symmetry
+
+    calls = []
+    real = symmetry._vertex_autos
+
+    def spy(*a):
+        calls.append(a)
+        return real(*a)
+
+    monkeypatch.setattr(symmetry, "_vertex_autos", spy)
+    petals = [f"a{i}" for i in range(9)]
+    g = build(["c"] + petals, [e for a in petals for e in (("c", a), ("c", a), (a, a))])
+    with pytest.raises(BoundExceeded, match="automorphism group"):
+        graph_index(g).symmetry()
+    assert calls == []
