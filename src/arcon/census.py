@@ -395,11 +395,11 @@ class SearchTask:
     jobs: int = 1
 
     def __post_init__(self):
+        parse_profile(self.profile)
         if self.edges_min < 1 or self.edges_max < self.edges_min:
             raise GraphError("bad edge range")
         if self.jobs < 1:
             raise GraphError("jobs must be >= 1")
-        parse_profile(self.profile)
 
 
 @dataclass(frozen=True)
@@ -422,8 +422,7 @@ class SearchRecord:
         return SearchRecord(d["canon"], d["edges"], d["planar"], str(d["ac"]), d["omega"])
 
 
-def _record_matches(rec: SearchRecord, profile: str) -> bool:
-    kind, k = parse_profile(profile)
+def _record_matches(rec: SearchRecord, kind: str, k: int) -> bool:
     if kind == "omega":
         return rec.omega
     return (not rec.omega) and rec.ac == str(k)
@@ -546,6 +545,7 @@ def search(task: SearchTask, stop_after: Optional[int] = None,
                 edges = [(e.eid, gi.vpos[e.a], gi.vpos[e.b]) for e in g.edges]
                 yield (gi.n, edges, code, k, planar)
 
+    kind, level = parse_profile(task.profile)
     processed = 0
     pool = None
     try:
@@ -559,7 +559,7 @@ def search(task: SearchTask, stop_after: Optional[int] = None,
                     out.write(rec.to_json() + "\n")
                     out.flush()
                 processed += 1
-            if _record_matches(rec, task.profile):
+            if _record_matches(rec, kind, level):
                 yield rec
             if progress is not None:
                 progress(rec)

@@ -21,7 +21,6 @@ from .census import (
     SearchTask,
     canonical_form,
     is_planar,
-    parse_profile,
     reduced_multigraphs,
 )
 from .census import search as profile_search
@@ -219,7 +218,6 @@ def search_cmd(edges_min: int, edges_max: int, planar: bool, profile_expr: str,
                checkpoint: Optional[str], jobs: int, as_json: bool) -> None:
     """Sweep the census for graphs matching an arc-connectivity profile."""
     try:
-        parse_profile(profile_expr)
         task = SearchTask(edges_min, edges_max, profile_expr, planar, checkpoint, jobs)
         progress = _SearchProgress()
         for rec in profile_search(task, progress=progress):

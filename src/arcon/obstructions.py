@@ -1,8 +1,11 @@
 """Constructive placements that defeat covering arcs.
 
-Around a branch point, points planted just inside several edge-germs force
-any covering arc to spend an endpoint locally; three branch points in a row
-need more endpoints than an arc has.  These constructions produce concrete
+An arc has two endpoints, and an arc minus one point has at most two
+components.  So three endpoints of the graph cannot lie on one arc, nor can
+three points in three components of the graph minus a vertex.  Around a
+branch point, points planted just inside several edge-germs force any
+covering arc to spend an endpoint locally; three branch points in a row need
+more endpoints than an arc has.  These constructions produce concrete
 placements; callers certify them with the exhaustive covering-arc search, so
 a construction that ever failed to obstruct would be caught, not trusted.
 """
@@ -21,6 +24,52 @@ from .multigraph import (
     segments_from,
 )
 from .placements import Placement
+
+
+def endpoint_obstruction(g: Multigraph) -> Placement | None:
+    """Marks at the three idkey-least degree-1 vertices, or None.
+
+    A point of degree 1 on an arc is an endpoint of the arc, and an arc has
+    two endpoints.
+    """
+    ends = sorted((v for v in g.vertices if g.degree(v) == 1), key=idkey)
+    if len(ends) < 3:
+        return None
+    return Placement.of(g, ends[:3])
+
+
+def cut_vertex_obstruction(g: Multigraph) -> Placement | None:
+    """One point just inside a germ into each of three components of g - v.
+
+    ``v`` is the idkey-least branch vertex whose removal leaves at least
+    three components; a loop at ``v`` is a component of its own.  Returns
+    None when there is no such vertex.  An arc minus ``v`` has at most two
+    components, each inside one component of g - v, so it misses a point.
+    """
+    for v in sorted((v for v in g.vertices if g.degree(v) >= 3), key=idkey):
+        seen = {v}            # v and the components entered so far
+        picks: list[Id] = []  # one edge id into each component
+        for gm in germs(g, v):
+            e = gm.edge
+            if e.is_loop:
+                if gm.side == 0:
+                    picks.append(e.eid)
+                continue
+            u = e.other(v)
+            if u in seen:
+                continue
+            seen.add(u)
+            stack = [u]
+            while stack:
+                for f in g.incident(stack.pop()):
+                    for x in (f.a, f.b):
+                        if x not in seen:
+                            seen.add(x)
+                            stack.append(x)
+            picks.append(e.eid)
+        if len(picks) >= 3:
+            return Placement.of(g, (), {eid: 1 for eid in picks[:3]})
+    return None
 
 
 def kod_core(g: Multigraph, v: Id, k: int) -> Placement | None:
@@ -105,6 +154,10 @@ def probe_placements(g: Multigraph, n: int):
 
     Yields n-point placements only; callers verify each with the exhaustive
     per-placement search, so speculative candidates cost one search at most.
+    For n >= 3 the endpoint and cut-vertex obstructions come first; they
+    always obstruct when they exist.  The speculative fans run for n >= 4
+    only: a 3-fan at v obstructs only when its germs enter three components
+    of g - v, and then the cut-vertex obstruction has already been tried.
     """
     seen = set()
     branch = sorted((v for v in g.vertices if g.degree(v) >= 3), key=idkey)
@@ -119,6 +172,11 @@ def probe_placements(g: Multigraph, n: int):
         seen.add(key)
         return p
 
+    if n >= 3:
+        for core in (endpoint_obstruction(g), cut_vertex_obstruction(g)):
+            p = emit(core)
+            if p is not None:
+                yield p
     if n >= 7 and len(branch) >= 3:
         p = emit(seven_point_obstruction(g))
         if p is not None:
@@ -130,9 +188,10 @@ def probe_placements(g: Multigraph, n: int):
                 if p is not None:
                     yield p
                 break
+    if n < 4:
+        return
     for v in branch[:6]:
         for k in sorted({min(g.degree(v), n), 3}, reverse=True):
-            if k >= 3:
-                p = emit(kod_core(g, v, k))
-                if p is not None:
-                    yield p
+            p = emit(kod_core(g, v, k))
+            if p is not None:
+                yield p

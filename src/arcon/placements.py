@@ -131,26 +131,20 @@ def iter_placements_indexed(gi: GraphIndex, n: int):
     stabilizer.  Rejecting a mark set discards all its count vectors at once,
     and surviving mark sets usually have small stabilizers.
     """
-    sym = gi.symmetry()
-    autos, least_marks, image_counts = sym.autos, sym.least_marks, sym.image_counts
+    autos = gi.symmetry().autos
     nslots, prev = gi.nslots, gi.prev_slot
     for marks in _subsets_lex(tuple(range(gi.n)), n):
         lm = list(marks)
-        least = least_marks(marks)
         stab = []
         for vperm, sp in autos:
-            im = sorted(vperm[v] for v in least)
+            im = sorted(vperm[v] for v in marks)
             if im < lm:
                 break
             if im == lm:
-                stab.append((vperm, sp))
+                stab.append(sp)
         else:
             for cvec in _compositions(n - len(marks), nslots, prev):
-                for vperm, sp in stab:
-                    if sp is None:
-                        if image_counts(marks, cvec, vperm) < cvec:
-                            break
-                        continue
+                for sp in stab:
                     # the first slot where the image differs decides
                     d = 0
                     for t in range(nslots):

@@ -5,9 +5,9 @@ Three related jobs live here:
 * canonical codes (``canonical_form``): a byte string equal for two graphs
   exactly when they are isomorphic as multigraphs with loops,
 * explicit automorphisms (``automorphisms``): vertex/edge permutation pairs,
-* placement symmetry (:class:`PlacementSymmetry`): a compiled form of the
-  automorphism action on point placements, used to enumerate placements one
-  per orbit without materializing large groups.
+* placement symmetry (:class:`PlacementSymmetry`): the vertex automorphisms
+  with their action on edge slots, used to enumerate placements one per
+  orbit.
 
 Everything works on an integer-indexed view (:class:`GraphIndex`).  The
 canonical code is the minimum relabeled edge list over all labelings
@@ -309,8 +309,6 @@ def automorphisms(g: Multigraph, limit: int = AUTOMORPHISM_PAIR_LIMIT):
             total *= f
         if total > limit:
             raise BoundExceeded("automorphism pair count exceeds the configured bound")
-    if total > limit:
-        raise BoundExceeded("automorphism pair count exceeds the configured bound")
     class_slots = [list(range(s, e)) for (_, _, s, e) in gi.classes]
     pairs = []
     for va in vautos:
@@ -336,187 +334,46 @@ def automorphisms(g: Multigraph, limit: int = AUTOMORPHISM_PAIR_LIMIT):
 # -- placement symmetry --------------------------------------------------------
 
 
-class _Block:
-    __slots__ = ("members", "nbrs", "nbr_classes")
-
-    def __init__(self, members: tuple[int, ...], nbrs: tuple[int, ...],
-                 nbr_classes: tuple[int, ...]):
-        self.members = members          # sorted vertex indices
-        self.nbrs = nbrs                # sorted neighbor vertex indices
-        # nbr_classes[k*len(nbrs)+t] = class index of (members[k], nbrs[t])
-        self.nbr_classes = nbr_classes
-
-
 class PlacementSymmetry:
     """Compiled automorphism action on placements.
 
-    Collapses interchangeable-vertex (twin) classes into blocks where safe and
-    enumerates the remaining skeleton automorphisms explicitly.  Block-internal
-    symmetry is folded in by sorting per-member payloads instead of
-    enumerating the blocks' factorial groups.
-
-    ``autos`` lists ``(vperm, sp)`` pairs.  Without blocks, ``sp`` is the
-    slot permutation of ``vperm`` and the identity is left out, so a trivial
-    group has no entries.  With blocks, ``sp`` is ``None`` and the identity
-    stays: it carries the blocks' internal permutations.
+    ``autos`` lists ``(vperm, sp)`` for every non-identity vertex
+    automorphism ``vperm``, with ``sp`` its slot permutation, so a trivial
+    group has no entries.  Parallel-edge swaps are left out: placement count
+    vectors are class-sorted instead.
     """
 
-    __slots__ = ("gi", "blocks", "block_of", "autos")
+    __slots__ = ("gi", "autos")
 
     def __init__(self, gi: GraphIndex):
         self.gi = gi
+        n = gi.n
+        # every permutation inside a twin class is an automorphism, so the
+        # product of the classes' factorials bounds the group below
+        size = 1
+        for cl in self._twin_classes():
+            size *= math.factorial(len(cl))
+        if size > SKELETON_AUTO_LIMIT:
+            raise BoundExceeded("automorphism group larger than the configured bound")
+        vautos = _vertex_autos(n, gi.loops, gi.mult, gi.refined_colors(),
+                               SKELETON_AUTO_LIMIT)
+        self.autos = [(vperm, self._slot_perm(vperm)) for vperm in vautos
+                      if vperm != tuple(range(n))]
+
+    def _twin_classes(self) -> list[list[int]]:
+        """The twin classes inside each refined color class."""
+        gi = self.gi
         colors = gi.refined_colors()
-        n = gi.n
-        self.block_of = [-1] * n
-        self.blocks: list[_Block] = []
-        twin_classes = self._choose_blocks(colors)
-        skeleton = self._skeleton_autos(twin_classes)
-        if self.blocks:
-            self.autos = [(vperm, None) for vperm in skeleton]
-        else:
-            self.autos = [(vperm, self._slot_perm(vperm)) for vperm in skeleton
-                          if vperm != tuple(range(n))]
-
-    # .. block selection ....................................................
-
-    def _choose_blocks(self, colors: Sequence[int]) -> list[list[int]]:
-        """Collapse the twin classes that can be blocks; return every twin class."""
-        gi = self.gi
-        n = gi.n
-        groups: dict[int, list[int]] = {}
-        for v in range(n):
-            groups.setdefault(colors[v], []).append(v)
-        # split each color group into twin classes
-        color_classes: dict[int, list[list[int]]] = {}
-        for c, members in groups.items():
-            classes: list[list[int]] = []
-            for v in members:
-                for cl in classes:
-                    if _twins(gi.loops, gi.mult, cl[0], v):
-                        cl.append(v)
-                        break
-                else:
-                    classes.append([v])
-            color_classes[c] = classes
-        collapsed: set[int] = set()
-        # a color group is collapsed as a whole or not at all, so that every
-        # automorphism maps collapsed blocks onto collapsed blocks
-        for c in sorted(color_classes):
-            classes = color_classes[c]
-            if any(len(cl) < 2 for cl in classes):
-                continue
-            ok = True
-            for cl in classes:
-                v0 = cl[0]
-                if gi.loops[v0] or any(gi.mult[x][y] for x in cl for y in cl if x < y):
-                    ok = False
-                    break
-                for x in cl:
-                    row = gi.mult[x]
-                    for u in range(n):
-                        if row[u] and (u in collapsed or any(u in c2 for c2 in classes)):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            for cl in classes:
-                members = tuple(sorted(cl))
-                nbrs = tuple(sorted(u for u in range(n) if gi.mult[members[0]][u]))
-                ncls = []
-                for m in members:
-                    for u in nbrs:
-                        a, b = (m, u) if m < u else (u, m)
-                        ncls.append(gi.class_of_pair[(a, b)])
-                bi = len(self.blocks)
-                self.blocks.append(_Block(members, nbrs, tuple(ncls)))
-                for m in members:
-                    self.block_of[m] = bi
-                    collapsed.add(m)
-        return [cl for classes in color_classes.values() for cl in classes]
-
-    # .. skeleton enumeration ................................................
-
-    def _skeleton_autos(self, twin_classes: list[list[int]]) -> list[tuple[int, ...]]:
-        gi = self.gi
-        n = gi.n
-        if not self.blocks:
-            # every permutation inside a twin class is an automorphism, so
-            # the product of the classes' factorials bounds the group below
-            size = 1
-            for cl in twin_classes:
-                size *= math.factorial(len(cl))
-            if size > SKELETON_AUTO_LIMIT:
-                raise BoundExceeded("automorphism group larger than the configured bound")
-            return _vertex_autos(n, gi.loops, gi.mult, gi.refined_colors(),
-                                 SKELETON_AUTO_LIMIT)
-        # quotient: one node per block plus the uncollapsed vertices
-        singles = [v for v in range(n) if self.block_of[v] == -1]
-        qn = len(self.blocks) + len(singles)
-        qpos: dict[tuple[str, int], int] = {}
-        for bi in range(len(self.blocks)):
-            qpos[("b", bi)] = bi
-        for k, v in enumerate(singles):
-            qpos[("v", v)] = len(self.blocks) + k
-        qloops = [0] * qn
-        qmult = [[0] * qn for _ in range(qn)]
-        sizes = [0] * qn
-        for bi, blk in enumerate(self.blocks):
-            sizes[bi] = len(blk.members)
-            m0 = blk.members[0]
-            for u in blk.nbrs:
-                qmult[bi][qpos[("v", u)]] = gi.mult[m0][u]
-                qmult[qpos[("v", u)]][bi] = gi.mult[m0][u]
-        for k, v in enumerate(singles):
-            i = len(self.blocks) + k
-            sizes[i] = 1
-            qloops[i] = gi.loops[v]
-            for k2 in range(k + 1, len(singles)):
-                w = singles[k2]
-                j = len(self.blocks) + k2
-                qmult[i][j] = qmult[j][i] = gi.mult[v][w]
-        is_block = [1 if i < len(self.blocks) else 0 for i in range(qn)]
-        init = _rank([(is_block[i], sizes[i], qloops[i],
-                       sum(qmult[i]) + 2 * qloops[i]) for i in range(qn)])
-        qcolors = _refine(qn, qloops, qmult, init)
-        qautos = _vertex_autos(qn, qloops, qmult, qcolors, SKELETON_AUTO_LIMIT)
-        lifted = []
-        for qa in qautos:
-            vperm = [-1] * n
-            ok = True
-            for bi, blk in enumerate(self.blocks):
-                tb = qa[bi]
-                if tb >= len(self.blocks) or len(self.blocks[tb].members) != len(blk.members):
-                    ok = False
-                    break
-                for src, dst in zip(blk.members, self.blocks[tb].members):
-                    vperm[src] = dst
-            if not ok:
-                continue
-            for k, v in enumerate(singles):
-                t = qa[len(self.blocks) + k] - len(self.blocks)
-                if t < 0:
-                    ok = False
-                    break
-                vperm[v] = singles[t]
-            if ok and self._is_vertex_auto(vperm):
-                lifted.append(tuple(vperm))
-        return lifted
-
-    def _is_vertex_auto(self, vperm: Sequence[int]) -> bool:
-        gi = self.gi
+        groups: dict[int, list[list[int]]] = {}
         for v in range(gi.n):
-            if gi.loops[vperm[v]] != gi.loops[v]:
-                return False
-            row = gi.mult[v]
-            prow = gi.mult[vperm[v]]
-            for u in range(v + 1, gi.n):
-                if row[u] != prow[vperm[u]]:
-                    return False
-        return True
+            classes = groups.setdefault(colors[v], [])
+            for cl in classes:
+                if _twins(gi.loops, gi.mult, cl[0], v):
+                    cl.append(v)
+                    break
+            else:
+                classes.append([v])
+        return [cl for classes in groups.values() for cl in classes]
 
     def _slot_perm(self, vperm: Sequence[int]) -> tuple[int, ...]:
         """image[t] = counts[sp[t]] for class-sorted count vectors."""
@@ -530,68 +387,3 @@ class PlacementSymmetry:
             for off in range(e - s):
                 sp[ts + off] = s + off
         return tuple(sp)
-
-    # .. canonicity ..........................................................
-
-    def least_marks(self, marks: tuple[int, ...]) -> tuple[int, ...]:
-        """``marks`` with each block's marked members moved to its first members.
-
-        Skeleton automorphisms map block members in order, so the image of
-        this set under ``vperm`` is the least mark set that ``vperm`` composed
-        with block-internal permutations can reach.
-        """
-        if not self.blocks:
-            return marks
-        block_of = self.block_of
-        out = [v for v in marks if block_of[v] == -1]
-        for bi, blk in enumerate(self.blocks):
-            out.extend(blk.members[:sum(1 for v in marks if block_of[v] == bi)])
-        return tuple(out)
-
-    def image_counts(self, marks: tuple[int, ...], cvec: tuple[int, ...],
-                     vperm: Sequence[int]) -> tuple[int, ...]:
-        """Least count vector over ``vperm`` composed with block permutations.
-
-        Marked block members are placed first in their target block, so for a
-        ``vperm`` stabilizing ``least_marks(marks)`` this is the least count
-        vector among the images that keep the mark set.
-        """
-        gi = self.gi
-        out_counts = [0] * gi.nslots
-        mset = set(marks)
-        block_of = self.block_of
-        for (i, j, s, e) in gi.classes:
-            if block_of[i] != -1 or block_of[j] != -1:
-                continue
-            ti, tj = vperm[i], vperm[j]
-            if ti > tj:
-                ti, tj = tj, ti
-            (_, _, ts, te) = gi.classes[gi.class_of_pair[(ti, tj)]]
-            for off in range(e - s):
-                out_counts[ts + off] = cvec[s + off]
-        for bi, blk in enumerate(self.blocks):
-            tbi = self.block_of[vperm[blk.members[0]]]
-            tblk = self.blocks[tbi]
-            width = len(blk.nbrs)
-            # neighbor order by image id; same permutation applies to every member
-            nbr_order = sorted(range(width), key=lambda t: vperm[blk.nbrs[t]])
-            payloads = []
-            for k, m in enumerate(blk.members):
-                word = [0 if m in mset else 1]
-                for t in nbr_order:
-                    ci = blk.nbr_classes[k * width + t]
-                    (_, _, s, e) = gi.classes[ci]
-                    word.append(cvec[s:e])
-                payloads.append(tuple(word))
-            payloads.sort()
-            for rank, word in enumerate(payloads):
-                tgt = tblk.members[rank]
-                for wi, t in enumerate(nbr_order):
-                    u = blk.nbrs[t]
-                    tu = vperm[u]
-                    a, b = (tgt, tu) if tgt < tu else (tu, tgt)
-                    (_, _, ts, te) = gi.classes[gi.class_of_pair[(a, b)]]
-                    vals = word[1 + wi]
-                    for off, val in enumerate(vals):
-                        out_counts[ts + off] = val
-        return tuple(out_counts)

@@ -228,6 +228,71 @@ class TestAcNumber:
             assert covering_arc(sub, marked) is None, name
 
 
+def theorem_applies(g) -> bool:
+    """Three degree-1 vertices, or a vertex whose removal leaves three pieces.
+
+    Pieces are counted on the graph with every edge subdivided once, so a
+    loop at the vertex is a piece of its own and parallel edges join one.
+    """
+    if sum(1 for v in g.vertices if g.degree(v) == 1) >= 3:
+        return True
+    fine = g
+    for e in g.edges:
+        fine, _ = fine.subdivide(e.eid, 1)
+    for v in g.vertices:
+        left = set(fine.vertices) - {v}
+        pieces = 0
+        while left:
+            pieces += 1
+            stack = [left.pop()]
+            while stack:
+                for e in fine.incident(stack.pop()):
+                    for w in (e.a, e.b):
+                        if w in left:
+                            left.remove(w)
+                            stack.append(w)
+        if pieces >= 3:
+            return True
+    return False
+
+
+class TestTheoremProbes:
+    def test_census_to_seven_fails_level_three_without_symmetry(
+            self, census_to_six, monkeypatch):
+        from arcon import reduced_multigraphs, symmetry
+        from arcon.obstructions import cut_vertex_obstruction, endpoint_obstruction
+
+        def no_symmetry(gi):
+            raise AssertionError("placement symmetry built")
+
+        def found(g):
+            return (endpoint_obstruction(g) is not None
+                    or cut_vertex_obstruction(g) is not None)
+
+        monkeypatch.setattr(symmetry, "PlacementSymmetry", no_symmetry)
+        rng = random.Random(11)
+        checked = 0
+        for g in census_to_six + list(reduced_multigraphs(7)):
+            assert found(g) == theorem_applies(g)
+            # degree-2 vertices of an unsmoothed input change nothing
+            assert found(randomly_subdivided(g, rng, 2, 2)) == found(g)
+            if not found(g):
+                continue
+            prof = ac_number(g)
+            assert prof.label == "2" and prof.counterexample_n == 3
+            sub, marked = realize(g, prof.counterexample)
+            assert covering_arc(sub, marked) is None
+            checked += 1
+        assert checked > 100
+
+    def test_many_twins_answered_by_theorems(self):
+        petals = [f"a{i}" for i in range(9)]
+        looped = build(["c"] + petals,
+                       [e for a in petals for e in (("c", a), ("c", a), (a, a))])
+        assert ac_number(corpus.star(12)).label == "2"
+        assert ac_number(looped).label == "2"
+
+
 class TestWitnessTriodConditions:
     """Covering arcs through a local triod must pass its center and end on a leg."""
 

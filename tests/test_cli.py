@@ -67,12 +67,11 @@ class TestAcnum:
         assert res.exit_code == 2
 
     def test_engine_bound_exits_2(self, runner, tmp_path, monkeypatch):
-        # 5 petals (two parallel c-a_i edges and a loop at a_i) have 120 skeleton
-        # automorphisms; the looped twins are not collapsed into a block
-        monkeypatch.setattr("arcon.symmetry.SKELETON_AUTO_LIMIT", 100)
-        p = tmp_path / "petals.graph"
-        p.write_text("".join(f"c a{i}\nc a{i}\na{i} a{i}\n" for i in range(5)))
-        res = runner.invoke(main, ["acnum", str(p)])
+        # K3,3 has no endpoint and no cut vertex, so level 3 scans; its 72
+        # automorphisms exceed the bound, its twin classes (3! * 3! = 36) do not
+        monkeypatch.setattr("arcon.symmetry.SKELETON_AUTO_LIMIT", 50)
+        path = write_graph(tmp_path, "k33.graph", corpus.k33())
+        res = runner.invoke(main, ["acnum", path])
         assert res.exit_code == 2
         assert isinstance(res.exception, SystemExit)
         assert "error: automorphism group" in res.output

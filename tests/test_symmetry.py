@@ -96,12 +96,11 @@ class TestHomeomorphism:
 
 
 def test_twin_block_symmetry_matches_explicit_group():
-    # twin-heavy graphs exercise the collapsed-block path; group sizes must match
-    g = corpus.star(6)
-    gi = graph_index(g)
-    sym = gi.symmetry()
-    assert sym.blocks, "star leaves should collapse into a twin block"
-    assert len(automorphisms(g, limit=10**6)) == 720
+    # twin-heavy simple graphs: the compiled group (its non-identity
+    # automorphisms plus the identity) is the whole explicit group
+    for g, size in ((corpus.star(6), 720), (corpus.k33(), 72)):
+        assert len(graph_index(g).symmetry().autos) + 1 == size
+        assert len(automorphisms(g, limit=10**6)) == size
 
 
 def test_twin_classes_bound_the_group_before_listing(monkeypatch):
@@ -122,4 +121,17 @@ def test_twin_classes_bound_the_group_before_listing(monkeypatch):
     g = build(["c"] + petals, [e for a in petals for e in (("c", a), ("c", a), (a, a))])
     with pytest.raises(BoundExceeded, match="automorphism group"):
         graph_index(g).symmetry()
+    assert calls == []
+
+
+def test_star_placements_fail_on_the_twin_bound(monkeypatch):
+    # the 9 leaves of star(9) are twins, and 9! exceeds the bound, so
+    # enumeration fails before any automorphism is listed
+    from arcon import symmetry
+    from arcon.placements import enumerate_placements
+
+    calls = []
+    monkeypatch.setattr(symmetry, "_vertex_autos", lambda *a: calls.append(a))
+    with pytest.raises(BoundExceeded, match="automorphism group"):
+        next(enumerate_placements(corpus.star(9), 2))
     assert calls == []
