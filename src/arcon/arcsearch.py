@@ -5,7 +5,7 @@ placement, that is a concrete question: after realizing the interior points
 as vertices, does a simple path with marked endpoints visit every marked
 vertex?  ``covering_arc`` answers it by backtracking with a
 reachable-component prune; ``is_n_ac`` quantifies over one placement per
-automorphism orbit.
+automorphism orbit of (marked vertices, loaded edges).
 """
 
 from __future__ import annotations
@@ -214,35 +214,24 @@ def _uncovered(gi: GraphIndex, n: int) -> Iterator[tuple[tuple[int, ...], tuple[
             del witnesses[WITNESS_CACHE:]
 
 
-def is_n_ac(g: Multigraph, n: int, counterexamples: str = "lex"
-            ) -> tuple[bool, Optional[Placement]]:
+def is_n_ac(g: Multigraph, n: int) -> tuple[bool, Optional[Placement]]:
     """Is every n-point placement coverable by one arc?
 
-    Scans placement orbit representatives in lex order; on failure returns
-    the failing placement, which under the default policy is the lex-least
-    failing placement overall.  ``counterexamples="probe"`` first tries a
-    short list of constructed obstruction placements (each still certified by
-    the exhaustive per-placement search), which typically finds a
-    counterexample without scanning; the result boolean is identical.
-
-    The scan (``_uncovered``) reuses the covering paths it finds: a
-    placement one of them covers is coverable, so verdicts and
-    counterexamples are those of realizing and searching every
-    representative.
+    First tries a short list of constructed obstruction placements
+    (``probe_placements``), each certified by the exhaustive per-placement
+    search; they usually find a counterexample without scanning.  Otherwise
+    scans support-orbit representatives in lex order (``_uncovered``) and
+    returns the first uncovered one, the lex-least failing placement.
     """
     if n < 1:
         raise GraphError("n must be >= 1")
     if not g.is_connected():
         raise GraphError("is_n_ac expects a connected graph")
     gi = graph_index(g)
-    if counterexamples == "probe":
-        for cand in probe_placements(g, n):
-            marks, cvec = _to_indexed(gi, cand)
-            nmask, mmask = _realize_masks(gi, marks, cvec)
-            if _find_covering_path(nmask, mmask) is None:
-                return False, cand
-    elif counterexamples != "lex":
-        raise ValueError(f"unknown counterexample policy {counterexamples!r}")
+    for cand in probe_placements(g, n):
+        marks, cvec = _to_indexed(gi, cand)
+        if _find_covering_path(*_realize_masks(gi, marks, cvec)) is None:
+            return False, cand
     for marks, cvec in _uncovered(gi, n):
         return False, _to_placement(gi, marks, cvec)
     return True, None
@@ -289,11 +278,10 @@ def ac_number(g: Multigraph, cap: int = 7) -> AcProfile:
 
     Level 2 is settled by a theorem: a connected finite graph is arcwise
     connected, so any two of its points lie on an arc.  Levels 3..cap run
-    ``is_n_ac`` with the probe policy on ``smooth(g)``, since n-arc
-    connectivity is a property of the space.  They
-    are checked in increasing order and the scan stops at the first failure,
-    which settles all higher levels (an (n+1)-arc-connected space is n-arc
-    connected).
+    ``is_n_ac`` on ``smooth(g)``, since n-arc connectivity is a property of
+    the space.  They are checked in increasing order and the scan stops at
+    the first failure, which settles all higher levels (an (n+1)-arc-connected
+    space is n-arc connected).
 
     The counterexample is given in the ids of ``g``: smoothing keeps the
     surviving vertex ids and the idkey-least edge id of each merged chain, and
@@ -310,7 +298,7 @@ def ac_number(g: Multigraph, cap: int = 7) -> AcProfile:
     cex: Optional[Placement] = None
     cexn: Optional[int] = None
     for n in range(3, cap + 1):
-        ok, c = is_n_ac(s, n, counterexamples="probe")
+        ok, c = is_n_ac(s, n)
         verdicts.append((n, ok))
         if not ok:
             if s is not g:
@@ -338,6 +326,6 @@ def refine_check(g: Multigraph, n: int, extra: int = 1) -> bool:
     refined = g
     for e in g.edges:
         refined, _ = refined.subdivide(e.eid, extra)
-    base, _ = is_n_ac(g, n, counterexamples="probe")
-    fine, _ = is_n_ac(refined, n, counterexamples="probe")
+    base, _ = is_n_ac(g, n)
+    fine, _ = is_n_ac(refined, n)
     return base == fine

@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Optional
 
 from .arcsearch import ac_number
 from .multigraph import BoundExceeded, GraphError, Multigraph, build
-from .symmetry import canonical_form, graph_index
+from .symmetry import canonical_bytes, canonical_form, graph_index
 
 MAX_CENSUS_EDGES = 11
 CHECKPOINT_FORMAT = 1
@@ -248,13 +248,7 @@ def _adj_key(adj: dict[int, set[int]]) -> bytes:
     for v, nbrs in adj.items():
         for w in nbrs:
             mult[pos[v]][pos[w]] = 1
-    from .symmetry import _canonical_items
-
-    items = _canonical_items(n, loops, mult)
-    out = bytearray([n])
-    for a, b, m in items:
-        out.extend((a, b, m))
-    return bytes(out)
+    return canonical_bytes(n, loops, mult)
 
 
 def _reduce_core(adj: dict[int, set[int]]) -> dict[int, set[int]]:

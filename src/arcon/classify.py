@@ -16,6 +16,7 @@ from typing import NamedTuple, Optional
 
 from .arcsearch import is_n_ac
 from .multigraph import Edge, GraphError, Multigraph, smooth
+from .obstructions import cut_vertex_obstruction, endpoint_obstruction
 from .obstructions import seven_point_obstruction as obstruction_7
 
 
@@ -96,17 +97,20 @@ def is_7ac_theorem(g: Multigraph) -> bool:
 RULE_DEG5 = "deg>=5"
 RULE_3BRANCH = "3+branch"
 RULE_2DEG4 = "2branch-deg>=4"
+RULE_3ENDS = "3endpoints"
+RULE_3CUT = "3way-cut"
 
 # rule name -> the level at which the graph cannot be n-arc connected
-RULE_BREAKS_AT = {RULE_DEG5: 5, RULE_3BRANCH: 7, RULE_2DEG4: 7}
+RULE_BREAKS_AT = {RULE_DEG5: 5, RULE_3BRANCH: 7, RULE_2DEG4: 7, RULE_3ENDS: 3, RULE_3CUT: 3}
 
 
 @dataclass(frozen=True)
 class ConditionReport:
     """Branch-point statistics and the non-coverability rules they trigger.
 
-    Each fired rule is sound: ``deg>=5`` refutes 5-arc connectivity,
-    ``3+branch`` and ``2branch-deg>=4`` refute 7-arc connectivity.
+    Each fired rule is sound: ``3endpoints`` and ``3way-cut`` refute 3-arc
+    connectivity, ``deg>=5`` refutes 5-arc connectivity, ``3+branch`` and
+    ``2branch-deg>=4`` refute 7-arc connectivity.
     """
 
     branch_count: int
@@ -131,6 +135,11 @@ def necessary_conditions(g: Multigraph) -> ConditionReport:
         fired.append(RULE_3BRANCH)
     if count == 2 and min(degs) >= 4:
         fired.append(RULE_2DEG4)
+    # the level-3 rules are the probes' own definitions
+    if endpoint_obstruction(s) is not None:
+        fired.append(RULE_3ENDS)
+    if cut_vertex_obstruction(s) is not None:
+        fired.append(RULE_3CUT)
     return ConditionReport(count, maxdeg, tuple(fired))
 
 
@@ -141,11 +150,11 @@ def cross_check(g: Multigraph, check_eight: bool = False) -> bool:
     brute-forced at level 8 (finite levels beyond 7 add nothing for graphs).
     """
     structural = is_7ac_theorem(g)
-    brute, _ = is_n_ac(g, 7, counterexamples="probe")
+    brute, _ = is_n_ac(g, 7)
     if structural != brute:
         return False
     if check_eight and structural:
-        eight, _ = is_n_ac(g, 8, counterexamples="probe")
+        eight, _ = is_n_ac(g, 8)
         if not eight:
             return False
     return True

@@ -1,22 +1,25 @@
 """Point placements on a multigraph.
 
 An n-point configuration is tested only through its combinatorial shadow: the
-set of marked vertices plus, per edge, how many of the points sit in that
-edge's interior.  Self-homeomorphisms fixing the vertices can slide interior
-points anywhere along their edge, so coverability by one arc depends only on
-this data; the refine-based oracle in :mod:`arcon.arcsearch` double-checks
-that reduction empirically.
+set of marked vertices plus the set of edges (slots) with points inside.
+Once an arc meets the inside of an edge, a self-homeomorphism fixing the
+vertices can stretch that meeting over all of the edge's points, so
+coverability by one arc depends only on this data, not on how many points
+each edge holds; the refine-based oracle in :mod:`arcon.arcsearch`
+double-checks that reduction empirically.
 
-Placements are enumerated in lexicographic order of (sorted marked vertices,
-count vector), with the count vector indexed by edges sorted by (endpoint
-pair, edge id).  Only orbit representatives under the automorphism group are
-yielded: the representative is the lex-least orbit member.
+Each shadow (marks, S) is represented by ``v(S)``: one point on each loaded
+slot but the last, which takes the rest.  Placements are enumerated in
+lexicographic order of (sorted marked vertices, count vector), with the
+count vector indexed by edges sorted by (endpoint pair, edge id).  One
+representative per automorphism orbit of shadows is yielded: the lex-least
+``v(S)`` of the orbit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Container, Iterator, Mapping
 
 from .multigraph import GraphError, Id, Multigraph, idkey
 from .symmetry import GraphIndex, graph_index
@@ -76,35 +79,38 @@ def _to_indexed(gi: GraphIndex, p: Placement) -> tuple[tuple[int, ...], tuple[in
     return marks, tuple(cvec)
 
 
-def _compositions(total: int, nslots: int, prev_slot) -> Iterator[tuple[int, ...]]:
-    """Count vectors summing to ``total``, lex ascending, class-sorted.
+def _supports(total: int, nslots: int, ends: Container[int]
+              ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Support representatives ``v(S)`` with ``total`` points, lex ascending.
 
-    ``prev_slot[s]`` points at the previous slot of the same parallel class
-    (or -1); within a class only ascending runs are produced, because any
-    other arrangement is the image of one of these under a parallel-edge
-    swap.
+    ``v(S)`` puts one point on each slot of S but the last, which takes the
+    rest.  Yields ``(cvec, S)`` with S the loaded slots in ascending order.
+    ``ends`` holds the last slot of each parallel class; the loaded slots of
+    a class form a suffix of it, because any other support is the image of
+    one of these under a parallel-edge swap.  Each recursion level places
+    one point, so the depth is at most ``total``.
     """
     vec = [0] * nslots
-
-    def rec(s: int, rem: int) -> Iterator[tuple[int, ...]]:
-        if s == nslots - 1:
-            p = prev_slot[s]
-            if p < 0 or vec[p] <= rem:
-                vec[s] = rem
-                yield tuple(vec)
-                vec[s] = 0
-            return
-        lo = 0 if prev_slot[s] < 0 else vec[prev_slot[s]]
-        for c in range(lo, rem + 1):
-            vec[s] = c
-            yield from rec(s + 1, rem - c)
-        vec[s] = 0
-
-    if nslots == 0:
-        if total == 0:
-            yield ()
+    sup: list[int] = []
+    if total == 0:
+        yield tuple(vec), ()
         return
-    yield from rec(0, total)
+
+    def rec(lo: int, rem: int, forced: bool):
+        # the first loaded slot runs from the last slot down, so the vectors
+        # with more leading zeros come first
+        for f in (lo,) if forced else range(nslots - 1, lo - 1, -1):
+            sup.append(f)
+            if rem > 1:
+                vec[f] = 1
+                yield from rec(f + 1, rem - 1, f not in ends)
+            if f in ends:
+                vec[f] = rem
+                yield tuple(vec), tuple(sup)
+            vec[f] = 0
+            sup.pop()
+
+    yield from rec(0, total, False)
 
 
 def _subsets_lex(ids: tuple[int, ...], maxlen: int) -> Iterator[tuple[int, ...]]:
@@ -124,45 +130,46 @@ def _subsets_lex(ids: tuple[int, ...], maxlen: int) -> Iterator[tuple[int, ...]]
 
 
 def iter_placements_indexed(gi: GraphIndex, n: int):
-    """Orbit representatives in lex order, as indexed (marks, counts) pairs.
+    """Shadow-orbit representatives in lex order, as indexed (marks, counts).
 
     Marks compare first, so canonicity splits: the mark set must be lex-least
-    over the group, and the count vector lex-least under the mark set's
-    stabilizer.  Rejecting a mark set discards all its count vectors at once,
-    and surviving mark sets usually have small stabilizers.
+    over the group, and the support mask least under the mark set's
+    stabilizer.  For supports of one size, ``v(S) < v(T)`` exactly when the
+    indicator of S is lex-smaller, which is the integer compare of their
+    masks.  Rejecting a mark set discards all its supports at once, and
+    surviving mark sets usually have small stabilizers.
     """
     autos = gi.symmetry().autos
-    nslots, prev = gi.nslots, gi.prev_slot
+    ident = [1 << (gi.nslots - 1 - s) for s in range(gi.nslots)]
+    ends = {end - 1 for (_, _, _, end) in gi.classes}
     for marks in _subsets_lex(tuple(range(gi.n)), n):
         lm = list(marks)
         stab = []
-        for vperm, sp in autos:
+        for vperm, bits in autos:
             im = sorted(vperm[v] for v in marks)
             if im < lm:
                 break
             if im == lm:
-                stab.append(sp)
+                stab.append(bits)
         else:
-            for cvec in _compositions(n - len(marks), nslots, prev):
-                for sp in stab:
-                    # the first slot where the image differs decides
-                    d = 0
-                    for t in range(nslots):
-                        d = cvec[sp[t]] - cvec[t]
-                        if d:
-                            break
-                    if d < 0:
+            for cvec, sup in _supports(n - len(marks), gi.nslots, ends):
+                mask = sum(map(ident.__getitem__, sup))
+                for bits in stab:
+                    img = 0
+                    for s in sup:
+                        img |= bits[s]
+                    if img < mask:
                         break
                 else:
                     yield marks, cvec
 
 
 def enumerate_placements(g: Multigraph, n: int) -> Iterator[Placement]:
-    """One representative per automorphism orbit of n-point placements.
+    """One representative per automorphism orbit of (marks, loaded slots).
 
     Representatives appear in lexicographic order of (sorted marked vertex
-    indices, count vector); each is the lex-least member of its orbit, so the
-    stream is deterministic and schedule independent.
+    indices, count vector); each is the lex-least ``v(S)`` of its orbit, so
+    the stream is deterministic and schedule independent.
     """
     if n < 1:
         raise GraphError("placement size must be >= 1")

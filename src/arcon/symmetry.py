@@ -35,14 +35,15 @@ class GraphIndex:
     """Integer-indexed adjacency view of a multigraph.
 
     Vertices are numbered by sorted id; edge slots are numbered with parallel
-    classes consecutive (sorted by endpoint pair, then edge id).  Placement
-    count vectors are indexed by slot.
+    classes consecutive (sorted by endpoint pair, then edge id).  ``classes``
+    holds ``(i, j, start, end)`` per class, its slots being ``start..end-1``.
+    Placement count vectors and support masks are indexed by slot.
     """
 
     __slots__ = (
         "g", "n", "vids", "vpos", "loops", "mult", "deg",
         "nslots", "slot_pairs", "slot_eids", "classes", "class_of_pair",
-        "prev_slot", "_colors", "_symmetry",
+        "_colors", "_symmetry",
     )
 
     def __init__(self, g: Multigraph):
@@ -70,7 +71,6 @@ class GraphIndex:
         self.slot_eids = tuple(t[2] for t in indexed)
         classes: list[tuple[int, int, int, int]] = []
         self.class_of_pair: dict[tuple[int, int], int] = {}
-        prev: list[int] = []
         start = 0
         for s, pair in enumerate(self.slot_pairs):
             if s > 0 and pair != self.slot_pairs[s - 1]:
@@ -78,12 +78,10 @@ class GraphIndex:
                 classes.append((p0[0], p0[1], start, s))
                 self.class_of_pair[p0] = len(classes) - 1
                 start = s
-            prev.append(s - 1 if s > start else -1)
         p0 = self.slot_pairs[start]
         classes.append((p0[0], p0[1], start, self.nslots))
         self.class_of_pair[p0] = len(classes) - 1
         self.classes = tuple(classes)
-        self.prev_slot = tuple(prev)
         self.deg = [self.loops[i] * 2 + sum(self.mult[i]) for i in range(n)]
         self._colors: list[int] | None = None
         self._symmetry: PlacementSymmetry | None = None
@@ -199,6 +197,14 @@ def _canonical_items(n: int, loops, mult, budget: int = CANON_NODE_BUDGET):
     return best
 
 
+def canonical_bytes(n: int, loops, mult) -> bytes:
+    """The canonical code of a loop/multiplicity matrix: n, then (a, b, m) items."""
+    out = bytearray([n])
+    for a, b, m in _canonical_items(n, loops, mult):
+        out.extend((a, b, m))
+    return bytes(out)
+
+
 def canonical_form(g: Multigraph, max_vertices: int = DEFAULT_MAX_CANON_VERTICES) -> bytes:
     """Byte code identifying the isomorphism class of ``g``.
 
@@ -211,11 +217,7 @@ def canonical_form(g: Multigraph, max_vertices: int = DEFAULT_MAX_CANON_VERTICES
         raise BoundExceeded(f"canonical_form limited to {max_vertices} vertices, got {gi.n}")
     cached = g._cache.get("canon")
     if cached is None:
-        items = _canonical_items(gi.n, gi.loops, gi.mult)
-        out = bytearray([gi.n])
-        for a, b, m in items:
-            out.extend((a, b, m))
-        cached = bytes(out)
+        cached = canonical_bytes(gi.n, gi.loops, gi.mult)
         g._cache["canon"] = cached
     return cached
 
@@ -335,12 +337,14 @@ def automorphisms(g: Multigraph, limit: int = AUTOMORPHISM_PAIR_LIMIT):
 
 
 class PlacementSymmetry:
-    """Compiled automorphism action on placements.
+    """Compiled automorphism action on placement supports.
 
-    ``autos`` lists ``(vperm, sp)`` for every non-identity vertex
-    automorphism ``vperm``, with ``sp`` its slot permutation, so a trivial
-    group has no entries.  Parallel-edge swaps are left out: placement count
-    vectors are class-sorted instead.
+    ``autos`` lists ``(vperm, bits)`` for every non-identity vertex
+    automorphism ``vperm``, so a trivial group has no entries.  A support is
+    a mask with slot ``s`` as bit ``nslots-1-s``, and ``bits[s]`` is the bit
+    of the image of slot ``s``, so a support's image mask is the OR of its
+    slots' entries.  Parallel-edge swaps are left out: supports are
+    class-suffix instead.
     """
 
     __slots__ = ("gi", "autos")
@@ -357,7 +361,7 @@ class PlacementSymmetry:
             raise BoundExceeded("automorphism group larger than the configured bound")
         vautos = _vertex_autos(n, gi.loops, gi.mult, gi.refined_colors(),
                                SKELETON_AUTO_LIMIT)
-        self.autos = [(vperm, self._slot_perm(vperm)) for vperm in vautos
+        self.autos = [(vperm, self._slot_bits(vperm)) for vperm in vautos
                       if vperm != tuple(range(n))]
 
     def _twin_classes(self) -> list[list[int]]:
@@ -375,15 +379,13 @@ class PlacementSymmetry:
                 classes.append([v])
         return [cl for classes in groups.values() for cl in classes]
 
-    def _slot_perm(self, vperm: Sequence[int]) -> tuple[int, ...]:
-        """image[t] = counts[sp[t]] for class-sorted count vectors."""
+    def _slot_bits(self, vperm: Sequence[int]) -> tuple[int, ...]:
+        """Mask bit of the image of each slot; class offsets are kept."""
         gi = self.gi
-        sp = [0] * gi.nslots
+        top = gi.nslots - 1
+        bits = [0] * gi.nslots
         for (i, j, s, e) in gi.classes:
-            ti, tj = vperm[i], vperm[j]
-            if ti > tj:
-                ti, tj = tj, ti
-            (_, _, ts, te) = gi.classes[gi.class_of_pair[(ti, tj)]]
+            ts = gi.classes[gi.class_of_pair[tuple(sorted((vperm[i], vperm[j])))]][2]
             for off in range(e - s):
-                sp[ts + off] = s + off
-        return tuple(sp)
+                bits[s + off] = 1 << (top - ts - off)
+        return tuple(bits)

@@ -9,6 +9,7 @@ generate-everything-and-deduplicate.  Tests freeze values computed by these.
 from __future__ import annotations
 
 import itertools
+from typing import Iterator
 
 import pytest
 from hypothesis import settings
@@ -16,7 +17,7 @@ from hypothesis import settings
 from arcon import build, canonical_form, is_n_ac
 from arcon.arcsearch import _find_covering_path
 from arcon.multigraph import Edge, GraphError, Multigraph, _suppressible, idkey
-from arcon.placements import _realize_masks, _to_placement, iter_placements_indexed
+from arcon.placements import _realize_masks, _to_placement
 from arcon.symmetry import automorphisms, graph_index
 
 settings.register_profile("ci", deadline=None, max_examples=40)
@@ -24,17 +25,19 @@ settings.load_profile("ci")
 
 
 def naive_orbit_count(g, n: int) -> int:
-    """Orbits of raw n-point placements under the explicit automorphism pairs."""
+    """Orbits of (marked vertices, loaded edges) under the explicit automorphism pairs.
+
+    A placement of n points is a vertex subset of size j plus a nonempty set
+    of at most n - j loaded edges (empty exactly when j = n).
+    """
     eids = sorted((e.eid for e in g.edges), key=idkey)
-    eidx = {e: i for i, e in enumerate(eids)}
     raw = set()
     for j in range(0, min(n, len(g.vertices)) + 1):
+        sizes = range(1, n - j + 1) if j < n else (0,)
         for S in itertools.combinations(g.vertices, j):
-            for combo in itertools.combinations_with_replacement(range(len(eids)), n - j):
-                counts = [0] * len(eids)
-                for c in combo:
-                    counts[c] += 1
-                raw.add((frozenset(S), tuple(counts)))
+            for k in sizes:
+                for L in itertools.combinations(eids, k):
+                    raw.add((frozenset(S), frozenset(L)))
     pairs = automorphisms(g)
     seen: set = set()
     orbits = 0
@@ -45,13 +48,9 @@ def naive_orbit_count(g, n: int) -> int:
         stack = [p]
         seen.add(p)
         while stack:
-            S, counts = stack.pop()
+            S, L = stack.pop()
             for vmap, emap in pairs:
-                S2 = frozenset(vmap[v] for v in S)
-                c2 = [0] * len(eids)
-                for e, i in eidx.items():
-                    c2[eidx[emap[e]]] = counts[i]
-                q = (S2, tuple(c2))
+                q = (frozenset(vmap[v] for v in S), frozenset(emap[e] for e in L))
                 if q not in seen:
                     seen.add(q)
                     stack.append(q)
@@ -120,15 +119,88 @@ def naive_smooth(g):
         cur = Multigraph([u for u in cur.vertices if u != v], edges)
 
 
-def naive_is_n_ac(g, n: int):
-    """``is_n_ac(g, n, "lex")`` without witness reuse.
+def compositions(total: int, nslots: int, prev_slot) -> Iterator[tuple[int, ...]]:
+    """Count vectors summing to ``total``, lex ascending, class-sorted.
 
-    Realizes every orbit representative in lex order and runs the path
-    search on it; the first failure is the counterexample.  Kept as the
-    reference for the scan that skips placements a cached witness covers.
+    ``prev_slot[s]`` points at the previous slot of the same parallel class
+    (or -1); within a class only ascending runs are produced, because any
+    other arrangement is the image of one of these under a parallel-edge
+    swap.
+    """
+    vec = [0] * nslots
+
+    def rec(s: int, rem: int) -> Iterator[tuple[int, ...]]:
+        if s == nslots - 1:
+            p = prev_slot[s]
+            if p < 0 or vec[p] <= rem:
+                vec[s] = rem
+                yield tuple(vec)
+                vec[s] = 0
+            return
+        lo = 0 if prev_slot[s] < 0 else vec[prev_slot[s]]
+        for c in range(lo, rem + 1):
+            vec[s] = c
+            yield from rec(s + 1, rem - c)
+        vec[s] = 0
+
+    if nslots == 0:
+        if total == 0:
+            yield ()
+        return
+    yield from rec(0, total)
+
+
+def prev_slots(gi) -> list[int]:
+    """The previous slot of the same parallel class, or -1, per slot."""
+    prev = []
+    for (_, _, start, end) in gi.classes:
+        prev.extend([-1] + list(range(start, end - 1)))
+    return prev
+
+
+def count_vector_stream(gi, n: int):
+    """Every count-vector orbit representative, in lex order of (marks, counts).
+
+    The placement quotient before supports: each mark set lex-least over the
+    vertex automorphisms, then every class-sorted count vector lex-least
+    under the mark set's stabilizer, compared slot by slot.
+    """
+    slot_of = {}
+    for (i, j, start, _) in gi.classes:
+        slot_of[(i, j)] = start
+    vautos = [vperm for vperm, _ in gi.symmetry().autos]
+    prev = prev_slots(gi)
+    for marks in sorted(
+        m for size in range(min(n, gi.n) + 1)
+        for m in itertools.combinations(range(gi.n), size)
+    ):
+        lm = list(marks)
+        if any(sorted(vp[v] for v in marks) < lm for vp in vautos):
+            continue
+        stab = []
+        for vp in vautos:
+            if sorted(vp[v] for v in marks) == lm:
+                sp = [0] * gi.nslots  # image[t] = counts[sp[t]]
+                for (i, j, s, e) in gi.classes:
+                    ts = slot_of[tuple(sorted((vp[i], vp[j])))]
+                    for off in range(e - s):
+                        sp[ts + off] = s + off
+                stab.append(sp)
+        for cvec in compositions(n - len(marks), gi.nslots, prev):
+            if all(tuple(cvec[t] for t in sp) >= cvec for sp in stab):
+                yield marks, cvec
+
+
+def naive_is_n_ac(g, n: int):
+    """The lex-least uncovered placement over the full count-vector stream.
+
+    Realizes every count-vector orbit representative in lex order and runs
+    the path search on it; the first failure is the counterexample.  Kept
+    as the reference for the scan, which walks support representatives and
+    skips placements a cached witness covers.
     """
     gi = graph_index(g)
-    for marks, cvec in iter_placements_indexed(gi, n):
+    for marks, cvec in count_vector_stream(gi, n):
         if _find_covering_path(*_realize_masks(gi, marks, cvec)) is None:
             return False, _to_placement(gi, marks, cvec)
     return True, None
@@ -137,7 +209,7 @@ def naive_is_n_ac(g, n: int):
 def raw_ac_label(g, cap: int = 7) -> str:
     """ac label from ``is_n_ac`` at every level 2..cap on ``g`` itself, unsmoothed."""
     for n in range(2, cap + 1):
-        if not is_n_ac(g, n, counterexamples="probe")[0]:
+        if not is_n_ac(g, n)[0]:
             return str(n - 1)
     return "omega" if cap >= 7 else str(cap)
 

@@ -52,7 +52,7 @@ def census7():
 @pytest.fixture(scope="session")
 def census7_brute(census7):
     """Level-7 brute-force verdicts for the census, shared by criteria 2-4."""
-    return [(k, g, is_n_ac(g, 7, counterexamples="probe")[0]) for k, g in census7]
+    return [(k, g, is_n_ac(g, 7)[0]) for k, g in census7]
 
 
 EXPECTED_AC = {
@@ -90,7 +90,7 @@ def test_criterion_3_condition_soundness(census7_brute):
         rep = necessary_conditions(g)
         for rule in rep.fired:
             level = RULE_BREAKS_AT[rule]
-            verdict = brute7 if level == 7 else is_n_ac(g, level, counterexamples="probe")[0]
+            verdict = brute7 if level == 7 else is_n_ac(g, level)[0]
             if verdict:
                 violations.append((rule, canonical_form(g).hex()))
     report("criterion 3: fired rules never contradict brute force",
@@ -135,7 +135,7 @@ class TestCriterion6Properties:
                 continue
             prev = True
             for n in range(2, 8):
-                cur = is_n_ac(g, n, counterexamples="probe")[0]
+                cur = is_n_ac(g, n)[0]
                 assert prev or not cur
                 prev = cur
         for ce in corpus.CORPUS:
@@ -192,10 +192,10 @@ class TestCriterion6Properties:
                 continue
             red = reduced_graph(g).graph
             for n in range(2, 8):
-                ok, _ = is_n_ac(g, n, counterexamples="probe")
+                ok, _ = is_n_ac(g, n)
                 if not ok:
                     break
-                ok_red, _ = is_n_ac(red, n, counterexamples="probe")
+                ok_red, _ = is_n_ac(red, n)
                 assert ok_red, (canonical_form(g).hex(), n)
         # and the converse genuinely fails: the triod against its pruned arc
         assert not is_n_ac(corpus.triod(), 3)[0]

@@ -84,17 +84,19 @@ class TestIsNAc:
         assert ok
         ok, cex = is_n_ac(corpus.triod(), 3)
         assert not ok
-        assert cex == Placement.of(corpus.triod(), (), {"e0": 1, "e1": 1, "e2": 1})
+        # the endpoint probe answers first: marks at the three leaves
+        assert cex == Placement.of(corpus.triod(), ["l0", "l1", "l2"])
 
     def test_triod_counterexample_is_lex_least(self):
         # scanning in lex order, earlier placements are coverable
-        _, cex = is_n_ac(corpus.triod(), 3)
-        assert not cex.marks and sorted(cex.count_map().values()) == [1, 1, 1]
+        gi = graph_index(corpus.triod())
+        marks, cvec = next(arcsearch._uncovered(gi, 3))
+        assert marks == () and cvec == (1, 1, 1)
 
     def test_k33(self):
-        ok, _ = is_n_ac(corpus.k33(), 6, counterexamples="probe")
+        ok, _ = is_n_ac(corpus.k33(), 6)
         assert ok
-        ok, cex = is_n_ac(corpus.k33(), 7, counterexamples="probe")
+        ok, cex = is_n_ac(corpus.k33(), 7)
         assert not ok and cex is not None and cex.n == 7
 
     def test_theta_seven(self):
@@ -102,14 +104,15 @@ class TestIsNAc:
         assert ok
 
     def test_policies_agree(self, census_to_six):
-        # the lex scan gives the plain scan's verdict and lex-least
-        # counterexample; the probe policy gives the same verdict
+        # the support scan finds the lex-least failing placement of the full
+        # count-vector stream; is_n_ac, probes first, gives the same verdict
         for g in census_to_six + [ce.builder() for ce in corpus.CORPUS]:
+            gi = graph_index(g)
             for n in range(3, 8):
-                lex = is_n_ac(g, n, counterexamples="lex")
+                first = next(arcsearch._uncovered(gi, n), None)
+                lex = (True, None) if first is None else (False, _to_placement(gi, *first))
                 assert lex == naive_is_n_ac(g, n)
-                probe, _ = is_n_ac(g, n, counterexamples="probe")
-                assert lex[0] == probe
+                assert is_n_ac(g, n)[0] == lex[0]
 
     def test_witness_hits_are_covered(self, monkeypatch, census_to_six):
         # a placement skipped by witness reuse must be coverable on its own
@@ -141,7 +144,7 @@ class TestIsNAc:
         assert hits > 0
 
     def test_probe_counterexample_is_genuine(self):
-        _, cex = is_n_ac(corpus.k33(), 7, counterexamples="probe")
+        _, cex = is_n_ac(corpus.k33(), 7)
         sub, marked = realize(corpus.k33(), cex)
         assert covering_arc(sub, marked) is None
 
@@ -160,7 +163,7 @@ class TestIsNAc:
         for g in small_census[3] + small_census[4]:
             prev = True
             for n in range(2, 8):
-                ok, _ = is_n_ac(g, n, counterexamples="probe")
+                ok, _ = is_n_ac(g, n)
                 assert prev or not ok  # ok at n+1 would contradict failure at n
                 prev = ok
 

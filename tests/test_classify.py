@@ -14,7 +14,7 @@ from arcon import (
     reduced_graph,
 )
 from arcon import corpus
-from arcon.classify import RULE_2DEG4, RULE_3BRANCH, RULE_DEG5
+from arcon.classify import RULE_2DEG4, RULE_3BRANCH, RULE_3CUT, RULE_3ENDS, RULE_DEG5
 from arcon.placements import realize
 
 
@@ -109,6 +109,28 @@ class TestNecessaryConditions:
         g = build("ab", [("a", "b"), ("a", "b"), ("a", "a"), ("b", "b")])
         rep = necessary_conditions(g)
         assert RULE_2DEG4 in rep.fired
+
+    def test_cut_rule_on_whiskered_figure_eight(self):
+        # two loops and a whisker at one vertex: three components of g - v,
+        # but only one endpoint
+        g = build("ab", [("a", "a"), ("a", "a"), ("a", "b")])
+        rep = necessary_conditions(g)
+        assert rep.fired == (RULE_DEG5, RULE_3CUT)
+        assert rep.refutes(3)
+
+    def test_endpoint_rule_on_whiskered_k33(self):
+        # whiskers at three vertices: three endpoints, and K3,3 minus a
+        # whiskered vertex leaves only two components
+        us, ws = ["u1", "u2", "u3"], ["w1", "w2", "w3"]
+        g = build(us + ws + ["t1", "t2", "t3"],
+                  [(u, w) for u in us for w in ws] + [("u1", "t1"), ("u2", "t2"), ("w1", "t3")])
+        rep = necessary_conditions(g)
+        assert rep.fired == (RULE_3BRANCH, RULE_3ENDS)
+        assert rep.refutes(3)
+
+    def test_lollipop_and_figure_eight_clean(self):
+        assert necessary_conditions(corpus.lollipop()).fired == ()
+        assert necessary_conditions(corpus.figure_eight()).fired == ()
 
     def test_computed_on_smoothed_form(self):
         g, _ = corpus.star(5).subdivide("e0", 2)

@@ -1,11 +1,13 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from arcon import GraphError, build, reduced_multigraphs
 from arcon import corpus
-from arcon.placements import Placement, enumerate_placements, realize
+from arcon.placements import Placement, _supports, enumerate_placements, realize
 from arcon.symmetry import graph_index
 
-from conftest import naive_orbit_count
+from conftest import compositions, naive_orbit_count
 
 
 def double_star():
@@ -63,8 +65,15 @@ class TestEnumerate:
         graphs = [corpus.star(5), double_star()]
         graphs += [g for k in range(1, 6) for g in reduced_multigraphs(k)]
         for g in graphs:
-            for n in (1, 2, 3):
+            for n in (1, 2, 3, 4):
                 assert len(list(enumerate_placements(g, n))) == naive_orbit_count(g, n)
+
+    def test_corpus_matches_oracle(self):
+        for ce in corpus.CORPUS:
+            g = ce.builder()
+            if len(g.edges) <= 9:
+                for n in (1, 2, 3, 4):
+                    assert len(list(enumerate_placements(g, n))) == naive_orbit_count(g, n)
 
     def test_stream_is_lex_sorted_and_deterministic(self):
         g = corpus.circle_two_chords()
@@ -103,6 +112,25 @@ class TestEnumerate:
         g = build("ab", [("a", "a"), ("b", "b")])
         with pytest.raises(GraphError):
             list(enumerate_placements(g, 2))
+
+
+def v_form(cvec) -> bool:
+    """1 on every loaded slot but the last, which takes the rest."""
+    loaded = [c for c in cvec if c]
+    return all(c == 1 for c in loaded[:-1])
+
+
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=6), st.integers(0, 7))
+def test_supports_are_the_v_form_compositions(class_sizes, total):
+    ends, prev = set(), []
+    for size in class_sizes:
+        prev += [-1] + list(range(len(prev), len(prev) + size - 1))
+        ends.add(len(prev) - 1)
+    got = list(_supports(total, len(prev), ends))
+    want = [c for c in compositions(total, len(prev), prev) if v_form(c)]
+    assert [cvec for cvec, _ in got] == want
+    for cvec, sup in got:
+        assert sup == tuple(s for s, c in enumerate(cvec) if c)
 
 
 class TestRealize:
