@@ -19,7 +19,7 @@ from .placements import (
     Placement,
     _path_shadow,
     _realize_masks,
-    _to_indexed,
+    _shadow,
     _to_placement,
     iter_placements_indexed,
 )
@@ -161,9 +161,8 @@ def covering_arc(gprime: Multigraph, marked: Iterable[Id]) -> Optional[ArcWitnes
     return witness
 
 
-def _witness_hit(witnesses: list[tuple[int, int]], marks: tuple[int, ...],
-                 cvec: tuple[int, ...]) -> bool:
-    """Does a witness arc found earlier in the scan cover ``(marks, cvec)``?
+def _witness_hit(witnesses: list[tuple[int, int]], mm: int, sm: int) -> bool:
+    """Does a witness arc found earlier in the scan cover the shadow ``(mm, sm)``?
 
     ``witnesses`` holds base-graph shadows ``(vmask, slots)`` of covering
     paths (see ``_path_shadow``), most recently used first.  The placement is
@@ -179,22 +178,15 @@ def _witness_hit(witnesses: list[tuple[int, int]], marks: tuple[int, ...],
     A is an arc through all n points.  (For n = 1 every placement is covered
     by its one point.)  This is the premise the placement quotient rests on.
     """
-    mm = 0
-    for v in marks:
-        mm |= 1 << v
-    loaded = 0
-    for s, c in enumerate(cvec):
-        if c:
-            loaded |= 1 << s
     for k, (vmask, slots) in enumerate(witnesses):
-        if not (mm & ~vmask or loaded & ~slots):
+        if not (mm & ~vmask or sm & ~slots):
             if k:
                 witnesses.insert(0, witnesses.pop(k))
             return True
     return False
 
 
-def _uncovered(gi: GraphIndex, n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _uncovered(gi: GraphIndex, n: int) -> Iterator[tuple[int, int]]:
     """The orbit representatives no arc covers, in lex order.
 
     Keeps the shadows of up to ``WITNESS_CACHE`` covering paths found so far,
@@ -203,14 +195,14 @@ def _uncovered(gi: GraphIndex, n: int) -> Iterator[tuple[tuple[int, ...], tuple[
     is decided by the path search.
     """
     witnesses: list[tuple[int, int]] = []
-    for marks, cvec in iter_placements_indexed(gi, n):
-        if _witness_hit(witnesses, marks, cvec):
+    for mm, sm in iter_placements_indexed(gi, n):
+        if _witness_hit(witnesses, mm, sm):
             continue
-        path = _find_covering_path(*_realize_masks(gi, marks, cvec))
+        path = _find_covering_path(*_realize_masks(gi, mm, sm))
         if path is None:
-            yield marks, cvec
+            yield mm, sm
         else:
-            witnesses.insert(0, _path_shadow(gi, cvec, path))
+            witnesses.insert(0, _path_shadow(gi, sm, path))
             del witnesses[WITNESS_CACHE:]
 
 
@@ -229,11 +221,10 @@ def is_n_ac(g: Multigraph, n: int) -> tuple[bool, Optional[Placement]]:
         raise GraphError("is_n_ac expects a connected graph")
     gi = graph_index(g)
     for cand in probe_placements(g, n):
-        marks, cvec = _to_indexed(gi, cand)
-        if _find_covering_path(*_realize_masks(gi, marks, cvec)) is None:
+        if _find_covering_path(*_realize_masks(gi, *_shadow(gi, cand))) is None:
             return False, cand
-    for marks, cvec in _uncovered(gi, n):
-        return False, _to_placement(gi, marks, cvec)
+    for mm, sm in _uncovered(gi, n):
+        return False, _to_placement(gi, n, mm, sm)
     return True, None
 
 
@@ -303,7 +294,7 @@ def ac_number(g: Multigraph, cap: int = 7) -> AcProfile:
         if not ok:
             if s is not g:
                 gi = GraphIndex(g)  # a one-off, not kept in g's cache
-                if _find_covering_path(*_realize_masks(gi, *_to_indexed(gi, c))) is not None:
+                if _find_covering_path(*_realize_masks(gi, *_shadow(gi, c))) is not None:
                     raise GraphError(f"internal: level-{n} counterexample of the smoothed "
                                      "graph is covered on the input graph")
             cex, cexn = c, n

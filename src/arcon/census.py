@@ -423,9 +423,8 @@ def _record_matches(rec: SearchRecord, kind: str, k: int) -> bool:
 
 
 def _profile_worker(payload):
-    """Top-level worker: rebuild a graph from its edge list, profile it."""
-    vcount, edges, canon_hex, k, planar = payload
-    g = build(range(vcount), edges)
+    """Top-level worker: profile one census graph."""
+    g, canon_hex, k, planar = payload
     prof = ac_number(g, cap=7)
     return SearchRecord(canon_hex, k, planar, prof.label, prof.omega)
 
@@ -535,9 +534,7 @@ def search(task: SearchTask, stop_after: Optional[int] = None,
                 if code in done:
                     yield done[code]
                     continue
-                gi = graph_index(g)
-                edges = [(e.eid, gi.vpos[e.a], gi.vpos[e.b]) for e in g.edges]
-                yield (gi.n, edges, code, k, planar)
+                yield (g, code, k, planar)
 
     kind, level = parse_profile(task.profile)
     processed = 0

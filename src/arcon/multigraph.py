@@ -102,6 +102,10 @@ class Multigraph:
     def __hash__(self) -> int:
         return hash((self._vertices, self._edges))
 
+    def __reduce__(self):
+        # pickles carry the graph, not the derived data in ``_cache``
+        return (Multigraph, (self._vertices, self._edges))
+
     def __repr__(self) -> str:
         return f"Multigraph({len(self._vertices)} vertices, {len(self._edges)} edges)"
 

@@ -155,9 +155,11 @@ def probe_placements(g: Multigraph, n: int):
     Yields n-point placements only; callers verify each with the exhaustive
     per-placement search, so speculative candidates cost one search at most.
     For n >= 3 the endpoint and cut-vertex obstructions come first; they
-    always obstruct when they exist.  The speculative fans run for n >= 4
-    only: a 3-fan at v obstructs only when its germs enter three components
-    of g - v, and then the cut-vertex obstruction has already been tried.
+    always obstruct when they exist.  The speculative fans run for n = 4 and
+    5 only.  At n = 3 a 3-fan at v obstructs only when its germs enter three
+    components of g - v, and then the cut-vertex obstruction has already
+    been tried.  At n >= 6 they hit none of their 56 tries over the census
+    up to 9 edges.
     """
     seen = set()
     branch = sorted((v for v in g.vertices if g.degree(v) >= 3), key=idkey)
@@ -188,7 +190,7 @@ def probe_placements(g: Multigraph, n: int):
                 if p is not None:
                     yield p
                 break
-    if n < 4:
+    if n not in (4, 5):
         return
     for v in branch[:6]:
         for k in sorted({min(g.degree(v), n), 3}, reverse=True):

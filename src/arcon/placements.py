@@ -8,12 +8,15 @@ coverability by one arc depends only on this data, not on how many points
 each edge holds; the refine-based oracle in :mod:`arcon.arcsearch`
 double-checks that reduction empirically.
 
-Each shadow (marks, S) is represented by ``v(S)``: one point on each loaded
-slot but the last, which takes the rest.  Placements are enumerated in
-lexicographic order of (sorted marked vertices, count vector), with the
-count vector indexed by edges sorted by (endpoint pair, edge id).  One
-representative per automorphism orbit of shadows is yielded: the lex-least
-``v(S)`` of the orbit.
+Inside the engine a shadow is the pair of integers ``(mm, sm)``: ``mm`` has
+bit ``v`` for each marked vertex, ``sm`` has bit ``nslots-1-s`` for each
+loaded slot ``s`` (slots as numbered by ``GraphIndex``).  The scan, the
+realization and the witness cache all work on these masks; count vectors
+appear only in :class:`Placement`, at the boundary.  A shadow (marks, S)
+stands for the placement ``v(S)``: one point on each loaded slot but the
+last, which takes the rest.  Shadows are enumerated in lexicographic order
+of (sorted marked vertices, count vector of ``v(S)``), one per automorphism
+orbit: the lex-least ``v(S)`` of the orbit.
 """
 
 from __future__ import annotations
@@ -62,106 +65,112 @@ class Placement:
         return p
 
 
-def _to_placement(gi: GraphIndex, marks: tuple[int, ...], cvec: tuple[int, ...]) -> Placement:
-    return Placement(
-        frozenset(gi.vids[v] for v in marks),
-        tuple(sorted(((gi.slot_eids[s], c) for s, c in enumerate(cvec) if c),
-                     key=lambda t: idkey(t[0]))),
-    )
+def _to_placement(gi: GraphIndex, n: int, mm: int, sm: int) -> Placement:
+    """The placement ``v(S)`` of the shadow ``(mm, sm)`` with ``n`` points.
 
-
-def _to_indexed(gi: GraphIndex, p: Placement) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    marks = tuple(sorted(gi.vpos[v] for v in p.marks))
-    cvec = [0] * gi.nslots
-    cm = p.count_map()
-    for s, eid in enumerate(gi.slot_eids):
-        cvec[s] = cm.get(eid, 0)
-    return marks, tuple(cvec)
-
-
-def _supports(total: int, nslots: int, ends: Container[int]
-              ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Support representatives ``v(S)`` with ``total`` points, lex ascending.
-
-    ``v(S)`` puts one point on each slot of S but the last, which takes the
-    rest.  Yields ``(cvec, S)`` with S the loaded slots in ascending order.
-    ``ends`` holds the last slot of each parallel class; the loaded slots of
-    a class form a suffix of it, because any other support is the image of
-    one of these under a parallel-edge swap.  Each recursion level places
-    one point, so the depth is at most ``total``.
+    One point on each loaded slot but the last, which takes the rest.
     """
-    vec = [0] * nslots
-    sup: list[int] = []
-    if total == 0:
-        yield tuple(vec), ()
-        return
+    top = gi.nslots - 1
+    loaded = [s for s in range(gi.nslots) if sm >> (top - s) & 1]
+    counts = {gi.slot_eids[s]: 1 for s in loaded}
+    if loaded:
+        counts[gi.slot_eids[loaded[-1]]] = n - mm.bit_count() - len(loaded) + 1
+    return Placement(frozenset(gi.vids[v] for v in range(gi.n) if mm >> v & 1),
+                     tuple(sorted(counts.items(), key=lambda t: idkey(t[0]))))
 
-    def rec(lo: int, rem: int, forced: bool):
+
+def _shadow(gi: GraphIndex, p: Placement) -> tuple[int, int]:
+    """``(mm, sm)`` of a placement: marked-vertex mask and loaded-slot mask."""
+    cm = p.count_map()
+    return (sum(1 << gi.vpos[v] for v in p.marks),
+            sum(1 << (gi.nslots - 1 - s) for s, eid in enumerate(gi.slot_eids) if cm.get(eid)))
+
+
+def _supports(total: int, nslots: int, ends: Container[int]) -> Iterator[int]:
+    """Loaded-slot masks of the supports with ``total`` points, lex ascending.
+
+    A support S stands for ``v(S)``: one point on each slot of S but the
+    last, which takes the rest; masks come in lex order of those count
+    vectors.  ``ends`` holds the last slot of each parallel class; the loaded
+    slots of a class form a suffix of it, because any other support is the
+    image of one of these under a parallel-edge swap.  Each recursion level
+    places one point, so the depth is at most ``total``.
+    """
+    if total == 0:
+        yield 0
+        return
+    top = nslots - 1
+
+    def rec(lo: int, rem: int, forced: bool, sm: int):
         # the first loaded slot runs from the last slot down, so the vectors
         # with more leading zeros come first
-        for f in (lo,) if forced else range(nslots - 1, lo - 1, -1):
-            sup.append(f)
+        for f in (lo,) if forced else range(top, lo - 1, -1):
+            fm = sm | 1 << (top - f)
             if rem > 1:
-                vec[f] = 1
-                yield from rec(f + 1, rem - 1, f not in ends)
+                yield from rec(f + 1, rem - 1, f not in ends, fm)
             if f in ends:
-                vec[f] = rem
-                yield tuple(vec), tuple(sup)
-            vec[f] = 0
-            sup.pop()
+                yield fm
 
-    yield from rec(0, total, False)
+    yield from rec(0, total, False, 0)
 
 
-def _subsets_lex(ids: tuple[int, ...], maxlen: int) -> Iterator[tuple[int, ...]]:
-    """Subsets as sorted tuples in lexicographic tuple order ((), (0,), (0,1)...)."""
-    n = len(ids)
+def _subsets_lex(n: int, maxlen: int) -> Iterator[tuple[int, ...]]:
+    """Subsets of range(n) as sorted tuples in lex order ((), (0,), (0,1)...)."""
 
     def rec(start: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
         yield tuple(acc)
         if len(acc) == maxlen:
             return
         for i in range(start, n):
-            acc.append(ids[i])
+            acc.append(i)
             yield from rec(i + 1, acc)
             acc.pop()
 
     yield from rec(0, [])
 
 
-def iter_placements_indexed(gi: GraphIndex, n: int):
-    """Shadow-orbit representatives in lex order, as indexed (marks, counts).
+def iter_placements_indexed(gi: GraphIndex, n: int) -> Iterator[tuple[int, int]]:
+    """Shadow-orbit representatives ``(mm, sm)`` in lex order of ``v(S)``.
 
     Marks compare first, so canonicity splits: the mark set must be lex-least
     over the group, and the support mask least under the mark set's
-    stabilizer.  For supports of one size, ``v(S) < v(T)`` exactly when the
-    indicator of S is lex-smaller, which is the integer compare of their
-    masks.  Rejecting a mark set discards all its supports at once, and
-    surviving mark sets usually have small stabilizers.
+    stabilizer.  With vertex ``v`` at bit ``n-1-v``, the lex-least of a set
+    of mark sets of one size has the greatest mask.  For supports of one
+    size, ``v(S) < v(T)`` exactly when the indicator of S is lex-smaller,
+    which is the integer compare of their masks.  Rejecting a mark set
+    discards all its supports at once, and surviving mark sets usually have
+    small stabilizers.
     """
     autos = gi.symmetry().autos
-    ident = [1 << (gi.nslots - 1 - s) for s in range(gi.nslots)]
+    top = gi.n - 1
     ends = {end - 1 for (_, _, _, end) in gi.classes}
-    for marks in _subsets_lex(tuple(range(gi.n)), n):
-        lm = list(marks)
+    for marks in _subsets_lex(gi.n, n):
+        key = mm = 0
+        for v in marks:
+            key |= 1 << (top - v)
+            mm |= 1 << v
         stab = []
-        for vperm, bits in autos:
-            im = sorted(vperm[v] for v in marks)
-            if im < lm:
+        for vbits, sbits in autos:
+            img = 0
+            for v in marks:
+                img |= vbits[v]
+            if img > key:
                 break
-            if im == lm:
-                stab.append(bits)
+            if img == key:
+                stab.append(sbits)
         else:
-            for cvec, sup in _supports(n - len(marks), gi.nslots, ends):
-                mask = sum(map(ident.__getitem__, sup))
-                for bits in stab:
+            for sm in _supports(n - len(marks), gi.nslots, ends):
+                for sbits in stab:
                     img = 0
-                    for s in sup:
-                        img |= bits[s]
-                    if img < mask:
+                    m = sm
+                    while m:
+                        b = m & -m
+                        m ^= b
+                        img |= sbits[b.bit_length() - 1]
+                    if img < sm:
                         break
                 else:
-                    yield marks, cvec
+                    yield mm, sm
 
 
 def enumerate_placements(g: Multigraph, n: int) -> Iterator[Placement]:
@@ -176,82 +185,68 @@ def enumerate_placements(g: Multigraph, n: int) -> Iterator[Placement]:
     if not g.is_connected():
         raise GraphError("placement enumeration expects a connected graph")
     gi = graph_index(g)
-    for marks, cvec in iter_placements_indexed(gi, n):
-        yield _to_placement(gi, marks, cvec)
+    for mm, sm in iter_placements_indexed(gi, n):
+        yield _to_placement(gi, n, mm, sm)
 
 
 # -- realization ---------------------------------------------------------------
 
 
-def _realize_masks(gi: GraphIndex, marks: tuple[int, ...], cvec: tuple[int, ...]):
-    """Adjacency bitmasks of the subdivided graph plus the marked-vertex mask.
+def _realize_masks(gi: GraphIndex, mm: int, sm: int) -> tuple[list[int], int]:
+    """Adjacency bitmasks of the shadow's realization, and its marked mask.
 
-    Marked interior points become fresh marked vertices; loops additionally
-    receive unmarked subdivision vertices so no loop survives (two points on
-    a bare loop, one extra next to a single marked point).  Parallel edges
-    collapse to one adjacency bit, which is harmless for vertex-simple path
-    existence.
+    Each loaded slot gets one marked vertex, the k-th loaded slot (in slot
+    order) vertex ``gi.n + k``: on a non-loop slot between its two ends, on
+    a loop hanging off the loop's vertex.  An empty non-loop slot is a
+    direct adjacency and an empty loop is left out, since no simple path
+    with marked ends can use it.  Parallel edges collapse to one adjacency
+    bit, which is harmless for vertex-simple path existence.
     """
-    n = gi.n
-    nmask = [0] * n
-    marked = 0
-    for v in marks:
-        marked |= 1 << v
-    nxt = n
-    pairs = gi.slot_pairs
-    for s in range(gi.nslots):
-        c = cvec[s]
-        i, j = pairs[s]
-        extra = 0
-        if i == j:
-            extra = 2 - c if c < 2 else 0
-        if c == 0 and extra == 0:
+    nmask = [0] * gi.n
+    marked = mm
+    top = gi.nslots - 1
+    for s, (i, j) in enumerate(gi.slot_pairs):
+        if sm >> (top - s) & 1:
+            x = len(nmask)
+            b = 1 << x
+            marked |= b
+            nmask[i] |= b
+            if i == j:
+                nmask.append(1 << i)
+            else:
+                nmask[j] |= b
+                nmask.append(1 << i | 1 << j)
+        elif i != j:
             nmask[i] |= 1 << j
             nmask[j] |= 1 << i
-            continue
-        chain = list(range(nxt, nxt + c + extra))
-        nxt += c + extra
-        for _ in range(c + extra):
-            nmask.append(0)
-        for k in chain[:c]:
-            marked |= 1 << k
-        prev = i
-        for k in chain:
-            nmask[prev] |= 1 << k
-            nmask[k] |= 1 << prev
-            prev = k
-        nmask[prev] |= 1 << j
-        nmask[j] |= 1 << prev
     return nmask, marked
 
 
-def _path_shadow(gi: GraphIndex, cvec: tuple[int, ...], path: list[int]) -> tuple[int, int]:
-    """The base-graph shadow of a path found in ``_realize_masks(gi, marks, cvec)``.
+def _path_shadow(gi: GraphIndex, sm: int, path: list[int]) -> tuple[int, int]:
+    """The base-graph shadow of a path found in ``_realize_masks(gi, mm, sm)``.
 
-    Returns ``(vmask, slots)``: the base vertices on the path, and the edge
-    slots the path is known to run inside.  A slot counts when one of its
-    chain vertices is on the path.  A direct step between base vertices
+    Returns ``(vmask, slots)``: the base vertices on the path, and the mask
+    of the edge slots the path is known to run inside.  A slot counts when
+    its realized vertex is on the path.  A direct step between base vertices
     ``i`` and ``j`` runs along an empty slot of that pair; it counts only
     when exactly one slot of the pair is empty, since otherwise the slot it
     used is not known.
     """
     n = gi.n
-    owner: list[int] = []  # slot of each chain vertex, in realization order
-    for s, (i, j) in enumerate(gi.slot_pairs):
-        c = cvec[s]
-        owner.extend([s] * (c + (2 - c if i == j and c < 2 else 0)))
+    top = gi.nslots - 1
+    loaded = [1 << (top - s) for s in range(gi.nslots) if sm >> (top - s) & 1]
     vmask = slots = 0
     prev = -1
     for v in path:
         if v >= n:
-            slots |= 1 << owner[v - n]
+            slots |= loaded[v - n]
         else:
             vmask |= 1 << v
             if 0 <= prev < n:
                 _, _, lo, hi = gi.classes[gi.class_of_pair[(min(prev, v), max(prev, v))]]
-                free = [s for s in range(lo, hi) if not cvec[s]]
-                if len(free) == 1:
-                    slots |= 1 << free[0]
+                free = ((1 << (hi - lo)) - 1) << (gi.nslots - hi) & ~sm
+                if free & (free - 1) == 0:
+                    slots |= free
         prev = v
     return vmask, slots
 

@@ -37,7 +37,8 @@ class GraphIndex:
     Vertices are numbered by sorted id; edge slots are numbered with parallel
     classes consecutive (sorted by endpoint pair, then edge id).  ``classes``
     holds ``(i, j, start, end)`` per class, its slots being ``start..end-1``.
-    Placement count vectors and support masks are indexed by slot.
+    A placement shadow is a marked-vertex mask with vertex ``v`` at bit ``v``
+    and a loaded-slot mask with slot ``s`` at bit ``nslots-1-s``.
     """
 
     __slots__ = (
@@ -337,14 +338,15 @@ def automorphisms(g: Multigraph, limit: int = AUTOMORPHISM_PAIR_LIMIT):
 
 
 class PlacementSymmetry:
-    """Compiled automorphism action on placement supports.
+    """Compiled automorphism action on placement shadows.
 
-    ``autos`` lists ``(vperm, bits)`` for every non-identity vertex
-    automorphism ``vperm``, so a trivial group has no entries.  A support is
-    a mask with slot ``s`` as bit ``nslots-1-s``, and ``bits[s]`` is the bit
-    of the image of slot ``s``, so a support's image mask is the OR of its
-    slots' entries.  Parallel-edge swaps are left out: supports are
-    class-suffix instead.
+    ``autos`` lists ``(vbits, sbits)`` for every non-identity vertex
+    automorphism, so a trivial group has no entries.  ``vbits[v]`` is the
+    image of vertex ``v`` as bit ``n-1-image``, the bit order in which the
+    lex-least mark set has the greatest mask.  A support is a mask with slot
+    ``s`` as bit ``nslots-1-s``, and ``sbits[b]`` is the image of the slot
+    at bit ``b``.  An image mask is the OR of its members' entries.
+    Parallel-edge swaps are left out: supports are class-suffix instead.
     """
 
     __slots__ = ("gi", "autos")
@@ -361,8 +363,8 @@ class PlacementSymmetry:
             raise BoundExceeded("automorphism group larger than the configured bound")
         vautos = _vertex_autos(n, gi.loops, gi.mult, gi.refined_colors(),
                                SKELETON_AUTO_LIMIT)
-        self.autos = [(vperm, self._slot_bits(vperm)) for vperm in vautos
-                      if vperm != tuple(range(n))]
+        self.autos = [(tuple(1 << (n - 1 - w) for w in vperm), self._slot_bits(vperm))
+                      for vperm in vautos if vperm != tuple(range(n))]
 
     def _twin_classes(self) -> list[list[int]]:
         """The twin classes inside each refined color class."""
@@ -380,12 +382,12 @@ class PlacementSymmetry:
         return [cl for classes in groups.values() for cl in classes]
 
     def _slot_bits(self, vperm: Sequence[int]) -> tuple[int, ...]:
-        """Mask bit of the image of each slot; class offsets are kept."""
+        """Image bit of the slot at each mask bit; class offsets are kept."""
         gi = self.gi
         top = gi.nslots - 1
         bits = [0] * gi.nslots
         for (i, j, s, e) in gi.classes:
             ts = gi.classes[gi.class_of_pair[tuple(sorted((vperm[i], vperm[j])))]][2]
             for off in range(e - s):
-                bits[s + off] = 1 << (top - ts - off)
+                bits[top - s - off] = 1 << (top - ts - off)
         return tuple(bits)

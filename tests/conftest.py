@@ -17,7 +17,7 @@ from hypothesis import settings
 from arcon import build, canonical_form, is_n_ac
 from arcon.arcsearch import _find_covering_path
 from arcon.multigraph import Edge, GraphError, Multigraph, _suppressible, idkey
-from arcon.placements import _realize_masks, _to_placement
+from arcon.placements import Placement
 from arcon.symmetry import automorphisms, graph_index
 
 settings.register_profile("ci", deadline=None, max_examples=40)
@@ -163,12 +163,14 @@ def count_vector_stream(gi, n: int):
 
     The placement quotient before supports: each mark set lex-least over the
     vertex automorphisms, then every class-sorted count vector lex-least
-    under the mark set's stabilizer, compared slot by slot.
+    under the mark set's stabilizer, compared slot by slot.  The vertex
+    automorphisms are the distinct vertex maps of ``automorphisms()``.
     """
     slot_of = {}
     for (i, j, start, _) in gi.classes:
         slot_of[(i, j)] = start
-    vautos = [vperm for vperm, _ in gi.symmetry().autos]
+    vautos = sorted({tuple(gi.vpos[vmap[v]] for v in gi.vids)
+                     for vmap, _ in automorphisms(gi.g)})
     prev = prev_slots(gi)
     for marks in sorted(
         m for size in range(min(n, gi.n) + 1)
@@ -191,18 +193,64 @@ def count_vector_stream(gi, n: int):
                 yield marks, cvec
 
 
+def count_vector_masks(gi, marks, cvec):
+    """Adjacency bitmasks of the full count-vector realization, plus the marked mask.
+
+    Every interior point is a fresh marked vertex on a chain along its
+    edge; loops also receive unmarked vertices so none survives (two on a
+    bare loop, one next to a single point).  The reference realization, as
+    ``realize`` builds it, for checking the shadow realization of the scan.
+    """
+    n = gi.n
+    nmask = [0] * n
+    marked = 0
+    for v in marks:
+        marked |= 1 << v
+    nxt = n
+    for s, (i, j) in enumerate(gi.slot_pairs):
+        c = cvec[s]
+        extra = 2 - c if i == j and c < 2 else 0
+        if c == 0 and extra == 0:
+            nmask[i] |= 1 << j
+            nmask[j] |= 1 << i
+            continue
+        chain = list(range(nxt, nxt + c + extra))
+        nxt += c + extra
+        nmask.extend([0] * (c + extra))
+        for k in chain[:c]:
+            marked |= 1 << k
+        prev = i
+        for k in chain:
+            nmask[prev] |= 1 << k
+            nmask[k] |= 1 << prev
+            prev = k
+        nmask[prev] |= 1 << j
+        nmask[j] |= 1 << prev
+    return nmask, marked
+
+
+def count_vector_placement(gi, marks, cvec) -> Placement:
+    """The placement of indexed marks and a count vector."""
+    return Placement(
+        frozenset(gi.vids[v] for v in marks),
+        tuple(sorted(((gi.slot_eids[s], c) for s, c in enumerate(cvec) if c),
+                     key=lambda t: idkey(t[0]))),
+    )
+
+
 def naive_is_n_ac(g, n: int):
     """The lex-least uncovered placement over the full count-vector stream.
 
-    Realizes every count-vector orbit representative in lex order and runs
-    the path search on it; the first failure is the counterexample.  Kept
-    as the reference for the scan, which walks support representatives and
-    skips placements a cached witness covers.
+    Realizes every count-vector orbit representative in lex order, a chain
+    of points per edge, and runs the path search on it; the first failure
+    is the counterexample.  Kept as the reference for the scan, which walks
+    shadows, realizes one point per loaded slot and skips placements a
+    cached witness covers.
     """
     gi = graph_index(g)
     for marks, cvec in count_vector_stream(gi, n):
-        if _find_covering_path(*_realize_masks(gi, marks, cvec)) is None:
-            return False, _to_placement(gi, marks, cvec)
+        if _find_covering_path(*count_vector_masks(gi, marks, cvec)) is None:
+            return False, count_vector_placement(gi, marks, cvec)
     return True, None
 
 

@@ -90,8 +90,8 @@ class TestIsNAc:
     def test_triod_counterexample_is_lex_least(self):
         # scanning in lex order, earlier placements are coverable
         gi = graph_index(corpus.triod())
-        marks, cvec = next(arcsearch._uncovered(gi, 3))
-        assert marks == () and cvec == (1, 1, 1)
+        mm, sm = next(arcsearch._uncovered(gi, 3))
+        assert mm == 0 and sm == 0b111
 
     def test_k33(self):
         ok, _ = is_n_ac(corpus.k33(), 6)
@@ -110,7 +110,7 @@ class TestIsNAc:
             gi = graph_index(g)
             for n in range(3, 8):
                 first = next(arcsearch._uncovered(gi, n), None)
-                lex = (True, None) if first is None else (False, _to_placement(gi, *first))
+                lex = (True, None) if first is None else (False, _to_placement(gi, n, *first))
                 assert lex == naive_is_n_ac(g, n)
                 assert is_n_ac(g, n)[0] == lex[0]
 
@@ -128,13 +128,13 @@ class TestIsNAc:
         for g in census_to_six + looped_or_parallel:
             gi = graph_index(g)
 
-            def checked(witnesses, marks, cvec):
+            def checked(witnesses, mm, sm):
                 nonlocal hits
-                hit = real(witnesses, marks, cvec)
+                hit = real(witnesses, mm, sm)
                 if hit:
                     hits += 1
-                    sub, marked = realize(g, _to_placement(gi, marks, cvec))
-                    assert covering_arc(sub, marked) is not None, (g, marks, cvec)
+                    sub, marked = realize(g, _to_placement(gi, n, mm, sm))
+                    assert covering_arc(sub, marked) is not None, (g, n, mm, sm)
                 return hit
 
             monkeypatch.setattr(arcsearch, "_witness_hit", checked)

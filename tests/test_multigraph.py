@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from arcon import (
     are_homeomorphic,
     branch_points,
     build,
+    canonical_form,
     format_graph_text,
     graph_endpoints,
     parse_graph_text,
@@ -66,6 +68,13 @@ class TestBuild:
     def test_zero_edges(self):
         with pytest.raises(GraphError, match="at least one edge"):
             Multigraph(["a"], [])
+
+    def test_pickle_round_trip_drops_the_cache(self):
+        g = corpus.k33()
+        canonical_form(g)  # fills the index and the canonical code
+        assert g._cache
+        h = pickle.loads(pickle.dumps(g))
+        assert h == g and h._cache == {}
 
 
 class TestDegreeAndConnectivity:

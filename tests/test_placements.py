@@ -1,10 +1,18 @@
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from arcon import GraphError, build, reduced_multigraphs
+from arcon import GraphError, build, covering_arc, reduced_multigraphs
 from arcon import corpus
-from arcon.placements import Placement, _supports, enumerate_placements, realize
+from arcon.arcsearch import _find_covering_path
+from arcon.placements import (
+    Placement,
+    _realize_masks,
+    _shadow,
+    _supports,
+    enumerate_placements,
+    realize,
+)
 from arcon.symmetry import graph_index
 
 from conftest import compositions, naive_orbit_count
@@ -128,9 +136,25 @@ def test_supports_are_the_v_form_compositions(class_sizes, total):
         ends.add(len(prev) - 1)
     got = list(_supports(total, len(prev), ends))
     want = [c for c in compositions(total, len(prev), prev) if v_form(c)]
-    assert [cvec for cvec, _ in got] == want
-    for cvec, sup in got:
-        assert sup == tuple(s for s, c in enumerate(cvec) if c)
+    # slot s is bit nslots-1-s
+    assert got == [int("".join("1" if c else "0" for c in cvec), 2) for cvec in want]
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_shadow_realization_decides_like_realize(small_census, data):
+    # coverability depends only on (marked vertices, loaded slots): one point
+    # per loaded slot decides exactly as every point realized on its edge
+    graphs = [g for g in (ce.builder() for ce in corpus.CORPUS) if len(g.edges) <= 9]
+    graphs += [g for k in sorted(small_census) for g in small_census[k]]
+    g = data.draw(st.sampled_from(graphs))
+    marks = data.draw(st.sets(st.sampled_from(g.vertices)))
+    counts = {e.eid: data.draw(st.integers(0, 3)) for e in g.edges}
+    assume(marks or any(counts.values()))
+    p = Placement.of(g, marks, counts)
+    gi = graph_index(g)
+    uncovered = _find_covering_path(*_realize_masks(gi, *_shadow(gi, p))) is None
+    assert uncovered == (covering_arc(*realize(g, p)) is None)
 
 
 class TestRealize:
