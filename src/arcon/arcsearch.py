@@ -20,6 +20,7 @@ from .placements import (
     _path_shadow,
     _realize_masks,
     _shadow,
+    _slot_steps,
     _to_placement,
     iter_placements_indexed,
 )
@@ -165,18 +166,22 @@ def _witness_hit(witnesses: list[tuple[int, int]], mm: int, sm: int) -> bool:
     """Does a witness arc found earlier in the scan cover the shadow ``(mm, sm)``?
 
     ``witnesses`` holds base-graph shadows ``(vmask, slots)`` of covering
-    paths (see ``_path_shadow``), most recently used first.  The placement is
-    covered when one shadow holds every marked vertex and every slot with
-    interior points; that shadow moves to the front.
+    arcs, lengthened as far as they soundly go (see ``_path_shadow``), most
+    recently used first.  The placement is covered when one shadow holds
+    every marked vertex and every slot with interior points; that shadow
+    moves to the front.  The scan asks this about every support of a
+    surviving mark set, before its canonicity compare, so most placements of
+    a passing level cost one call.
 
-    Why a hit is sound: let A be the witness arc in the space.  For n >= 2
-    the path has an edge at each of its vertices, so A meets the interior of
-    every slot in ``slots`` in a nondegenerate interval.  A homeomorphism of
-    the space that fixes every vertex and maps each edge onto itself can
-    stretch that interval until it holds all of the edge's points of the new
-    placement, and the marked vertices lie on A already.  So the preimage of
-    A is an arc through all n points.  (For n = 1 every placement is covered
-    by its one point.)  This is the premise the placement quotient rests on.
+    Why a hit is sound: let A be the witness arc in the space.  A meets the
+    interior of every slot in ``slots`` in a nondegenerate interval, unless A
+    is one point inside a loop, and then it covers only placements on that
+    loop, which lie on an arc inside it.  A homeomorphism of the space that
+    fixes every vertex and maps each edge onto itself can stretch that
+    interval until it holds all of the edge's points of the new placement,
+    and the marked vertices lie on A already.  So the preimage of A is an
+    arc through all n points.  This is the premise the placement quotient
+    rests on.
     """
     for k, (vmask, slots) in enumerate(witnesses):
         if not (mm & ~vmask or sm & ~slots):
@@ -189,20 +194,21 @@ def _witness_hit(witnesses: list[tuple[int, int]], mm: int, sm: int) -> bool:
 def _uncovered(gi: GraphIndex, n: int) -> Iterator[tuple[int, int]]:
     """The orbit representatives no arc covers, in lex order.
 
-    Keeps the shadows of up to ``WITNESS_CACHE`` covering paths found so far,
-    most recently used first.  A placement one of them covers
-    (``_witness_hit``) skips the realization and the path search; any other
-    is decided by the path search.
+    Keeps the shadows of up to ``WITNESS_CACHE`` covering arcs found so far,
+    most recently used first.  The scan asks them about every support before
+    its canonicity compare (``iter_placements_indexed``'s ``covered``), so a
+    placement one of them covers (``_witness_hit``) costs neither the compare
+    nor a search; any other representative is decided by the path search.
     """
     witnesses: list[tuple[int, int]] = []
-    for mm, sm in iter_placements_indexed(gi, n):
-        if _witness_hit(witnesses, mm, sm):
-            continue
+    steps = _slot_steps(gi)
+    for mm, sm in iter_placements_indexed(
+            gi, n, lambda mm, sm: _witness_hit(witnesses, mm, sm)):
         path = _find_covering_path(*_realize_masks(gi, mm, sm))
         if path is None:
             yield mm, sm
         else:
-            witnesses.insert(0, _path_shadow(gi, sm, path))
+            witnesses.insert(0, _path_shadow(gi, sm, path, steps))
             del witnesses[WITNESS_CACHE:]
 
 

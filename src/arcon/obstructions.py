@@ -156,10 +156,12 @@ def probe_placements(g: Multigraph, n: int):
     per-placement search, so speculative candidates cost one search at most.
     For n >= 3 the endpoint and cut-vertex obstructions come first; they
     always obstruct when they exist.  The speculative fans run for n = 4 and
-    5 only.  At n = 3 a 3-fan at v obstructs only when its germs enter three
-    components of g - v, and then the cut-vertex obstruction has already
-    been tried.  At n >= 6 they hit none of their 56 tries over the census
-    up to 9 edges.
+    5 only: at n = 4 the 3-fan and the fan of size ``min(deg, 4)``, at n = 5
+    only the fan of size ``min(deg, 5)``, when that is at least 4.  At n = 3
+    a 3-fan at v obstructs only when its germs enter three components of
+    g - v, and then the cut-vertex obstruction has already been tried.  Over
+    the census up to 9 edges the 3-fan hit none of its 267 tries at n = 5,
+    and the fans none of their 56 tries at n >= 6.
     """
     seen = set()
     branch = sorted((v for v in g.vertices if g.degree(v) >= 3), key=idkey)
@@ -193,7 +195,8 @@ def probe_placements(g: Multigraph, n: int):
     if n not in (4, 5):
         return
     for v in branch[:6]:
-        for k in sorted({min(g.degree(v), n), 3}, reverse=True):
+        sizes = {min(g.degree(v), 4), 3} if n == 4 else {min(g.degree(v), 5)} - {3}
+        for k in sorted(sizes, reverse=True):
             p = emit(kod_core(g, v, k))
             if p is not None:
                 yield p

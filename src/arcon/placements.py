@@ -22,7 +22,7 @@ orbit: the lex-least ``v(S)`` of the orbit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Iterator, Mapping
+from typing import Callable, Container, Iterator, Mapping
 
 from .multigraph import GraphError, Id, Multigraph, idkey
 from .symmetry import GraphIndex, graph_index
@@ -129,7 +129,9 @@ def _subsets_lex(n: int, maxlen: int) -> Iterator[tuple[int, ...]]:
     yield from rec(0, [])
 
 
-def iter_placements_indexed(gi: GraphIndex, n: int) -> Iterator[tuple[int, int]]:
+def iter_placements_indexed(gi: GraphIndex, n: int,
+                            covered: Callable[[int, int], bool] | None = None,
+                            ) -> Iterator[tuple[int, int]]:
     """Shadow-orbit representatives ``(mm, sm)`` in lex order of ``v(S)``.
 
     Marks compare first, so canonicity splits: the mark set must be lex-least
@@ -140,6 +142,13 @@ def iter_placements_indexed(gi: GraphIndex, n: int) -> Iterator[tuple[int, int]]
     which is the integer compare of their masks.  Rejecting a mark set
     discards all its supports at once, and surviving mark sets usually have
     small stabilizers.
+
+    ``covered(mm, sm)``, when given, is asked first about every support of a
+    surviving mark set, and a support it accepts is skipped without the
+    stabilizer compare.  A caller that tests coverability loses nothing by
+    this: coverage is a property of the placement, shared by its whole
+    orbit, so the representatives it skips are covered ones and the uncovered
+    ones come in the same order.
     """
     autos = gi.symmetry().autos
     top = gi.n - 1
@@ -160,6 +169,8 @@ def iter_placements_indexed(gi: GraphIndex, n: int) -> Iterator[tuple[int, int]]
                 stab.append(sbits)
         else:
             for sm in _supports(n - len(marks), gi.nslots, ends):
+                if covered is not None and covered(mm, sm):
+                    continue
                 for sbits in stab:
                     img = 0
                     m = sm
@@ -222,32 +233,91 @@ def _realize_masks(gi: GraphIndex, mm: int, sm: int) -> tuple[list[int], int]:
     return nmask, marked
 
 
-def _path_shadow(gi: GraphIndex, sm: int, path: list[int]) -> tuple[int, int]:
-    """The base-graph shadow of a path found in ``_realize_masks(gi, mm, sm)``.
+def _slot_steps(gi: GraphIndex) -> tuple[list[list[tuple[int, int]]], list[int]]:
+    """The tables ``_path_shadow`` extends arcs with.
 
-    Returns ``(vmask, slots)``: the base vertices on the path, and the mask
-    of the edge slots the path is known to run inside.  A slot counts when
-    its realized vertex is on the path.  A direct step between base vertices
-    ``i`` and ``j`` runs along an empty slot of that pair; it counts only
-    when exactly one slot of the pair is empty, since otherwise the slot it
-    used is not known.
+    Per base vertex: its other neighbours in ascending order, each with the
+    mask bit of the last slot to it, and the mask of its incident slots.
     """
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(gi.n)]
+    inc = [0] * gi.n
+    for (i, j, lo, hi) in gi.classes:
+        cls = ((1 << (hi - lo)) - 1) << (gi.nslots - hi)
+        inc[i] |= cls
+        inc[j] |= cls
+        if i != j:
+            last = 1 << (gi.nslots - hi)
+            nbrs[i].append((j, last))
+            nbrs[j].append((i, last))
+    return nbrs, inc
+
+
+def _path_shadow(gi: GraphIndex, sm: int, path: list[int],
+                 steps: tuple[list[list[tuple[int, int]]], list[int]]) -> tuple[int, int]:
+    """The base-graph shadow of a maximal arc around a path found in
+    ``_realize_masks(gi, mm, sm)``; ``steps`` is ``_slot_steps(gi)``.
+
+    Returns ``(vmask, slots)``: the base vertices on the arc, and the mask
+    of the edge slots it meets in a nondegenerate interval.  The path
+    stands for an arc in the space, which is then lengthened:
+
+    * a slot counts when its realized vertex is on the path; a direct step
+      between base vertices runs along an empty slot of that pair, and since
+      the path stands for an arc along any of them, the last one counts;
+    * an end inside a non-loop slot runs on to the slot's far vertex, if
+      that vertex is not on the arc yet;
+    * each end at a base vertex then extends greedily: to its least
+      neighbour not on the arc, along the last slot of that pair, until
+      every neighbour is on the arc;
+    * each such end then pokes into the last incident slot not counted yet
+      (a loop, or an edge to a vertex on the arc) and stops inside it.
+
+    Every step keeps the arc simple and only lengthens it, so the result is
+    an arc that contains the one found, and it meets each counted slot in a
+    nondegenerate interval.  The far-vertex steps run before any extension,
+    so an extension never runs along a slot already counted.  Where a choice
+    of slot is free, the last one is taken: supports load a suffix of each
+    parallel class, so it is the slot most of them load.
+    """
+    nbrs, inc = steps
     n = gi.n
     top = gi.nslots - 1
-    loaded = [1 << (top - s) for s in range(gi.nslots) if sm >> (top - s) & 1]
+    loaded = [s for s in range(gi.nslots) if sm >> (top - s) & 1]
     vmask = slots = 0
     prev = -1
     for v in path:
         if v >= n:
-            slots |= loaded[v - n]
+            slots |= 1 << (top - loaded[v - n])
         else:
             vmask |= 1 << v
             if 0 <= prev < n:
                 _, _, lo, hi = gi.classes[gi.class_of_pair[(min(prev, v), max(prev, v))]]
                 free = ((1 << (hi - lo)) - 1) << (gi.nslots - hi) & ~sm
-                if free & (free - 1) == 0:
-                    slots |= free
+                slots |= free & -free
         prev = v
+    tips = []
+    for x in (path[0], path[-1]):
+        if x >= n:
+            i, j = gi.slot_pairs[loaded[x - n]]
+            x = j if vmask >> i & 1 else i
+            if i == j or vmask >> x & 1:
+                continue
+            vmask |= 1 << x
+        tips.append(x)
+    for k, x in enumerate(tips):
+        while True:
+            for w, b in nbrs[x]:
+                if not vmask >> w & 1:
+                    vmask |= 1 << w
+                    slots |= b
+                    x = w
+                    break
+            else:
+                break
+        tips[k] = x
+    for x in tips:
+        free = inc[x] & ~slots
+        slots |= free & -free
     return vmask, slots
 
 

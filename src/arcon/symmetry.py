@@ -117,12 +117,10 @@ def _rank(keys: Sequence) -> list[int]:
 def _refine(n: int, loops: Sequence[int], mult: Sequence[Sequence[int]],
             colors: list[int]) -> list[int]:
     """Iterate neighborhood color signatures to a stable partition."""
+    adj = [[(u, row[u]) for u in range(n) if row[u]] for row in mult]
     while True:
-        sigs = []
-        for v in range(n):
-            row = mult[v]
-            nb = sorted((colors[u], row[u]) for u in range(n) if row[u])
-            sigs.append((colors[v], loops[v], tuple(nb)))
+        sigs = [(colors[v], loops[v], tuple(sorted((colors[u], m) for u, m in adj[v])))
+                for v in range(n)]
         new = _rank(sigs)
         if new == colors:
             return colors
@@ -243,10 +241,11 @@ def _vertex_autos(n: int, loops, mult, colors: Sequence[int],
     one vertex, pin its first vertex on the domain side against every member
     on the range side, refine both sides, and prune when the color
     histograms diverge.  Each automorphism is reached in exactly one branch
-    (its image of the pinned vertex), and leaves are verified directly.
+    (its image of the pinned vertex), and leaves are verified directly.  The
+    domain side of a node does not depend on the branch, so it is refined
+    once per node and shared by all its children.
     """
     autos: list[tuple[int, ...]] = []
-    base = list(colors)
 
     def histogram(cs: Sequence[int]):
         h: dict[int, int] = {}
@@ -255,7 +254,7 @@ def _vertex_autos(n: int, loops, mult, colors: Sequence[int],
         return sorted(h.items())
 
     def rec(dom: list[int], rng: list[int]) -> None:
-        dom = _refine(n, loops, mult, dom)
+        # dom is refined already, rng not yet
         rng = _refine(n, loops, mult, rng)
         if histogram(dom) != histogram(rng):
             return
@@ -282,16 +281,17 @@ def _vertex_autos(n: int, loops, mult, colors: Sequence[int],
                 raise BoundExceeded("automorphism group larger than the configured bound")
             return
         c, v = target
+        dom2 = [x * 2 for x in dom]
+        dom2[v] -= 1
+        dom2 = _refine(n, loops, mult, _rank(dom2))
         for w in range(n):
             if rng[w] != c:
                 continue
-            dom2 = [x * 2 for x in dom]
-            dom2[v] -= 1
             rng2 = [x * 2 for x in rng]
             rng2[w] -= 1
-            rec(_rank(dom2), _rank(rng2))
+            rec(dom2, _rank(rng2))
 
-    rec(base[:], base[:])
+    rec(_refine(n, loops, mult, list(colors)), list(colors))
     return autos
 
 

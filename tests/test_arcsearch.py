@@ -33,6 +33,13 @@ def spy_is_n_ac(monkeypatch):
     return calls
 
 
+def looped_or_parallel():
+    """The corpus graphs with a loop or a parallel edge."""
+    return [g for g in (ce.builder() for ce in corpus.CORPUS)
+            if len({frozenset((e.a, e.b)) for e in g.edges}) < len(g.edges)
+            or any(e.is_loop for e in g.edges)]
+
+
 class TestCoveringArc:
     def test_path_graph(self):
         g = build("amb", [("a", "m"), ("m", "b")])
@@ -119,13 +126,9 @@ class TestIsNAc:
         # realization; the scan runs on past the first failure (up to ten),
         # so placements with marked vertices at failing levels are checked
         # too, and loops and parallel edges stress the slot shadows
-        looped_or_parallel = [
-            g for g in (ce.builder() for ce in corpus.CORPUS)
-            if len({frozenset((e.a, e.b)) for e in g.edges}) < len(g.edges)
-            or any(e.is_loop for e in g.edges)]
         real = arcsearch._witness_hit
         hits = 0
-        for g in census_to_six + looped_or_parallel:
+        for g in census_to_six + looped_or_parallel():
             gi = graph_index(g)
 
             def checked(witnesses, mm, sm):
@@ -142,6 +145,32 @@ class TestIsNAc:
                 for _ in islice(arcsearch._uncovered(gi, n), 10):
                     pass
         assert hits > 0
+
+    def test_witness_shadows_are_coverable(self, monkeypatch, census_to_six):
+        # every maximal arc the scan caches must be an arc: the placement
+        # with a mark on each of its vertices and one point on each of its
+        # slots is coverable
+        real = arcsearch._path_shadow
+        shadows = 0
+        for g in census_to_six + looped_or_parallel():
+            gi = graph_index(g)
+            top = gi.nslots - 1
+
+            def checked(*a):
+                nonlocal shadows
+                vmask, slots = real(*a)
+                shadows += 1
+                p = Placement.of(
+                    g, [gi.vids[v] for v in range(gi.n) if vmask >> v & 1],
+                    {gi.slot_eids[s]: 1 for s in range(gi.nslots) if slots >> (top - s) & 1})
+                assert covering_arc(*realize(g, p)) is not None, (g, n, vmask, slots)
+                return vmask, slots
+
+            monkeypatch.setattr(arcsearch, "_path_shadow", checked)
+            for n in range(2, 8):
+                for _ in islice(arcsearch._uncovered(gi, n), 10):
+                    pass
+        assert shadows > 0
 
     def test_probe_counterexample_is_genuine(self):
         _, cex = is_n_ac(corpus.k33(), 7)

@@ -11,6 +11,7 @@ from arcon.placements import (
     _shadow,
     _supports,
     enumerate_placements,
+    iter_placements_indexed,
     realize,
 )
 from arcon.symmetry import graph_index
@@ -120,6 +121,21 @@ class TestEnumerate:
         g = build("ab", [("a", "a"), ("b", "b")])
         with pytest.raises(GraphError):
             list(enumerate_placements(g, 2))
+
+
+def test_covered_filter_drops_exactly_the_accepted_shadows(small_census):
+    # the filter runs before the canonicity compare, and drops from the
+    # stream exactly the representatives it accepts
+    def pred(mm, sm):
+        return (5 * mm + sm) % 3 == 0
+
+    graphs = [g for k in sorted(small_census) for g in small_census[k]]
+    graphs += [g for g in (ce.builder() for ce in corpus.CORPUS) if len(g.edges) <= 9]
+    for g in graphs:
+        gi = graph_index(g)
+        for n in (1, 2, 3, 4):
+            assert list(iter_placements_indexed(gi, n, pred)) == [
+                x for x in iter_placements_indexed(gi, n) if not pred(*x)]
 
 
 def v_form(cvec) -> bool:

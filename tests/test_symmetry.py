@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from arcon import BoundExceeded, are_homeomorphic, build, canonical_form
 from arcon import corpus
-from arcon.symmetry import automorphisms, graph_index
+from arcon.symmetry import _vertex_autos, automorphisms, graph_index
 
 from conftest import naive_code, relabeled
 from test_multigraph import graphs_any
@@ -135,3 +135,24 @@ def test_star_placements_fail_on_the_twin_bound(monkeypatch):
     with pytest.raises(BoundExceeded, match="automorphism group"):
         next(enumerate_placements(corpus.star(9), 2))
     assert calls == []
+
+
+def test_vertex_autos_match_brute_force():
+    # every vertex permutation that keeps loops and multiplicities, once each,
+    # on the corpus graphs and their once-subdivided copies
+    graphs = []
+    for ce in corpus.CORPUS:
+        g = r = ce.builder()
+        for e in g.edges:
+            r, _ = r.subdivide(e.eid, 1)
+        graphs += [x for x in (g, r) if len(x.vertices) <= 8]
+    for g in graphs:
+        gi = graph_index(g)
+        n, loops, mult = gi.n, gi.loops, gi.mult
+        brute = {p for p in itertools.permutations(range(n))
+                 if all(loops[p[v]] == loops[v] for v in range(n))
+                 and all(mult[p[u]][p[v]] == mult[u][v]
+                         for u in range(n) for v in range(u + 1, n))}
+        autos = _vertex_autos(n, loops, mult, gi.refined_colors(), 10**6)
+        assert len(autos) == len(set(autos))
+        assert set(autos) == brute
