@@ -162,54 +162,24 @@ def covering_arc(gprime: Multigraph, marked: Iterable[Id]) -> Optional[ArcWitnes
     return witness
 
 
-def _witness_hit(witnesses: list[tuple[int, int]], mm: int, sm: int) -> bool:
-    """Does a witness arc found earlier in the scan cover the shadow ``(mm, sm)``?
-
-    ``witnesses`` holds base-graph shadows ``(vmask, slots)`` of covering
-    arcs, lengthened as far as they soundly go (see ``_path_shadow``), most
-    recently used first.  The placement is covered when one shadow holds
-    every marked vertex and every slot with interior points; that shadow
-    moves to the front.  The scan asks this about every support of a
-    surviving mark set, before its canonicity compare, so most placements of
-    a passing level cost one call.
-
-    Why a hit is sound: let A be the witness arc in the space.  A meets the
-    interior of every slot in ``slots`` in a nondegenerate interval, unless A
-    is one point inside a loop, and then it covers only placements on that
-    loop, which lie on an arc inside it.  A homeomorphism of the space that
-    fixes every vertex and maps each edge onto itself can stretch that
-    interval until it holds all of the edge's points of the new placement,
-    and the marked vertices lie on A already.  So the preimage of A is an
-    arc through all n points.  This is the premise the placement quotient
-    rests on.
-    """
-    for k, (vmask, slots) in enumerate(witnesses):
-        if not (mm & ~vmask or sm & ~slots):
-            if k:
-                witnesses.insert(0, witnesses.pop(k))
-            return True
-    return False
-
-
 def _uncovered(gi: GraphIndex, n: int) -> Iterator[tuple[int, int]]:
     """The orbit representatives no arc covers, in lex order.
 
-    Keeps the shadows of up to ``WITNESS_CACHE`` covering arcs found so far,
-    most recently used first.  The scan asks them about every support before
-    its canonicity compare (``iter_placements_indexed``'s ``covered``), so a
-    placement one of them covers (``_witness_hit``) costs neither the compare
-    nor a search; any other representative is decided by the path search.
+    Keeps the shadows of the last ``WITNESS_CACHE`` covering arcs found,
+    lengthened as far as they soundly go (see ``_path_shadow``), in the
+    list the scan reads (``iter_placements_indexed``'s ``witnesses``): a
+    placement one of them covers costs neither the canonicity compare nor a
+    search, and any other representative is decided by the path search.
     """
     witnesses: list[tuple[int, int]] = []
     steps = _slot_steps(gi)
-    for mm, sm in iter_placements_indexed(
-            gi, n, lambda mm, sm: _witness_hit(witnesses, mm, sm)):
+    for mm, sm in iter_placements_indexed(gi, n, witnesses):
         path = _find_covering_path(*_realize_masks(gi, mm, sm))
         if path is None:
             yield mm, sm
         else:
-            witnesses.insert(0, _path_shadow(gi, sm, path, steps))
-            del witnesses[WITNESS_CACHE:]
+            witnesses.append(_path_shadow(gi, sm, path, steps))
+            del witnesses[:-WITNESS_CACHE]
 
 
 def is_n_ac(g: Multigraph, n: int) -> tuple[bool, Optional[Placement]]:
@@ -317,12 +287,18 @@ def refine_check(g: Multigraph, n: int, extra: int = 1) -> bool:
     the space, so the verdicts must agree; this validates the placement
     quotient without assuming it, since the refined graph offers strictly
     finer point positions (old interior spots become markable vertices).
+    The refined copy is kept in ``g``'s cache (a ``Multigraph`` is
+    immutable), so its index and placement symmetry are built once for all
+    the levels asked about ``g``.
     """
     if extra < 1:
         raise GraphError("extra must be >= 1")
-    refined = g
-    for e in g.edges:
-        refined, _ = refined.subdivide(e.eid, extra)
+    refined = g._cache.get(("refined", extra))
+    if refined is None:
+        refined = g
+        for e in g.edges:
+            refined, _ = refined.subdivide(e.eid, extra)
+        g._cache[("refined", extra)] = refined
     base, _ = is_n_ac(g, n)
     fine, _ = is_n_ac(refined, n)
     return base == fine

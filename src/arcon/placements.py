@@ -22,7 +22,7 @@ orbit: the lex-least ``v(S)`` of the orbit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Container, Iterator, Mapping
+from typing import Container, Iterator, Mapping, Sequence
 
 from .multigraph import GraphError, Id, Multigraph, idkey
 from .symmetry import GraphIndex, graph_index
@@ -86,7 +86,8 @@ def _shadow(gi: GraphIndex, p: Placement) -> tuple[int, int]:
             sum(1 << (gi.nslots - 1 - s) for s, eid in enumerate(gi.slot_eids) if cm.get(eid)))
 
 
-def _supports(total: int, nslots: int, ends: Container[int]) -> Iterator[int]:
+def _supports(total: int, nslots: int, ends: Container[int], mm: int = 0,
+              witnesses: Sequence[tuple[int, int]] = ()) -> Iterator[int]:
     """Loaded-slot masks of the supports with ``total`` points, lex ascending.
 
     A support S stands for ``v(S)``: one point on each slot of S but the
@@ -95,42 +96,58 @@ def _supports(total: int, nslots: int, ends: Container[int]) -> Iterator[int]:
     slots of a class form a suffix of it, because any other support is the
     image of one of these under a parallel-edge swap.  Each recursion level
     places one point, so the depth is at most ``total``.
+
+    ``witnesses`` holds shadows ``(vmask, slots)`` of covering arcs, and the
+    supports that one of them covers together with the marks ``mm`` are
+    left out.  Each recursion level carries ``alive``, the slot masks of the
+    witnesses that hold ``mm`` and the partial support: a leaf adding slot
+    bit ``b`` is covered exactly when ``b`` is in the union of ``alive``,
+    and a level returns at once when one alive witness holds every slot it
+    may still load.  The consumer may append to ``witnesses`` between
+    yields, so before a leaf test a level rebuilds ``alive`` if the list's
+    last entry is no longer the one it had when ``alive`` was read.
     """
+    def live(sm: int):
+        """The list's last entry, the alive slot masks and their union."""
+        alive = [s for v, s in witnesses if not (mm & ~v or sm & ~s)]
+        union = 0
+        for s in alive:
+            union |= s
+        return (witnesses[-1] if witnesses else None), alive, union
+
     if total == 0:
-        yield 0
+        if not live(0)[1]:
+            yield 0
         return
     top = nslots - 1
 
-    def rec(lo: int, rem: int, forced: bool, sm: int):
+    def rec(lo: int, rem: int, forced: bool, sm: int, alive: list[int], last):
+        # alive was read from the list when its last entry was last
+        rest = (1 << (nslots - lo)) - 1
+        union = 0
+        for s in alive:
+            if not rest & ~s:
+                return
+            union |= s
         # the first loaded slot runs from the last slot down, so the vectors
         # with more leading zeros come first
         for f in (lo,) if forced else range(top, lo - 1, -1):
-            fm = sm | 1 << (top - f)
+            b = 1 << (top - f)
             if rem > 1:
-                yield from rec(f + 1, rem - 1, f not in ends, fm)
+                yield from rec(f + 1, rem - 1, f not in ends, sm | b,
+                               [s for s in alive if s & b], last)
             if f in ends:
-                yield fm
+                if witnesses and witnesses[-1] is not last:
+                    last, alive, union = live(sm)
+                if not b & union:
+                    yield sm | b
 
-    yield from rec(0, total, False, 0)
-
-
-def _subsets_lex(n: int, maxlen: int) -> Iterator[tuple[int, ...]]:
-    """Subsets of range(n) as sorted tuples in lex order ((), (0,), (0,1)...)."""
-
-    def rec(start: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        yield tuple(acc)
-        if len(acc) == maxlen:
-            return
-        for i in range(start, n):
-            acc.append(i)
-            yield from rec(i + 1, acc)
-            acc.pop()
-
-    yield from rec(0, [])
+    last, alive, _ = live(0)
+    yield from rec(0, total, False, 0, alive, last)
 
 
 def iter_placements_indexed(gi: GraphIndex, n: int,
-                            covered: Callable[[int, int], bool] | None = None,
+                            witnesses: Sequence[tuple[int, int]] = (),
                             ) -> Iterator[tuple[int, int]]:
     """Shadow-orbit representatives ``(mm, sm)`` in lex order of ``v(S)``.
 
@@ -139,49 +156,72 @@ def iter_placements_indexed(gi: GraphIndex, n: int,
     stabilizer.  With vertex ``v`` at bit ``n-1-v``, the lex-least of a set
     of mark sets of one size has the greatest mask.  For supports of one
     size, ``v(S) < v(T)`` exactly when the indicator of S is lex-smaller,
-    which is the integer compare of their masks.  Rejecting a mark set
-    discards all its supports at once, and surviving mark sets usually have
-    small stabilizers.
+    which is the integer compare of their masks.
 
-    ``covered(mm, sm)``, when given, is asked first about every support of a
-    surviving mark set, and a support it accepts is skipped without the
-    stabilizer compare.  A caller that tests coverability loses nothing by
-    this: coverage is a property of the placement, shared by its whole
-    orbit, so the representatives it skips are covered ones and the uncovered
-    ones come in the same order.
+    Mark sets are walked depth first, each sorted tuple before its
+    extensions by larger vertices, which is the lex order of the tuples.
+    Each node carries the image keys of its mark set under every
+    automorphism, so a child adds one bit per image.  A node with an image
+    key greater than its own is rejected together with its whole subtree:
+    say g(P) <lex P and x > max P.  P ∪ {x} agrees with P on its first |P|
+    positions, and inserting g(x) into the sorted tuple of g(P) can only
+    lower each of those positions, so g(P ∪ {x}) <lex P ∪ {x}.  Every
+    extension of a rejected set is rejected, and the kept sets come in the
+    same order as a walk over all subsets would give.
+
+    ``witnesses`` holds base-graph shadows ``(vmask, slots)`` of covering
+    arcs, and the caller may append to it between yields.  The supports of
+    a surviving mark set that one of them covers are skipped without the
+    stabilizer compare (see ``_supports``).  A caller that tests
+    coverability loses nothing by this: coverage is a property of the
+    placement, shared by its whole orbit, so the skipped representatives
+    are covered ones and the uncovered ones come in the same order.  A
+    placement is covered when one shadow holds every marked vertex and
+    every loaded slot.  Why that is sound: let A be the witness arc in the
+    space.  A meets the interior of every slot in ``slots`` in a
+    nondegenerate interval, unless A is one point inside a loop, and then
+    it covers only placements on that loop, which lie on an arc inside it.
+    A homeomorphism of the space that fixes every vertex and maps each edge
+    onto itself can stretch that interval until it holds all of the edge's
+    points of the new placement, and the marked vertices lie on A already.
+    So the preimage of A is an arc through all n points.  This is the
+    premise the placement quotient rests on.  Every shadow in the list is
+    the shadow of a real arc, so a witness list that lags behind the
+    caller's can only skip too little, never wrongly.
     """
     autos = gi.symmetry().autos
     top = gi.n - 1
     ends = {end - 1 for (_, _, _, end) in gi.classes}
-    for marks in _subsets_lex(gi.n, n):
-        key = mm = 0
-        for v in marks:
-            key |= 1 << (top - v)
-            mm |= 1 << v
-        stab = []
-        for vbits, sbits in autos:
-            img = 0
-            for v in marks:
+
+    def walk(lo: int, k: int, key: int, mm: int, imgs: list[int]):
+        # imgs[i]: image key of the mark set under autos[i], none above key
+        stab = [sbits for (_, sbits), img in zip(autos, imgs) if img == key]
+        for sm in _supports(n - k, gi.nslots, ends, mm, witnesses):
+            for sbits in stab:
+                img = 0
+                m = sm
+                while m:
+                    b = m & -m
+                    m ^= b
+                    img |= sbits[b.bit_length() - 1]
+                if img < sm:
+                    break
+            else:
+                yield mm, sm
+        if k == n:
+            return
+        for v in range(lo, gi.n):
+            ckey = key | 1 << (top - v)
+            cimgs = []
+            for (vbits, _), img in zip(autos, imgs):
                 img |= vbits[v]
-            if img > key:
-                break
-            if img == key:
-                stab.append(sbits)
-        else:
-            for sm in _supports(n - len(marks), gi.nslots, ends):
-                if covered is not None and covered(mm, sm):
-                    continue
-                for sbits in stab:
-                    img = 0
-                    m = sm
-                    while m:
-                        b = m & -m
-                        m ^= b
-                        img |= sbits[b.bit_length() - 1]
-                    if img < sm:
-                        break
-                else:
-                    yield mm, sm
+                if img > ckey:
+                    break
+                cimgs.append(img)
+            else:
+                yield from walk(v + 1, k + 1, ckey, mm | 1 << v, cimgs)
+
+    yield from walk(0, 0, 0, 0, [0] * len(autos))
 
 
 def enumerate_placements(g: Multigraph, n: int) -> Iterator[Placement]:

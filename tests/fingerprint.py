@@ -1,0 +1,100 @@
+"""Digests of the engine's observable output, for equivalence checks.
+
+Run ``python3 tests/fingerprint.py`` from any directory; it imports the
+``arcon`` package of the checkout it sits in.  It takes no options and
+prints one line per fingerprint, ``name items sha256``:
+
+* ``profiles``: ``ac_number`` (verdicts, counterexample and its level) on
+  every census class up to 9 edges;
+* ``first-uncovered``: the first item of ``_uncovered`` on every census
+  class up to 7 edges, n = 3..7;
+* ``enumerate``: the ``enumerate_placements`` stream on the census up to 6
+  edges at n = 1..4, and on K3,3, ``double_circle(4)`` and ``star(6)`` at
+  n = 1..3;
+* ``symmetry``: ``canonical_form`` and the ``PlacementSymmetry.autos`` list,
+  order included, of every census class up to 9 edges (``bound`` where the
+  automorphism bound is hit).
+
+Marks are written sorted, so the digests do not depend on the hash seed.
+Run it on two checkouts: equal digests mean equal verdicts, counterexamples,
+scan order and symmetry data on these inputs.  The full run takes under
+a minute on a 2-core host.  The file is not a test module, so pytest does
+not collect it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from arcon import ac_number, canonical_form, corpus, enumerate_placements  # noqa: E402
+from arcon.arcsearch import _uncovered  # noqa: E402
+from arcon.census import reduced_multigraphs  # noqa: E402
+from arcon.multigraph import BoundExceeded, idkey  # noqa: E402
+from arcon.symmetry import graph_index  # noqa: E402
+
+
+def placement_text(p) -> str:
+    if p is None:
+        return "-"
+    return repr((sorted(p.marks, key=idkey), p.counts))
+
+
+class Digest:
+    def __init__(self, name: str):
+        self.name = name
+        self.items = 0
+        self.h = hashlib.sha256()
+
+    def add(self, *parts) -> None:
+        self.items += 1
+        self.h.update(repr(parts).encode())
+        self.h.update(b"\n")
+
+    def line(self) -> str:
+        return f"{self.name} {self.items} {self.h.hexdigest()}"
+
+
+def main() -> None:
+    census = {k: list(reduced_multigraphs(k)) for k in range(1, 10)}
+
+    d = Digest("profiles")
+    for k, graphs in census.items():
+        for g in graphs:
+            prof = ac_number(g)
+            d.add(k, prof.verdicts, placement_text(prof.counterexample), prof.counterexample_n)
+    print(d.line(), flush=True)
+
+    d = Digest("first-uncovered")
+    for k in range(1, 8):
+        for g in census[k]:
+            gi = graph_index(g)
+            for n in range(3, 8):
+                d.add(k, n, next(_uncovered(gi, n), None))
+    print(d.line(), flush=True)
+
+    d = Digest("enumerate")
+    inputs = [(g, range(1, 5)) for k in range(1, 7) for g in census[k]]
+    inputs += [(g, range(1, 4)) for g in (corpus.k33(), corpus.double_circle(4), corpus.star(6))]
+    for g, levels in inputs:
+        for n in levels:
+            for p in enumerate_placements(g, n):
+                d.add(n, placement_text(p))
+    print(d.line(), flush=True)
+
+    d = Digest("symmetry")
+    for k, graphs in census.items():
+        for g in graphs:
+            try:
+                autos = graph_index(g).symmetry().autos
+            except BoundExceeded:
+                autos = "bound"
+            d.add(k, canonical_form(g), autos)
+    print(d.line(), flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -1,5 +1,6 @@
 import random
 from itertools import islice
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,7 +16,7 @@ from arcon import (
 from arcon import arcsearch, corpus
 from arcon.multigraph import germs, walk_segment
 from arcon.placements import Placement, _to_placement, realize
-from arcon.symmetry import graph_index
+from arcon.symmetry import GraphIndex, graph_index
 
 from conftest import naive_is_n_ac, randomly_subdivided, raw_ac_label
 
@@ -122,29 +123,40 @@ class TestIsNAc:
                 assert is_n_ac(g, n)[0] == lex[0]
 
     def test_witness_hits_are_covered(self, monkeypatch, census_to_six):
-        # a placement skipped by witness reuse must be coverable on its own
-        # realization; the scan runs on past the first failure (up to ten),
+        # a support the walk skips as covered must be coverable on its own
+        # realization.  The group is emptied, so every support of every mark
+        # set is in the witness-free stream, including those the symmetry
+        # would hide; the scan runs on past the first failure (up to ten),
         # so placements with marked vertices at failing levels are checked
         # too, and loops and parallel edges stress the slot shadows
-        real = arcsearch._witness_hit
-        hits = 0
+        real = arcsearch.iter_placements_indexed
+        skips = 0
         for g in census_to_six + looped_or_parallel():
-            gi = graph_index(g)
-
-            def checked(witnesses, mm, sm):
-                nonlocal hits
-                hit = real(witnesses, mm, sm)
-                if hit:
-                    hits += 1
-                    sub, marked = realize(g, _to_placement(gi, n, mm, sm))
-                    assert covering_arc(sub, marked) is not None, (g, n, mm, sm)
-                return hit
-
-            monkeypatch.setattr(arcsearch, "_witness_hit", checked)
+            gi = GraphIndex(g)
+            gi._symmetry = SimpleNamespace(autos=[])
             for n in range(3, 8):
+                emitted, finished = [], []
+
+                def spy(*a):
+                    for x in real(*a):
+                        emitted.append(x)
+                        yield x
+                    finished.append(True)
+
+                monkeypatch.setattr(arcsearch, "iter_placements_indexed", spy)
                 for _ in islice(arcsearch._uncovered(gi, n), 10):
                     pass
-        assert hits > 0
+                stream = list(real(gi, n))
+                if not finished:
+                    stream = stream[:stream.index(emitted[-1]) + 1]
+                kept = set(emitted)
+                assert emitted == [x for x in stream if x in kept]
+                for mm, sm in stream:
+                    if (mm, sm) not in kept:
+                        skips += 1
+                        sub, marked = realize(g, _to_placement(gi, n, mm, sm))
+                        assert covering_arc(sub, marked) is not None, (g, n, mm, sm)
+        assert skips > 0
 
     def test_witness_shadows_are_coverable(self, monkeypatch, census_to_six):
         # every maximal arc the scan caches must be an arc: the placement
@@ -392,6 +404,24 @@ class TestRefine:
         refined = calls[1][0]
         assert len(refined.edges) == 2 * len(theta.edges)
         assert smooth(refined) is not refined
+
+    def test_refine_check_reuses_its_refined_graph(self, monkeypatch):
+        g = corpus.circle_two_chords()
+        calls = spy_is_n_ac(monkeypatch)
+        assert refine_check(g, 3)
+        assert refine_check(g, 5)
+        assert refine_check(g, 3, extra=2)
+        assert [n for _, n in calls] == [3, 3, 5, 5, 3, 3]
+        refined = calls[1][0]
+        assert calls[3][0] is refined
+        assert len(calls[5][0].edges) == 3 * len(g.edges)
+        monkeypatch.undo()
+        fresh = g
+        for e in g.edges:
+            fresh, _ = fresh.subdivide(e.eid, 1)
+        assert fresh == refined and fresh is not refined
+        for n in (3, 5):
+            assert is_n_ac(refined, n) == is_n_ac(fresh, n)
 
     def test_bad_extra(self):
         with pytest.raises(GraphError):

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -14,7 +17,7 @@ from arcon.placements import (
     iter_placements_indexed,
     realize,
 )
-from arcon.symmetry import graph_index
+from arcon.symmetry import automorphisms, graph_index
 
 from conftest import compositions, naive_orbit_count
 
@@ -94,7 +97,6 @@ class TestEnumerate:
     @pytest.mark.parametrize("name", ["theta", "dumbbell", "circle-two-whiskers",
                                       "star(5)", "double-star", "k33"])
     def test_reps_are_lex_least_in_orbit(self, name):
-        from arcon.symmetry import automorphisms
         from arcon.multigraph import idkey
 
         g = GRAPHS[name]() if name in GRAPHS else corpus.entry(name).builder()
@@ -124,18 +126,53 @@ class TestEnumerate:
 
 
 def test_covered_filter_drops_exactly_the_accepted_shadows(small_census):
-    # the filter runs before the canonicity compare, and drops from the
-    # stream exactly the representatives it accepts
-    def pred(mm, sm):
-        return (5 * mm + sm) % 3 == 0
-
+    # with a fixed witness list the walk drops from the stream exactly the
+    # representatives some listed shadow holds.  The first list's witness
+    # holds every slot but slot 0, a whole slot suffix, so the subtree skip
+    # fires; the second list is drawn at random
+    rng = random.Random(0)
     graphs = [g for k in sorted(small_census) for g in small_census[k]]
     graphs += [g for g in (ce.builder() for ce in corpus.CORPUS) if len(g.edges) <= 9]
     for g in graphs:
         gi = graph_index(g)
+        lists = [[((1 << gi.n) - 2, (1 << (gi.nslots - 1)) - 1)],
+                 [(rng.getrandbits(gi.n), rng.getrandbits(gi.nslots)) for _ in range(3)]]
         for n in (1, 2, 3, 4):
-            assert list(iter_placements_indexed(gi, n, pred)) == [
-                x for x in iter_placements_indexed(gi, n) if not pred(*x)]
+            stream = list(iter_placements_indexed(gi, n))
+            for witnesses in lists:
+                assert list(iter_placements_indexed(gi, n, witnesses)) == [
+                    (mm, sm) for mm, sm in stream
+                    if not any(mm & ~v == 0 and sm & ~s == 0 for v, s in witnesses)]
+
+
+def refined(g):
+    for e in g.edges:
+        g, _ = g.subdivide(e.eid, 1)
+    return g
+
+
+def test_mark_sets_are_the_lex_least_subsets():
+    # the walk drops every extension of a rejected mark set; the mark sets
+    # it keeps must be, in order, the subsets that no automorphism maps to
+    # a greater key (vertex v at bit N-1-v), i.e. to a lex-smaller tuple
+    for g, size in ((refined(corpus.k33()), 72), (refined(corpus.double_circle(4)), 48)):
+        gi = graph_index(g)
+        N = gi.n
+        vmaps = [[gi.vpos[vmap[v]] for v in gi.vids] for vmap, _ in automorphisms(g)]
+        assert len(vmaps) == size
+
+        def key(marks):
+            return sum(1 << (N - 1 - v) for v in marks)
+
+        for n in (1, 2, 3, 4):
+            got = []
+            for mm, _ in iter_placements_indexed(gi, n):
+                if not got or got[-1] != mm:
+                    got.append(mm)
+            subsets = sorted(c for k in range(n + 1) for c in itertools.combinations(range(N), k))
+            want = [sum(1 << v for v in c) for c in subsets
+                    if all(key(p[v] for v in c) <= key(c) for p in vmaps)]
+            assert got == want
 
 
 def v_form(cvec) -> bool:
