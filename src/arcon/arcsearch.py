@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .multigraph import GraphError, Id, Multigraph, smooth
-from .obstructions import probe_placements
+from .obstructions import leaf_block_obstruction, probe_placements
 from .placements import (
     Placement,
     _path_shadow,
@@ -162,6 +162,11 @@ def covering_arc(gprime: Multigraph, marked: Iterable[Id]) -> Optional[ArcWitnes
     return witness
 
 
+def _covered(gi: GraphIndex, p: Placement) -> bool:
+    """Does one arc cover the placement ``p`` of ``gi``'s graph?"""
+    return _find_covering_path(*_realize_masks(gi, *_shadow(gi, p))) is not None
+
+
 def _uncovered(gi: GraphIndex, n: int) -> Iterator[tuple[int, int]]:
     """The orbit representatives no arc covers, in lex order.
 
@@ -197,7 +202,7 @@ def is_n_ac(g: Multigraph, n: int) -> tuple[bool, Optional[Placement]]:
         raise GraphError("is_n_ac expects a connected graph")
     gi = graph_index(g)
     for cand in probe_placements(g, n):
-        if _find_covering_path(*_realize_masks(gi, *_shadow(gi, cand))) is None:
+        if not _covered(gi, cand):
             return False, cand
     for mm, sm in _uncovered(gi, n):
         return False, _to_placement(gi, n, mm, sm)
@@ -208,7 +213,8 @@ def is_n_ac(g: Multigraph, n: int) -> tuple[bool, Optional[Placement]]:
 class AcProfile:
     """Verdicts for n = 2..cap, with the usual downward closure.
 
-    Level 2 holds by connectivity; the others are ``is_n_ac`` verdicts.
+    Level 2 holds by connectivity and level 3 by the block-cut tree theorem
+    (see ``ac_number``); the others are ``is_n_ac`` verdicts.
     """
 
     verdicts: tuple[tuple[int, bool], ...]
@@ -244,11 +250,30 @@ def ac_number(g: Multigraph, cap: int = 7) -> AcProfile:
     """Largest n with is_n_ac true, capped; ω exactly when 7-ac.
 
     Level 2 is settled by a theorem: a connected finite graph is arcwise
-    connected, so any two of its points lie on an arc.  Levels 3..cap run
-    ``is_n_ac`` on ``smooth(g)``, since n-arc connectivity is a property of
-    the space.  They are checked in increasing order and the scan stops at
-    the first failure, which settles all higher levels (an (n+1)-arc-connected
-    space is n-arc connected).
+    connected, so any two of its points lie on an arc.  Level 3 is settled
+    by another: the graph is 3-arc connected exactly when its block-cut tree
+    has at most two leaves, a loop being a block of its own
+    (``leaf_block_obstruction``).
+
+    Three leaf blocks L1, L2, L3, attached at cut vertices c1, c2, c3, force
+    three arc ends: an arc through a point inside each ``Li - ci`` leaves
+    ``Li`` through ``ci``, which it crosses at most once, so the piece of
+    the arc beyond ``ci`` ends inside ``Li - ci``.  The failing placement is
+    certified by the exhaustive path search all the same.
+
+    When the tree is a path of blocks B1 - B2 - ... - Bk, any three points
+    lie on an arc that runs from the block of the first point to the block
+    of the last, entering and leaving each block in between at its cut
+    vertices.  Inside a block the arc needs a path between two given points
+    that passes a third: in a 2-connected block the fan lemma gives two
+    paths from the middle point to the two outer ones that meet only there,
+    and a bridge, a loop or a parallel class is trivial.  So a passing level
+    3 costs no scan and no placement symmetry.
+
+    Levels 4..cap run ``is_n_ac`` on ``smooth(g)``, since n-arc connectivity
+    is a property of the space.  They are checked in increasing order and
+    the scan stops at the first failure, which settles all higher levels (an
+    (n+1)-arc-connected space is n-arc connected).
 
     The counterexample is given in the ids of ``g``: smoothing keeps the
     surviving vertex ids and the idkey-least edge id of each merged chain, and
@@ -265,14 +290,19 @@ def ac_number(g: Multigraph, cap: int = 7) -> AcProfile:
     cex: Optional[Placement] = None
     cexn: Optional[int] = None
     for n in range(3, cap + 1):
-        ok, c = is_n_ac(s, n)
+        if n > 3:
+            ok, c = is_n_ac(s, n)
+        else:
+            obs = leaf_block_obstruction(s)
+            ok, c = obs is None, obs.placement if obs else None
+            if not ok and _covered(graph_index(s), c):
+                raise GraphError("internal: level-3 leaf-block placement is covered")
         verdicts.append((n, ok))
         if not ok:
-            if s is not g:
-                gi = GraphIndex(g)  # a one-off, not kept in g's cache
-                if _find_covering_path(*_realize_masks(gi, *_shadow(gi, c))) is not None:
-                    raise GraphError(f"internal: level-{n} counterexample of the smoothed "
-                                     "graph is covered on the input graph")
+            # a one-off index of g, not kept in its cache
+            if s is not g and _covered(GraphIndex(g), c):
+                raise GraphError(f"internal: level-{n} counterexample of the smoothed "
+                                 "graph is covered on the input graph")
             cex, cexn = c, n
             for m in range(n + 1, cap + 1):
                 verdicts.append((m, False))

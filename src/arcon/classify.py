@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 
 from .arcsearch import is_n_ac
 from .multigraph import Edge, GraphError, Multigraph, smooth
-from .obstructions import cut_vertex_obstruction, endpoint_obstruction
+from .obstructions import RULE_3CUT, RULE_3ENDS, RULE_3LEAF, leaf_block_obstruction
 from .obstructions import seven_point_obstruction as obstruction_7
 
 
@@ -97,20 +97,22 @@ def is_7ac_theorem(g: Multigraph) -> bool:
 RULE_DEG5 = "deg>=5"
 RULE_3BRANCH = "3+branch"
 RULE_2DEG4 = "2branch-deg>=4"
-RULE_3ENDS = "3endpoints"
-RULE_3CUT = "3way-cut"
 
 # rule name -> the level at which the graph cannot be n-arc connected
-RULE_BREAKS_AT = {RULE_DEG5: 5, RULE_3BRANCH: 7, RULE_2DEG4: 7, RULE_3ENDS: 3, RULE_3CUT: 3}
+RULE_BREAKS_AT = {RULE_DEG5: 5, RULE_3BRANCH: 7, RULE_2DEG4: 7,
+                  RULE_3ENDS: 3, RULE_3CUT: 3, RULE_3LEAF: 3}
 
 
 @dataclass(frozen=True)
 class ConditionReport:
     """Branch-point statistics and the non-coverability rules they trigger.
 
-    Each fired rule is sound: ``3endpoints`` and ``3way-cut`` refute 3-arc
-    connectivity, ``deg>=5`` refutes 5-arc connectivity, ``3+branch`` and
-    ``2branch-deg>=4`` refute 7-arc connectivity.
+    Each fired rule is sound: ``3endpoints``, ``3way-cut`` and
+    ``3leaf-blocks`` refute 3-arc connectivity, ``deg>=5`` refutes 5-arc
+    connectivity, ``3+branch`` and ``2branch-deg>=4`` refute 7-arc
+    connectivity.  The level-3 rules are also complete: one fires exactly
+    when the block-cut tree has three leaves, ``3leaf-blocks`` only when
+    neither of the other two does.
     """
 
     branch_count: int
@@ -135,11 +137,10 @@ def necessary_conditions(g: Multigraph) -> ConditionReport:
         fired.append(RULE_3BRANCH)
     if count == 2 and min(degs) >= 4:
         fired.append(RULE_2DEG4)
-    # the level-3 rules are the probes' own definitions
-    if endpoint_obstruction(s) is not None:
-        fired.append(RULE_3ENDS)
-    if cut_vertex_obstruction(s) is not None:
-        fired.append(RULE_3CUT)
+    # the level-3 rules are the engine's own block decomposition
+    obs = leaf_block_obstruction(s)
+    if obs is not None:
+        fired.extend(obs.rules)
     return ConditionReport(count, maxdeg, tuple(fired))
 
 

@@ -1,20 +1,24 @@
 """Constructive placements that defeat covering arcs.
 
-An arc has two endpoints, and an arc minus one point has at most two
-components.  So three endpoints of the graph cannot lie on one arc, nor can
-three points in three components of the graph minus a vertex.  Around a
-branch point, points planted just inside several edge-germs force any
-covering arc to spend an endpoint locally; three branch points in a row need
-more endpoints than an arc has.  These constructions produce concrete
-placements; callers certify them with the exhaustive covering-arc search, so
-a construction that ever failed to obstruct would be caught, not trusted.
+An arc has two endpoints.  Level 3 is a theorem: a graph is 3-arc connected
+exactly when its block-cut tree has at most two leaves, and three points
+inside three leaf blocks need three arc ends (``leaf_block_obstruction``;
+three endpoints of the graph and a vertex in three blocks are its special
+cases).  Around a branch point, points planted just inside several
+edge-germs force any covering arc to spend an endpoint locally; three branch
+points in a row need more endpoints than an arc has.  These constructions
+produce concrete placements; callers certify them with the exhaustive
+covering-arc search, so a construction that ever failed to obstruct would be
+caught, not trusted.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from typing import Iterable, NamedTuple
 
 from .multigraph import (
+    Edge,
     Germ,
     GraphError,
     Id,
@@ -24,52 +28,140 @@ from .multigraph import (
     segments_from,
 )
 from .placements import Placement
+from .symmetry import GraphIndex, graph_index
 
 
-def endpoint_obstruction(g: Multigraph) -> Placement | None:
-    """Marks at the three idkey-least degree-1 vertices, or None.
+RULE_3ENDS = "3endpoints"
+RULE_3CUT = "3way-cut"
+RULE_3LEAF = "3leaf-blocks"
 
-    A point of degree 1 on an arc is an endpoint of the arc, and an arc has
-    two endpoints.
+
+class LeafObstruction(NamedTuple):
+    """Three leaf blocks of the block-cut tree, and a placement they defeat.
+
+    ``rules`` names the special cases that hold, ``3endpoints`` (three
+    degree-1 vertices) and ``3way-cut`` (a vertex in three blocks), or is
+    ``("3leaf-blocks",)`` when neither does; ``placement`` is built by the
+    first of them.
     """
-    ends = sorted((v for v in g.vertices if g.degree(v) == 1), key=idkey)
-    if len(ends) < 3:
+
+    rules: tuple[str, ...]
+    placement: Placement
+
+
+def _blocks(nmask: list[int]) -> list[int]:
+    """Vertex masks of the blocks of a connected simple graph (Tarjan's DFS).
+
+    ``nmask[v]`` is the neighbour mask of vertex ``v``.  A bridge is a block
+    of two vertices; a graph of one vertex has none.
+    """
+    n = len(nmask)
+    disc = [0] * n  # DFS order from 1, 0 while unvisited
+    low = [0] * n
+    rest = nmask[:]  # neighbours not yet scanned
+    disc[0] = low[0] = t = 1
+    stack = [0]
+    trail = [0]  # visited vertices not yet in a closed block
+    blocks = []
+    while stack:
+        v = stack[-1]
+        r = rest[v]
+        if r:
+            b = r & -r
+            rest[v] = r ^ b
+            w = b.bit_length() - 1
+            if not disc[w]:
+                t += 1
+                disc[w] = low[w] = t
+                stack.append(w)
+                trail.append(w)
+            elif disc[w] < low[v]:
+                low[v] = disc[w]
+            continue
+        stack.pop()
+        if stack:
+            u = stack[-1]
+            low[u] = min(low[u], low[v])
+            if low[v] >= disc[u]:  # u cuts v's subtree off: close its block
+                m = 1 << u
+                while m >> v & 1 == 0:
+                    m |= 1 << trail.pop()
+                blocks.append(m)
+    return blocks
+
+
+def leaf_block_obstruction(g: Multigraph) -> LeafObstruction | None:
+    """None when the block-cut tree of connected ``g`` has at most two leaves.
+
+    Otherwise three points no arc covers (see ``ac_number`` for the proof),
+    with the rules that hold.  A loop is a block of its own, and a parallel
+    class lies inside one block.  The placement is the first that applies:
+
+    * ``3endpoints``: marks at the three idkey-least degree-1 vertices;
+    * ``3way-cut``: one point on the idkey-least edge at ``v`` of each of
+      its first three blocks, in the order of those edges (``germs``
+      order), where ``v`` is the idkey-least vertex in three blocks or more
+      (removing it leaves as many pieces, a loop counting as one);
+    * ``3leaf-blocks``: one point on the idkey-least edge of each of the
+      first three leaf blocks, in the order of those edges.
+    """
+    gi = graph_index(g)
+    n = gi.n
+    nmask = [0] * n
+    for (i, j, _, _) in gi.classes:
+        if i != j:
+            nmask[i] |= 1 << j
+            nmask[j] |= 1 << i
+    blocks = _blocks(nmask)
+    loops = gi.loops
+    nb = loops[:]  # blocks at each vertex
+    for m in blocks:
+        while m:
+            b = m & -m
+            m ^= b
+            nb[b.bit_length() - 1] += 1
+    cut = sum(1 << v for v in range(n) if nb[v] >= 2)
+    leaves = [m for m in blocks if (m & cut).bit_count() == 1]
+    # a loop is a leaf unless it is the only block
+    if len(leaves) + sum(loops) < 3:
         return None
-    return Placement.of(g, ends[:3])
+    rules: list[str] = []
+    placement = None
+    ends = [gi.vids[v] for v in range(n) if gi.deg[v] == 1]
+    if len(ends) >= 3:
+        rules.append(RULE_3ENDS)
+        placement = Placement.of(g, ends[:3])
+    hub = next((v for v in range(n) if nb[v] >= 3), None)
+    if hub is not None:
+        rules.append(RULE_3CUT)
+        placement = placement or _one_per_block(
+            g, gi, g.incident(gi.vids[hub]), [m for m in blocks if m >> hub & 1])
+    if placement is None:
+        rules.append(RULE_3LEAF)
+        placement = _one_per_block(g, gi, g.edges, leaves)
+    return LeafObstruction(tuple(rules), placement)
 
 
-def cut_vertex_obstruction(g: Multigraph) -> Placement | None:
-    """One point just inside a germ into each of three components of g - v.
+def _one_per_block(g: Multigraph, gi: GraphIndex, edges: Iterable[Edge],
+                   blocks: list[int]) -> Placement:
+    """One point on the first edge of ``edges`` in each of three blocks.
 
-    ``v`` is the idkey-least branch vertex whose removal leaves at least
-    three components; a loop at ``v`` is a component of its own.  Returns
-    None when there is no such vertex.  An arc minus ``v`` has at most two
-    components, each inside one component of g - v, so it misses a point.
+    A loop is a block of its own; another edge counts only when one of
+    ``blocks`` (vertex masks) holds both its ends.
     """
-    for v in sorted((v for v in g.vertices if g.degree(v) >= 3), key=idkey):
-        seen = {v}            # v and the components entered so far
-        picks: list[Id] = []  # one edge id into each component
-        for gm in germs(g, v):
-            e = gm.edge
-            if e.is_loop:
-                if gm.side == 0:
-                    picks.append(e.eid)
+    picks: list[Id] = []
+    taken = set()
+    for e in edges:
+        if not e.is_loop:
+            pair = 1 << gi.vpos[e.a] | 1 << gi.vpos[e.b]
+            m = next((m for m in blocks if pair & m == pair), None)
+            if m is None or m in taken:
                 continue
-            u = e.other(v)
-            if u in seen:
-                continue
-            seen.add(u)
-            stack = [u]
-            while stack:
-                for f in g.incident(stack.pop()):
-                    for x in (f.a, f.b):
-                        if x not in seen:
-                            seen.add(x)
-                            stack.append(x)
-            picks.append(e.eid)
-        if len(picks) >= 3:
-            return Placement.of(g, (), {eid: 1 for eid in picks[:3]})
-    return None
+            taken.add(m)
+        picks.append(e.eid)
+        if len(picks) == 3:
+            break
+    return Placement.of(g, (), {eid: 1 for eid in picks})
 
 
 def kod_core(g: Multigraph, v: Id, k: int) -> Placement | None:
@@ -154,14 +246,14 @@ def probe_placements(g: Multigraph, n: int):
 
     Yields n-point placements only; callers verify each with the exhaustive
     per-placement search, so speculative candidates cost one search at most.
-    For n >= 3 the endpoint and cut-vertex obstructions come first; they
-    always obstruct when they exist.  The speculative fans run for n = 4 and
-    5 only: at n = 4 the 3-fan and the fan of size ``min(deg, 4)``, at n = 5
-    only the fan of size ``min(deg, 5)``, when that is at least 4.  At n = 3
-    a 3-fan at v obstructs only when its germs enter three components of
-    g - v, and then the cut-vertex obstruction has already been tried.  Over
-    the census up to 9 edges the 3-fan hit none of its 267 tries at n = 5,
-    and the fans none of their 56 tries at n >= 6.
+    For n >= 3 the leaf-block obstruction comes first; it always obstructs
+    when it exists.  The speculative fans run for n = 4 and 5 only: at n = 4
+    the 3-fan and the fan of size ``min(deg, 4)``, at n = 5 only the fan of
+    size ``min(deg, 5)``, when that is at least 4.  At n = 3 a 3-fan at v
+    obstructs only when its germs enter three blocks at v, and then the
+    leaf-block obstruction has already been found.  Over the census up to 9
+    edges the 3-fan hit none of its 267 tries at n = 5, and the fans none of
+    their 56 tries at n >= 6.
     """
     seen = set()
     branch = sorted((v for v in g.vertices if g.degree(v) >= 3), key=idkey)
@@ -177,10 +269,10 @@ def probe_placements(g: Multigraph, n: int):
         return p
 
     if n >= 3:
-        for core in (endpoint_obstruction(g), cut_vertex_obstruction(g)):
-            p = emit(core)
-            if p is not None:
-                yield p
+        obs = leaf_block_obstruction(g)
+        p = emit(obs and obs.placement)
+        if p is not None:
+            yield p
     if n >= 7 and len(branch) >= 3:
         p = emit(seven_point_obstruction(g))
         if p is not None:

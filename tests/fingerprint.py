@@ -4,8 +4,10 @@ Run ``python3 tests/fingerprint.py`` from any directory; it imports the
 ``arcon`` package of the checkout it sits in.  It takes no options and
 prints one line per fingerprint, ``name items sha256``:
 
+* ``verdicts``: the ``ac_number`` verdicts alone on every census class up
+  to 9 edges;
 * ``profiles``: ``ac_number`` (verdicts, counterexample and its level) on
-  every census class up to 9 edges;
+  the same classes;
 * ``first-uncovered``: the first item of ``_uncovered`` on every census
   class up to 7 edges, n = 3..7;
 * ``enumerate``: the ``enumerate_placements`` stream on the census up to 6
@@ -17,7 +19,9 @@ prints one line per fingerprint, ``name items sha256``:
 
 Marks are written sorted, so the digests do not depend on the hash seed.
 Run it on two checkouts: equal digests mean equal verdicts, counterexamples,
-scan order and symmetry data on these inputs.  The full run takes under
+scan order and symmetry data on these inputs.  A change that keeps the
+verdicts but picks other counterexamples shows as equal ``verdicts`` and
+different ``profiles``.  The full run takes under
 a minute on a 2-core host.  The file is not a test module, so pytest does
 not collect it.
 """
@@ -61,11 +65,13 @@ class Digest:
 def main() -> None:
     census = {k: list(reduced_multigraphs(k)) for k in range(1, 10)}
 
-    d = Digest("profiles")
+    dv, d = Digest("verdicts"), Digest("profiles")
     for k, graphs in census.items():
         for g in graphs:
             prof = ac_number(g)
+            dv.add(k, prof.verdicts)
             d.add(k, prof.verdicts, placement_text(prof.counterexample), prof.counterexample_n)
+    print(dv.line(), flush=True)
     print(d.line(), flush=True)
 
     d = Digest("first-uncovered")

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import islice
 from types import SimpleNamespace
 
@@ -15,10 +16,11 @@ from arcon import (
 )
 from arcon import arcsearch, corpus
 from arcon.multigraph import germs, walk_segment
+from arcon.obstructions import RULE_3CUT, RULE_3ENDS, RULE_3LEAF, leaf_block_obstruction
 from arcon.placements import Placement, _to_placement, realize
 from arcon.symmetry import GraphIndex, graph_index
 
-from conftest import naive_is_n_ac, randomly_subdivided, raw_ac_label
+from conftest import naive_is_n_ac, randomly_subdivided, raw_ac_label, relabeled
 
 
 def spy_is_n_ac(monkeypatch):
@@ -254,10 +256,20 @@ class TestAcNumber:
         s = smooth(h)
         assert s is not h
         calls = spy_is_n_ac(monkeypatch)
+        asked = []
+        real = arcsearch.leaf_block_obstruction
+
+        def blocks_spy(g):
+            asked.append(g)
+            return real(g)
+
+        monkeypatch.setattr(arcsearch, "leaf_block_obstruction", blocks_spy)
         prof = ac_number(h)
         assert prof.verdicts[0] == (2, True) and prof.label == "4"
-        assert [n for _, n in calls] == [3, 4, 5]
+        # level 3 is the block-cut tree theorem, so the scan starts at 4
+        assert [n for _, n in calls] == [4, 5]
         assert all(g is s for g, _ in calls)
+        assert len(asked) == 1 and asked[0] is s
 
     def test_counterexample_on_subdivided_graph(self):
         rng = random.Random(8)
@@ -304,30 +316,57 @@ class TestTheoremProbes:
     def test_census_to_seven_fails_level_three_without_symmetry(
             self, census_to_six, monkeypatch):
         from arcon import reduced_multigraphs, symmetry
-        from arcon.obstructions import cut_vertex_obstruction, endpoint_obstruction
 
         def no_symmetry(gi):
             raise AssertionError("placement symmetry built")
 
-        def found(g):
-            return (endpoint_obstruction(g) is not None
-                    or cut_vertex_obstruction(g) is not None)
+        def special(g):
+            obs = leaf_block_obstruction(g)
+            return obs is not None and obs.rules[0] != RULE_3LEAF
 
         monkeypatch.setattr(symmetry, "PlacementSymmetry", no_symmetry)
         rng = random.Random(11)
-        checked = 0
+        checked = passed = 0
         for g in census_to_six + list(reduced_multigraphs(7)):
-            assert found(g) == theorem_applies(g)
+            assert special(g) == theorem_applies(g)
             # degree-2 vertices of an unsmoothed input change nothing
-            assert found(randomly_subdivided(g, rng, 2, 2)) == found(g)
-            if not found(g):
+            assert special(randomly_subdivided(g, rng, 2, 2)) == special(g)
+            prof = ac_number(g, cap=3)  # passing or failing, no symmetry built
+            if leaf_block_obstruction(g) is None:
+                assert prof.verdict(3) and prof.counterexample is None
+                passed += 1
                 continue
-            prof = ac_number(g)
             assert prof.label == "2" and prof.counterexample_n == 3
             sub, marked = realize(g, prof.counterexample)
             assert covering_arc(sub, marked) is None
             checked += 1
-        assert checked > 100
+        assert checked > 100 and passed > 100
+
+    def test_leaf_blocks_decide_level_three(self):
+        """The block-cut tree theorem against the scan, with its labels."""
+        from arcon import reduced_multigraphs
+
+        census = [g for k in range(1, 9) for g in reduced_multigraphs(k)]
+        rng = random.Random(23)
+        inputs = census + [ce.builder() for ce in corpus.CORPUS]
+        inputs += [relabeled(randomly_subdivided(g, rng, 2, 2), rng) for g in inputs]
+        tally = Counter()
+        for i, g in enumerate(inputs):
+            obs = leaf_block_obstruction(g)
+            assert (obs is None) == is_n_ac(g, 3)[0]
+            if i < len(census):
+                tally["pass" if obs is None else
+                      "leaf" if obs.rules == (RULE_3LEAF,) else "special"] += 1
+            if obs is None:
+                continue
+            assert obs.placement.n == 3
+            assert covering_arc(*realize(g, obs.placement)) is None
+            ends = sum(1 for v in g.vertices if g.degree(v) == 1)
+            assert (RULE_3ENDS in obs.rules) == (ends >= 3)
+            assert (RULE_3ENDS in obs.rules or RULE_3CUT in obs.rules) == theorem_applies(g)
+            assert (RULE_3LEAF in obs.rules) == (obs.rules == (RULE_3LEAF,))
+        # 369 pass and 1,459 fail, 54 of them by neither special case
+        assert tally == {"pass": 369, "special": 1459 - 54, "leaf": 54}
 
     def test_many_twins_answered_by_theorems(self):
         petals = [f"a{i}" for i in range(9)]

@@ -14,7 +14,14 @@ from arcon import (
     reduced_graph,
 )
 from arcon import corpus
-from arcon.classify import RULE_2DEG4, RULE_3BRANCH, RULE_3CUT, RULE_3ENDS, RULE_DEG5
+from arcon.classify import (
+    RULE_2DEG4,
+    RULE_3BRANCH,
+    RULE_3CUT,
+    RULE_3ENDS,
+    RULE_3LEAF,
+    RULE_DEG5,
+)
 from arcon.placements import realize
 
 
@@ -127,6 +134,15 @@ class TestNecessaryConditions:
         rep = necessary_conditions(g)
         assert rep.fired == (RULE_3BRANCH, RULE_3ENDS)
         assert rep.refutes(3)
+
+    def test_leaf_block_rule_on_looped_triangle(self):
+        # a loop at each corner: three leaf blocks, but no endpoint and no
+        # vertex in three blocks
+        g = build("abc", [("a", "b"), ("b", "c"), ("c", "a"),
+                          ("a", "a"), ("b", "b"), ("c", "c")])
+        rep = necessary_conditions(g)
+        assert rep.fired == (RULE_3BRANCH, RULE_3LEAF)
+        assert rep.refutes(3) and not is_n_ac(g, 3)[0]
 
     def test_lollipop_and_figure_eight_clean(self):
         assert necessary_conditions(corpus.lollipop()).fired == ()

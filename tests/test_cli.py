@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from arcon import corpus, format_graph_text
+from arcon import build, corpus, format_graph_text
 from arcon.cli import main
 
 
@@ -96,6 +96,14 @@ class TestClassify:
         path = write_graph(tmp_path, "s.graph", corpus.star(5))
         res = runner.invoke(main, ["classify", path])
         assert "deg>=5" in kv(res.output.strip())["rules"]
+
+
+    def test_leaf_block_rule(self, runner, tmp_path):
+        g = build("abc", [("a", "b"), ("b", "c"), ("c", "a"),
+                          ("a", "a"), ("b", "b"), ("c", "c")])
+        path = write_graph(tmp_path, "t.graph", g)
+        res = runner.invoke(main, ["classify", path])
+        assert kv(res.output.strip())["rules"] == "[3+branch,3leaf-blocks]"
 
 
 class TestHomeo:
