@@ -24,7 +24,7 @@ from .placements import (
     _to_placement,
     iter_placements_indexed,
 )
-from .symmetry import GraphIndex, graph_index
+from .symmetry import GraphIndex, graph_index, neighbour_masks
 
 WITNESS_CACHE = 8  # witness arcs kept by one is_n_ac scan
 
@@ -141,10 +141,7 @@ def covering_arc(gprime: Multigraph, marked: Iterable[Id]) -> Optional[ArcWitnes
     for v in marked:
         if v not in gi.vpos:
             raise GraphError(f"marked vertex {v!r} not in graph")
-    nmask = [0] * gi.n
-    for (i, j) in gi.slot_pairs:
-        nmask[i] |= 1 << j
-        nmask[j] |= 1 << i
+    nmask = neighbour_masks(gi)
     mmask = 0
     for v in marked:
         mmask |= 1 << gi.vpos[v]

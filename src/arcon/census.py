@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterator, Optional
 
-from .arcsearch import ac_number
+from .arcsearch import _reach, ac_number
 from .multigraph import BoundExceeded, GraphError, Multigraph, build
-from .symmetry import canonical_bytes, canonical_form, graph_index
+from .obstructions import _blocks
+from .symmetry import canonical_form, graph_index, neighbour_masks
 
 MAX_CENSUS_EDGES = 11
 CHECKPOINT_FORMAT = 1
@@ -185,19 +186,6 @@ def reduced_multigraphs(edge_count: int, max_edges: int = MAX_CENSUS_EDGES
 
 # -- planarity -------------------------------------------------------------------
 
-_minor_memo: dict[bytes, bool] = {}
-
-
-def _simple_adj(g: Multigraph) -> list[int]:
-    """Underlying simple graph as adjacency bitmasks (loops dropped, parallels merged)."""
-    gi = graph_index(g)
-    adj = [0] * gi.n
-    for (i, j) in gi.slot_pairs:
-        if i != j:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    return adj
-
 
 def _bits(mask: int) -> Iterator[int]:
     while mask:
@@ -206,152 +194,119 @@ def _bits(mask: int) -> Iterator[int]:
         yield b.bit_length() - 1
 
 
-def _has_k5(adj: list[int], verts: int) -> bool:
-    cand = [v for v in _bits(verts) if bin(adj[v] & verts).count("1") >= 4]
-    from itertools import combinations
-
-    for quad in combinations(cand, 5):
-        ok = True
-        for x in quad:
-            for y in quad:
-                if x < y and not (adj[x] >> y) & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
-
-
-def _has_k33(adj: list[int], verts: int) -> bool:
-    from itertools import combinations
-
-    cand = [v for v in _bits(verts) if bin(adj[v] & verts).count("1") >= 3]
-    for triple in combinations(cand, 3):
-        common = verts
-        tm = 0
-        for v in triple:
-            common &= adj[v]
-            tm |= 1 << v
-        if bin(common & ~tm).count("1") >= 3:
-            return True
-    return False
+def _bridge_path(adj: list[int], a: int, inner: int, ends: int) -> list[int]:
+    """A shortest path ``a, x1, ..., xk, b`` with k >= 1, every ``xi`` in
+    ``inner`` and ``b`` in ``ends``; the caller knows that one exists."""
+    parent = {}
+    frontier = seen = adj[a] & inner
+    for x in _bits(frontier):
+        parent[x] = a
+    while frontier:
+        nxt = 0
+        for x in _bits(frontier):
+            hit = adj[x] & ends
+            if hit:
+                path = [(hit & -hit).bit_length() - 1, x]
+                while path[-1] != a:
+                    path.append(parent[path[-1]])
+                return path[::-1]
+            new = adj[x] & inner & ~seen
+            seen |= new
+            nxt |= new
+            for y in _bits(new):
+                parent[y] = x
+        frontier = nxt
+    raise GraphError("internal: no path through a fragment of a 2-connected block")
 
 
-def _adj_key(adj: dict[int, set[int]]) -> bytes:
-    n = len(adj)
-    order = sorted(adj)
-    pos = {v: i for i, v in enumerate(order)}
-    loops = [0] * n
-    mult = [[0] * n for _ in range(n)]
-    for v, nbrs in adj.items():
-        for w in nbrs:
-            mult[pos[v]][pos[w]] = 1
-    return canonical_bytes(n, loops, mult)
+def _block_planar(adj: list[int], block: int) -> bool:
+    """Demoucron-Malgrange-Pertuiset path addition on a 2-connected block.
 
-
-def _reduce_core(adj: dict[int, set[int]]) -> dict[int, set[int]]:
-    """Strip degree <= 1 vertices and suppress degree-2 vertices.
-
-    Minor-closed both ways for the K5/K3,3 question, so the core decides
-    planarity for the original graph.
+    ``adj[v]`` holds the neighbours of ``v`` inside ``block``.  One cycle is
+    embedded first, as two faces, and each face is kept as a vertex cycle
+    with its mask.  A fragment is an edge not yet embedded between two
+    embedded vertices (a chord), or a component of the block minus the
+    embedded vertices; its attachments are the embedded vertices it
+    touches, and it fits a face that holds all of them.  A fragment that
+    fits no face makes the block nonplanar.  Otherwise a path through a
+    fragment that fits only one face, or else through any fragment, splits
+    a face it fits in two.  The embedded graph stays 2-connected, so every
+    face stays a cycle.
     """
-    adj = {v: set(ns) for v, ns in adj.items()}
-    changed = True
-    while changed:
-        changed = False
-        for v in list(adj):
-            ns = adj.get(v)
-            if ns is None:
-                continue
-            if len(ns) <= 1:
-                for w in ns:
-                    adj[w].discard(v)
-                del adj[v]
-                changed = True
-            elif len(ns) == 2:
-                a, b = sorted(ns)
-                adj[a].discard(v)
-                adj[b].discard(v)
-                del adj[v]
-                if a != b:
-                    adj[a].add(b)
-                    adj[b].add(a)
-                changed = True
-    return adj
-
-
-def _has_forbidden_minor(adj: dict[int, set[int]]) -> bool:
-    adj = _reduce_core(adj)
-    n = len(adj)
-    ecount = sum(len(ns) for ns in adj.values()) // 2
-    if n < 5 or ecount < 9:
-        return False
-    key = _adj_key(adj)
-    got = _minor_memo.get(key)
-    if got is not None:
-        return got
-    order = sorted(adj)
-    pos = {v: i for i, v in enumerate(order)}
-    masks = [0] * n
-    for v, ns in adj.items():
-        for w in ns:
-            masks[pos[v]] |= 1 << pos[w]
-    verts = (1 << n) - 1
-    if _has_k5(masks, verts) or _has_k33(masks, verts):
-        _minor_memo[key] = True
-        return True
-    result = False
-    seen_children: set[bytes] = set()
-    for v in order:
-        for w in sorted(adj[v]):
-            if w <= v:
-                continue
-            child = {x: set(ns) for x, ns in adj.items()}
-            # contract w into v
-            for x in child[w]:
-                if x != v:
-                    child[x].discard(w)
-                    child[x].add(v)
-                    child[v].add(x)
-            child[v].discard(w)
-            child[v].discard(v)
-            del child[w]
-            ck = _adj_key(_reduce_core(child))
-            if ck in seen_children:
-                continue
-            seen_children.add(ck)
-            if _has_forbidden_minor(child):
-                result = True
+    u = (block & -block).bit_length() - 1
+    w = (adj[u] & -adj[u]).bit_length() - 1
+    cycle = [u] + _bridge_path(adj, w, block & ~(1 << u | 1 << w), 1 << u)[:-1]
+    placed = sum(1 << v for v in cycle)
+    faces = [(cycle, placed), (cycle, placed)]
+    embedded = [0] * len(adj)  # neighbours along embedded edges
+    path = cycle + [u]
+    while True:
+        for x, y in zip(path, path[1:]):
+            embedded[x] |= 1 << y
+            embedded[y] |= 1 << x
+        frags = [(1 << x | 1 << y, 0) for x in _bits(placed)
+                 for y in _bits(adj[x] & placed & ~embedded[x]) if y > x]
+        rest = block & ~placed
+        while rest:
+            comp = _reach(adj, rest & -rest, rest)
+            rest &= ~comp
+            touch = 0
+            for x in _bits(comp):
+                touch |= adj[x]
+            frags.append((touch & placed, comp))
+        if not frags:
+            return True
+        choice = None
+        for attach, comp in frags:
+            fits = [k for k, (_, m) in enumerate(faces) if attach & m == attach]
+            if not fits:
+                return False
+            if choice is None or len(fits) == 1:
+                choice = attach, comp, fits[0]
+            if len(fits) == 1:
                 break
-        if result:
-            break
-    if len(_minor_memo) < 200_000:
-        _minor_memo[key] = result
-    return result
+        attach, comp, k = choice
+        a = (attach & -attach).bit_length() - 1
+        if comp:
+            path = _bridge_path(adj, a, comp, attach & ~(1 << a))
+        else:
+            path = [a, (attach ^ 1 << a).bit_length() - 1]
+        f = faces[k][0]
+        i, j = f.index(path[0]), f.index(path[-1])
+        if i > j:
+            i, j = j, i
+            path.reverse()
+        inner = path[1:-1]
+        f1 = f[i:j + 1] + inner[::-1]
+        f2 = f[j:] + f[:i + 1] + inner
+        faces[k] = (f1, sum(1 << v for v in f1))
+        faces.append((f2, sum(1 << v for v in f2)))
+        placed |= sum(1 << v for v in inner)
 
 
 def is_planar(g: Multigraph) -> bool:
     """Planarity of the underlying space.
 
     Loops and parallel edges never matter, so the test runs on the simple
-    underlying graph: edge-count quick accept, Euler-bound quick reject, then
-    an exhaustive K5/K3,3 minor search by contraction.
+    underlying graph, which is planar exactly when each of its blocks is
+    (``obstructions._blocks``).  A graph or block with at most 8 edges, or a
+    block with at most 4 vertices, is planar, and a block with more than
+    3n - 6 edges is not; path addition (``_block_planar``) decides the
+    others.
     """
     if not g.is_connected():
         raise GraphError("is_planar expects a connected graph")
-    gi = graph_index(g)
-    if gi.n > 16:
-        raise BoundExceeded("planarity test limited to 16 vertices")
-    adjm = _simple_adj(g)
-    ecount = sum(bin(m).count("1") for m in adjm) // 2
-    if ecount <= 8 or gi.n <= 4:
-        return True
-    if gi.n >= 3 and ecount > 3 * gi.n - 6:
-        return False
-    adj = {v: set(_bits(adjm[v])) for v in range(gi.n)}
-    return not _has_forbidden_minor(adj)
+    nmask = neighbour_masks(graph_index(g))
+    if sum(m.bit_count() for m in nmask) <= 16:
+        return True  # at most 8 edges in all
+    for block in _blocks(nmask):
+        n = block.bit_count()
+        ecount = sum((nmask[v] & block).bit_count() for v in _bits(block)) // 2
+        if ecount <= 8 or n <= 4:
+            continue
+        if ecount > 3 * n - 6 or not _block_planar([m & block for m in nmask], block):
+            return False
+    return True
 
 
 # -- profile search ---------------------------------------------------------------

@@ -28,7 +28,7 @@ from .multigraph import (
     segments_from,
 )
 from .placements import Placement
-from .symmetry import GraphIndex, graph_index
+from .symmetry import GraphIndex, graph_index, neighbour_masks
 
 
 RULE_3ENDS = "3endpoints"
@@ -94,8 +94,11 @@ def leaf_block_obstruction(g: Multigraph) -> LeafObstruction | None:
     """None when the block-cut tree of connected ``g`` has at most two leaves.
 
     Otherwise three points no arc covers (see ``ac_number`` for the proof),
-    with the rules that hold.  A loop is a block of its own, and a parallel
-    class lies inside one block.  The placement is the first that applies:
+    with the rules that hold.  The answer is kept in ``g``'s cache, so
+    ``ac_number``'s level 3, every later ``probe_placements`` call and
+    ``necessary_conditions`` share one block decomposition.  A loop is a
+    block of its own, and a parallel class lies inside one block.  The
+    placement is the first that applies:
 
     * ``3endpoints``: marks at the three idkey-least degree-1 vertices;
     * ``3way-cut``: one point on the idkey-least edge at ``v`` of each of
@@ -105,14 +108,15 @@ def leaf_block_obstruction(g: Multigraph) -> LeafObstruction | None:
     * ``3leaf-blocks``: one point on the idkey-least edge of each of the
       first three leaf blocks, in the order of those edges.
     """
+    if "leaf_blocks" not in g._cache:
+        g._cache["leaf_blocks"] = _leaf_blocks(g)
+    return g._cache["leaf_blocks"]
+
+
+def _leaf_blocks(g: Multigraph) -> LeafObstruction | None:
     gi = graph_index(g)
     n = gi.n
-    nmask = [0] * n
-    for (i, j, _, _) in gi.classes:
-        if i != j:
-            nmask[i] |= 1 << j
-            nmask[j] |= 1 << i
-    blocks = _blocks(nmask)
+    blocks = _blocks(neighbour_masks(gi))
     loops = gi.loops
     nb = loops[:]  # blocks at each vertex
     for m in blocks:

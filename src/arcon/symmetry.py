@@ -109,6 +109,20 @@ def graph_index(g: Multigraph) -> GraphIndex:
     return gi
 
 
+def neighbour_masks(gi: GraphIndex) -> list[int]:
+    """Neighbour masks of the underlying simple graph.
+
+    Bit ``w`` of entry ``v`` is set when an edge joins ``v`` and ``w != v``:
+    loops are dropped and parallel classes merged.
+    """
+    nmask = [0] * gi.n
+    for (i, j, _, _) in gi.classes:
+        if i != j:
+            nmask[i] |= 1 << j
+            nmask[j] |= 1 << i
+    return nmask
+
+
 def _rank(keys: Sequence) -> list[int]:
     order = {k: r for r, k in enumerate(sorted(set(keys)))}
     return [order[k] for k in keys]

@@ -15,14 +15,16 @@ prints one line per fingerprint, ``name items sha256``:
   n = 1..3;
 * ``symmetry``: ``canonical_form`` and the ``PlacementSymmetry.autos`` list,
   order included, of every census class up to 9 edges (``bound`` where the
-  automorphism bound is hit).
+  automorphism bound is hit);
+* ``planar``: the ``is_planar`` verdicts on every census class up to 10
+  edges.
 
 Marks are written sorted, so the digests do not depend on the hash seed.
 Run it on two checkouts: equal digests mean equal verdicts, counterexamples,
-scan order and symmetry data on these inputs.  A change that keeps the
-verdicts but picks other counterexamples shows as equal ``verdicts`` and
-different ``profiles``.  The full run takes under
-a minute on a 2-core host.  The file is not a test module, so pytest does
+scan order, symmetry data and planarity verdicts on these inputs.  A change
+that keeps the verdicts but picks other counterexamples shows as equal
+``verdicts`` and different ``profiles``.  The full run takes under a minute
+on a 2-core host.  The file is not a test module, so pytest does
 not collect it.
 """
 
@@ -34,7 +36,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from arcon import ac_number, canonical_form, corpus, enumerate_placements  # noqa: E402
+from arcon import ac_number, canonical_form, corpus, enumerate_placements, is_planar  # noqa: E402
 from arcon.arcsearch import _uncovered  # noqa: E402
 from arcon.census import reduced_multigraphs  # noqa: E402
 from arcon.multigraph import BoundExceeded, idkey  # noqa: E402
@@ -99,6 +101,12 @@ def main() -> None:
             except BoundExceeded:
                 autos = "bound"
             d.add(k, canonical_form(g), autos)
+    print(d.line(), flush=True)
+
+    d = Digest("planar")
+    for k in range(1, 11):
+        for g in census[k] if k in census else reduced_multigraphs(k):
+            d.add(k, is_planar(g))
     print(d.line(), flush=True)
 
 

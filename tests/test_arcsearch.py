@@ -11,10 +11,11 @@ from arcon import (
     build,
     covering_arc,
     is_n_ac,
+    necessary_conditions,
     refine_check,
     smooth,
 )
-from arcon import arcsearch, corpus
+from arcon import arcsearch, corpus, obstructions
 from arcon.multigraph import germs, walk_segment
 from arcon.obstructions import RULE_3CUT, RULE_3ENDS, RULE_3LEAF, leaf_block_obstruction
 from arcon.placements import Placement, _to_placement, realize
@@ -270,6 +271,21 @@ class TestAcNumber:
         assert [n for _, n in calls] == [4, 5]
         assert all(g is s for g, _ in calls)
         assert len(asked) == 1 and asked[0] is s
+
+    def test_one_block_decomposition_per_graph(self, monkeypatch):
+        runs = []
+        real = obstructions._blocks
+
+        def blocks_spy(nmask):
+            runs.append(nmask)
+            return real(nmask)
+
+        monkeypatch.setattr(obstructions, "_blocks", blocks_spy)
+        g = corpus.k33()
+        prof = ac_number(g, cap=7)
+        # level 3 and the probes of every higher level share one decomposition
+        assert prof.label == "6" and len(runs) == 1
+        assert necessary_conditions(g).fired == ("3+branch",) and len(runs) == 1
 
     def test_counterexample_on_subdivided_graph(self):
         rng = random.Random(8)

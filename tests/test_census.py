@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import networkx as nx
 import pytest
 from hypothesis import given
@@ -118,6 +121,13 @@ class TestReducedMultigraphs:
             next(reduced_multigraphs(0))
 
 
+def nx_planar(g):
+    nxg = nx.MultiGraph()
+    nxg.add_nodes_from(g.vertices)
+    nxg.add_edges_from((e.a, e.b) for e in g.edges)
+    return nx.check_planarity(nxg)[0]
+
+
 class TestPlanarity:
     def test_k33_not_planar(self):
         assert not is_planar(corpus.k33())
@@ -140,11 +150,7 @@ class TestPlanarity:
     def test_census_agrees_with_networkx(self, small_census):
         for k in (3, 4, 5):
             for g in small_census[k]:
-                nxg = nx.MultiGraph()
-                nxg.add_nodes_from(g.vertices)
-                nxg.add_edges_from((e.a, e.b) for e in g.edges)
-                expected, _ = nx.check_planarity(nxg)
-                assert is_planar(g) == expected
+                assert is_planar(g) == nx_planar(g)
 
     def test_euler_bound_respected(self, small_census):
         # planar simple graphs satisfy E <= 3V - 6
@@ -158,11 +164,50 @@ class TestPlanarity:
 
     @given(graphs_connected)
     def test_random_agrees_with_networkx(self, g):
-        nxg = nx.MultiGraph()
-        nxg.add_nodes_from(g.vertices)
-        nxg.add_edges_from((e.a, e.b) for e in g.edges)
-        expected, _ = nx.check_planarity(nxg)
-        assert is_planar(g) == expected
+        assert is_planar(g) == nx_planar(g)
+
+    def test_random_simple_agree_with_networkx(self):
+        rng = random.Random(12)
+        verdicts = Counter()
+        for _ in range(800):
+            n = rng.randint(5, 12)
+            nxg = nx.gnp_random_graph(n, rng.uniform(0.2, 0.6), seed=rng.randrange(1 << 30))
+            nxg.add_edges_from(nx.path_graph(n).edges)  # connected
+            g = build(range(n), list(nxg.edges))
+            expected = nx.check_planarity(nxg)[0]
+            assert is_planar(g) == expected, sorted(nxg.edges)
+            verdicts[expected] += 1
+        assert min(verdicts.values()) > 250
+
+    def test_random_cubic_agree_with_networkx(self):
+        for n in range(10, 17, 2):
+            for seed in range(30):
+                nxg = nx.random_regular_graph(3, n, seed=seed)
+                if nx.is_connected(nxg):
+                    g = build(range(n), list(nxg.edges))
+                    assert is_planar(g) == nx.check_planarity(nxg)[0], (n, seed)
+
+    def test_fragment_with_one_face_goes_first(self):
+        # planar; path addition that always takes the first fragment, not
+        # one that fits a single face, calls it nonplanar
+        g = build(range(7), [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 3), (1, 4),
+                             (1, 6), (2, 5), (2, 6), (3, 4), (3, 5), (5, 6)])
+        assert is_planar(g) and nx_planar(g)
+
+    def test_loops_and_parallels_ignored(self):
+        extra = [(0, 0), (0, 1), (0, 1), (2, 3), (4, 4), (4, 4)]
+        k5 = build(range(5), [(i, j) for i in range(5) for j in range(i + 1, 5)] + extra)
+        k33 = build(range(6), [(i, j) for i in range(3) for j in range(3, 6)] + extra)
+        for g in (k5, k33):
+            assert not is_planar(g) and not nx_planar(g)
+
+    def test_large_graphs(self):
+        g = corpus.double_circle(12)
+        assert len(g.vertices) == 24 and is_planar(g)
+        h = corpus.k33()
+        for e in h.edges:
+            h, _ = h.subdivide(e.eid, 3)
+        assert len(h.vertices) == 33 and not is_planar(h)
 
 
 class TestProfileGrammar:
