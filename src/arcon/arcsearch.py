@@ -20,13 +20,10 @@ from .placements import (
     _path_shadow,
     _realize_masks,
     _shadow,
-    _slot_steps,
     _to_placement,
     iter_placements_indexed,
 )
 from .symmetry import GraphIndex, graph_index, neighbour_masks
-
-WITNESS_CACHE = 8  # witness arcs kept by one is_n_ac scan
 
 
 def _reach(nmask: list[int], seed: int, allowed: int) -> int:
@@ -167,21 +164,18 @@ def _covered(gi: GraphIndex, p: Placement) -> bool:
 def _uncovered(gi: GraphIndex, n: int) -> Iterator[tuple[int, int]]:
     """The orbit representatives no arc covers, in lex order.
 
-    Keeps the shadows of the last ``WITNESS_CACHE`` covering arcs found,
-    lengthened as far as they soundly go (see ``_path_shadow``), in the
-    list the scan reads (``iter_placements_indexed``'s ``witnesses``): a
-    placement one of them covers costs neither the canonicity compare nor a
-    search, and any other representative is decided by the path search.
+    Keeps the shadow of every covering arc found (see ``_path_shadow``) in
+    the list the scan reads (``iter_placements_indexed``'s ``witnesses``):
+    a placement one of them covers costs neither the canonicity compare nor
+    a search, and any other representative is decided by the path search.
     """
     witnesses: list[tuple[int, int]] = []
-    steps = _slot_steps(gi)
     for mm, sm in iter_placements_indexed(gi, n, witnesses):
         path = _find_covering_path(*_realize_masks(gi, mm, sm))
         if path is None:
             yield mm, sm
         else:
-            witnesses.append(_path_shadow(gi, sm, path, steps))
-            del witnesses[:-WITNESS_CACHE]
+            witnesses.append(_path_shadow(gi, sm, path))
 
 
 def is_n_ac(g: Multigraph, n: int) -> tuple[bool, Optional[Placement]]:

@@ -347,6 +347,9 @@ class SearchTask:
         parse_profile(self.profile)
         if self.edges_min < 1 or self.edges_max < self.edges_min:
             raise GraphError("bad edge range")
+        if self.edges_max > MAX_CENSUS_EDGES:
+            raise BoundExceeded(
+                f"census limited to {MAX_CENSUS_EDGES} edges, asked for {self.edges_max}")
         if self.jobs < 1:
             raise GraphError("jobs must be >= 1")
 

@@ -11,7 +11,7 @@ double-checks that reduction empirically.
 Inside the engine a shadow is the pair of integers ``(mm, sm)``: ``mm`` has
 bit ``v`` for each marked vertex, ``sm`` has bit ``nslots-1-s`` for each
 loaded slot ``s`` (slots as numbered by ``GraphIndex``).  The scan, the
-realization and the witness cache all work on these masks; count vectors
+realization and the witness list all work on these masks; count vectors
 appear only in :class:`Placement`, at the boundary.  A shadow (marks, S)
 stands for the placement ``v(S)``: one point on each loaded slot but the
 last, which takes the rest.  Shadows are enumerated in lexicographic order
@@ -104,25 +104,22 @@ def _supports(total: int, nslots: int, ends: Container[int], mm: int = 0,
     bit ``b`` is covered exactly when ``b`` is in the union of ``alive``,
     and a level returns at once when one alive witness holds every slot it
     may still load.  The consumer may append to ``witnesses`` between
-    yields, so before a leaf test a level rebuilds ``alive`` if the list's
-    last entry is no longer the one it had when ``alive`` was read.
+    yields, and the list only grows, so a level also keeps ``seen``, the
+    length of the list its ``alive`` was read from; before a leaf test it
+    adds the alive entries of ``witnesses[seen:]``.
     """
-    def live(sm: int):
-        """The list's last entry, the alive slot masks and their union."""
-        alive = [s for v, s in witnesses if not (mm & ~v or sm & ~s)]
-        union = 0
-        for s in alive:
-            union |= s
-        return (witnesses[-1] if witnesses else None), alive, union
+    def live(new: Sequence[tuple[int, int]], sm: int) -> list[int]:
+        """Slot masks of the shadows in ``new`` that hold ``mm`` and ``sm``."""
+        return [s for v, s in new if not (mm & ~v or sm & ~s)]
 
     if total == 0:
-        if not live(0)[1]:
+        if not live(witnesses, 0):
             yield 0
         return
     top = nslots - 1
 
-    def rec(lo: int, rem: int, forced: bool, sm: int, alive: list[int], last):
-        # alive was read from the list when its last entry was last
+    def rec(lo: int, rem: int, forced: bool, sm: int, alive: list[int], seen: int):
+        # alive: the slot masks of witnesses[:seen] that hold mm and sm
         rest = (1 << (nslots - lo)) - 1
         union = 0
         for s in alive:
@@ -135,15 +132,18 @@ def _supports(total: int, nslots: int, ends: Container[int], mm: int = 0,
             b = 1 << (top - f)
             if rem > 1:
                 yield from rec(f + 1, rem - 1, f not in ends, sm | b,
-                               [s for s in alive if s & b], last)
+                               [s for s in alive if s & b], seen)
             if f in ends:
-                if witnesses and witnesses[-1] is not last:
-                    last, alive, union = live(sm)
+                if len(witnesses) > seen:
+                    new = live(witnesses[seen:], sm)
+                    seen = len(witnesses)
+                    alive += new
+                    for s in new:
+                        union |= s
                 if not b & union:
                     yield sm | b
 
-    last, alive, _ = live(0)
-    yield from rec(0, total, False, 0, alive, last)
+    yield from rec(0, total, False, 0, live(witnesses, 0), len(witnesses))
 
 
 def iter_placements_indexed(gi: GraphIndex, n: int,
@@ -185,9 +185,8 @@ def iter_placements_indexed(gi: GraphIndex, n: int,
     onto itself can stretch that interval until it holds all of the edge's
     points of the new placement, and the marked vertices lie on A already.
     So the preimage of A is an arc through all n points.  This is the
-    premise the placement quotient rests on.  Every shadow in the list is
-    the shadow of a real arc, so a witness list that lags behind the
-    caller's can only skip too little, never wrongly.
+    premise the placement quotient rests on.  The list only grows, and
+    every entry in it is the shadow of a real arc.
     """
     autos = gi.symmetry().autos
     top = gi.n - 1
@@ -273,53 +272,17 @@ def _realize_masks(gi: GraphIndex, mm: int, sm: int) -> tuple[list[int], int]:
     return nmask, marked
 
 
-def _slot_steps(gi: GraphIndex) -> tuple[list[list[tuple[int, int]]], list[int]]:
-    """The tables ``_path_shadow`` extends arcs with.
+def _path_shadow(gi: GraphIndex, sm: int, path: list[int]) -> tuple[int, int]:
+    """The base-graph shadow of a path found in ``_realize_masks(gi, mm, sm)``.
 
-    Per base vertex: its other neighbours in ascending order, each with the
-    mask bit of the last slot to it, and the mask of its incident slots.
+    Returns ``(vmask, slots)``: the base vertices on the path, and the mask
+    of the edge slots the arc it stands for meets in a nondegenerate
+    interval.  A slot counts when its realized vertex is on the path.  A
+    direct step between base vertices runs along an empty slot of that
+    pair, and since the path stands for an arc along any of them, the last
+    one counts: supports load a suffix of each parallel class, so it is the
+    slot most of them load.
     """
-    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(gi.n)]
-    inc = [0] * gi.n
-    for (i, j, lo, hi) in gi.classes:
-        cls = ((1 << (hi - lo)) - 1) << (gi.nslots - hi)
-        inc[i] |= cls
-        inc[j] |= cls
-        if i != j:
-            last = 1 << (gi.nslots - hi)
-            nbrs[i].append((j, last))
-            nbrs[j].append((i, last))
-    return nbrs, inc
-
-
-def _path_shadow(gi: GraphIndex, sm: int, path: list[int],
-                 steps: tuple[list[list[tuple[int, int]]], list[int]]) -> tuple[int, int]:
-    """The base-graph shadow of a maximal arc around a path found in
-    ``_realize_masks(gi, mm, sm)``; ``steps`` is ``_slot_steps(gi)``.
-
-    Returns ``(vmask, slots)``: the base vertices on the arc, and the mask
-    of the edge slots it meets in a nondegenerate interval.  The path
-    stands for an arc in the space, which is then lengthened:
-
-    * a slot counts when its realized vertex is on the path; a direct step
-      between base vertices runs along an empty slot of that pair, and since
-      the path stands for an arc along any of them, the last one counts;
-    * an end inside a non-loop slot runs on to the slot's far vertex, if
-      that vertex is not on the arc yet;
-    * each end at a base vertex then extends greedily: to its least
-      neighbour not on the arc, along the last slot of that pair, until
-      every neighbour is on the arc;
-    * each such end then pokes into the last incident slot not counted yet
-      (a loop, or an edge to a vertex on the arc) and stops inside it.
-
-    Every step keeps the arc simple and only lengthens it, so the result is
-    an arc that contains the one found, and it meets each counted slot in a
-    nondegenerate interval.  The far-vertex steps run before any extension,
-    so an extension never runs along a slot already counted.  Where a choice
-    of slot is free, the last one is taken: supports load a suffix of each
-    parallel class, so it is the slot most of them load.
-    """
-    nbrs, inc = steps
     n = gi.n
     top = gi.nslots - 1
     loaded = [s for s in range(gi.nslots) if sm >> (top - s) & 1]
@@ -335,29 +298,6 @@ def _path_shadow(gi: GraphIndex, sm: int, path: list[int],
                 free = ((1 << (hi - lo)) - 1) << (gi.nslots - hi) & ~sm
                 slots |= free & -free
         prev = v
-    tips = []
-    for x in (path[0], path[-1]):
-        if x >= n:
-            i, j = gi.slot_pairs[loaded[x - n]]
-            x = j if vmask >> i & 1 else i
-            if i == j or vmask >> x & 1:
-                continue
-            vmask |= 1 << x
-        tips.append(x)
-    for k, x in enumerate(tips):
-        while True:
-            for w, b in nbrs[x]:
-                if not vmask >> w & 1:
-                    vmask |= 1 << w
-                    slots |= b
-                    x = w
-                    break
-            else:
-                break
-        tips[k] = x
-    for x in tips:
-        free = inc[x] & ~slots
-        slots |= free & -free
     return vmask, slots
 
 

@@ -1,9 +1,7 @@
 """Acceptance criteria.
 
 One test per criterion, each printing a PASS/FAIL line.  Everything runs in
-the default profile except the checks the slow marker gates: the refine
-comparison on the 15-edge corpus graph and the subdivision invariance of the
-full profile on the two spoked graphs (several minutes each on one core).
+the default profile.
 """
 
 import random
@@ -158,9 +156,8 @@ class TestCriterion6Properties:
                 # the raw scan on unsmoothed h keeps this from comparing two smoothed runs
                 assert ac_number(h).label == ac_number(g).label == raw_ac_label(h)
         report("criterion 6b: subdivision invariance", True,
-               "profile invariance on spoked graphs runs under -m slow")
+               "profile invariance on spoked graphs is criterion 6b+")
 
-    @pytest.mark.slow
     def test_subdivision_invariance_spoked(self):
         rng = random.Random(2024)
         for name in ("double-circle-4", "double-circle-5"):
@@ -173,13 +170,12 @@ class TestCriterion6Properties:
     def test_refine_agreement(self):
         for ce in corpus.CORPUS:
             if ce.name == "double-circle-5":
-                continue  # 9-minute check, covered by the slow variant
+                continue  # checked on its own in test_refine_agreement_heavy
             g = ce.builder()
             for n in range(2, 8):
                 assert refine_check(g, n), (ce.name, n)
         report("criterion 6c: refine agreement (corpus minus 15-edge graph)", True)
 
-    @pytest.mark.slow
     def test_refine_agreement_heavy(self):
         g = corpus.entry("double-circle-5").builder()
         for n in range(2, 8):

@@ -162,7 +162,7 @@ class TestIsNAc:
         assert skips > 0
 
     def test_witness_shadows_are_coverable(self, monkeypatch, census_to_six):
-        # every maximal arc the scan caches must be an arc: the placement
+        # every path shadow the scan stores must be an arc: the placement
         # with a mark on each of its vertices and one point on each of its
         # slots is coverable
         real = arcsearch._path_shadow
@@ -186,6 +186,40 @@ class TestIsNAc:
                 for _ in islice(arcsearch._uncovered(gi, n), 10):
                     pass
         assert shadows > 0
+
+    def test_witness_list_only_grows(self, monkeypatch):
+        # the scan never forgets a witness: no representative that reaches
+        # the path search, and no new shadow, is held by an earlier shadow
+        # of the same scan
+        real_iter, real_shadow = arcsearch.iter_placements_indexed, arcsearch._path_shadow
+        shadows: list[tuple[int, int]] = []
+        held = []
+
+        def holds(mm, sm):
+            return any(not (mm & ~v or sm & ~s) for v, s in shadows)
+
+        def reps(*a):
+            for mm, sm in real_iter(*a):
+                if holds(mm, sm):
+                    held.append(("rep", mm, sm))
+                yield mm, sm
+
+        def shadow(*a):
+            vmask, slots = real_shadow(*a)
+            if holds(vmask, slots):
+                held.append(("shadow", vmask, slots))
+            shadows.append((vmask, slots))
+            return vmask, slots
+
+        monkeypatch.setattr(arcsearch, "iter_placements_indexed", reps)
+        monkeypatch.setattr(arcsearch, "_path_shadow", shadow)
+        for g in (corpus.k33(), corpus.double_circle(4)):
+            gi = graph_index(g)
+            for n in range(4, 8):
+                shadows.clear()
+                for _ in arcsearch._uncovered(gi, n):
+                    pass
+                assert not held, (g, n, held[:3])
 
     def test_probe_counterexample_is_genuine(self):
         _, cex = is_n_ac(corpus.k33(), 7)

@@ -223,6 +223,12 @@ class TestProfileGrammar:
 
 
 class TestSearch:
+    def test_census_bound_fails_before_the_sweep(self):
+        # the task itself rejects the edge count, before the sweep spends
+        # minutes on the edge counts below it
+        with pytest.raises(BoundExceeded):
+            SearchTask(11, 12, "=6,!7")
+
     def test_triod_found_at_three_edges(self):
         recs = list(search(SearchTask(3, 3, "=2")))
         assert canonical_form(corpus.triod()).hex() in {r.canon for r in recs}

@@ -67,7 +67,7 @@ class TestAcnum:
         assert res.exit_code == 2
 
     def test_engine_bound_exits_2(self, runner, tmp_path, monkeypatch):
-        # K3,3 has no endpoint and no cut vertex, so level 3 scans; its 72
+        # K3,3 has no endpoint and no cut vertex, so level 4 scans; its 72
         # automorphisms exceed the bound, its twin classes (3! * 3! = 36) do not
         monkeypatch.setattr("arcon.symmetry.SKELETON_AUTO_LIMIT", 50)
         path = write_graph(tmp_path, "k33.graph", corpus.k33())
