@@ -11,12 +11,15 @@ automorphism orbit of (marked vertices, loaded edges).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from .multigraph import GraphError, Id, Multigraph, smooth
 from .obstructions import leaf_block_obstruction, probe_placements
 from .placements import (
     Placement,
+    _bits,
     _path_shadow,
     _realize_masks,
     _shadow,
@@ -40,6 +43,15 @@ def _reach(nmask: list[int], seed: int, allowed: int) -> int:
         reach |= nxt
         frontier = nxt
     return reach
+
+
+def _images(table: list[tuple[int, ...]], members: list[int]) -> Iterator[int]:
+    """The image mask of a set under each row of ``table``.
+
+    Row entry ``x`` is the image bit of member ``x``, and a row is a
+    permutation, so the image is the sum of the members' entries.
+    """
+    return map(sum, zip(repeat(0, len(table)), *(map(itemgetter(x), table) for x in members)))
 
 
 def _find_covering_path(nmask: list[int], marked: int) -> Optional[list[int]]:
@@ -168,14 +180,38 @@ def _uncovered(gi: GraphIndex, n: int) -> Iterator[tuple[int, int]]:
     the list the scan reads (``iter_placements_indexed``'s ``witnesses``):
     a placement one of them covers costs neither the canonicity compare nor
     a search, and any other representative is decided by the path search.
+
+    With each shadow ``(v, s)`` found for the marks ``mm`` go its distinct
+    images ``(g(v), g(s))`` under the automorphisms ``g`` that fix ``mm``,
+    so a witness covers its whole orbit under the stabilizer, and the
+    non-representatives of a covered orbit never reach the compare.  An
+    image is a shadow too: ``g`` maps the arc to an arc and slots onto
+    slots, class offset to class offset.  Coverage is a property of the
+    orbit, so the uncovered representatives and their order stay the same.
     """
+    autos = gi.symmetry().autos
+    allv, alls = [a[0] for a in autos], [a[1] for a in autos]
+    top = gi.n - 1
     witnesses: list[tuple[int, int]] = []
+    fixed, vbs, sbs = -1, [], []
     for mm, sm in iter_placements_indexed(gi, n, witnesses):
         path = _find_covering_path(*_realize_masks(gi, mm, sm))
         if path is None:
             yield mm, sm
-        else:
-            witnesses.append(_path_shadow(gi, sm, path))
+            continue
+        vm, s = _path_shadow(gi, sm, path)
+        witnesses.append((vm, s))
+        if autos and mm != fixed:
+            fixed = mm
+            marks = _bits(mm)
+            fix = list(map(sum(1 << (top - v) for v in marks).__eq__, _images(allv, marks)))
+            vbs, sbs = list(compress(allv, fix)), list(compress(alls, fix))
+        if vbs:
+            verts, slots = _bits(vm), _bits(s)
+            # vertex images are keyed as the scan keys mark sets, v at bit top - v
+            images = dict.fromkeys(zip(_images(vbs, verts), _images(sbs, slots)))
+            images.pop((sum(1 << (top - v) for v in verts), s), None)
+            witnesses.extend((sum(1 << (top - w) for w in _bits(kv)), ks) for kv, ks in images)
 
 
 def is_n_ac(g: Multigraph, n: int) -> tuple[bool, Optional[Placement]]:

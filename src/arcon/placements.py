@@ -86,8 +86,59 @@ def _shadow(gi: GraphIndex, p: Placement) -> tuple[int, int]:
             sum(1 << (gi.nslots - 1 - s) for s, eid in enumerate(gi.slot_eids) if cm.get(eid)))
 
 
+def _bits(m: int) -> list[int]:
+    """The positions of the set bits of ``m``, ascending."""
+    out = []
+    while m:
+        b = m & -m
+        m ^= b
+        out.append(b.bit_length() - 1)
+    return out
+
+
+class _WitnessIndex:
+    """A transposed view of an append-only list of witness shadows.
+
+    ``vert[v]`` and ``slot[s]`` have bit ``i`` when ``witnesses[i]`` holds
+    vertex ``v`` or slot ``s``, and ``tail[lo]`` has bit ``i`` when it holds
+    every slot from ``lo`` on, the trailing run of ones of its slot mask.
+    So a set of witnesses is one int, and the witnesses that hold a shadow
+    are an AND over its members.  ``count`` entries are read so far.
+    """
+
+    __slots__ = ("witnesses", "count", "vert", "slot", "tail")
+
+    def __init__(self, witnesses: Sequence[tuple[int, int]], nverts: int, nslots: int):
+        self.witnesses = witnesses
+        self.count = 0
+        self.vert = [0] * nverts
+        self.slot = [0] * nslots
+        self.tail = [0] * (nslots + 1)
+
+    def holding(self, mm: int, sm: int) -> int:
+        """The witnesses that hold ``mm`` and ``sm``, new entries read first."""
+        vert, slot, tail = self.vert, self.slot, self.tail
+        top = len(slot) - 1
+        for i in range(self.count, len(self.witnesses)):
+            vm, s = self.witnesses[i]
+            b = 1 << i
+            for x in _bits(vm):
+                vert[x] |= b
+            for x in _bits(s):
+                slot[top - x] |= b
+            for lo in range(len(tail) - (s ^ (s + 1)).bit_length(), len(tail)):
+                tail[lo] |= b
+        self.count = len(self.witnesses)
+        hs = (1 << self.count) - 1
+        for x in _bits(mm):
+            hs &= vert[x]
+        for x in _bits(sm):
+            hs &= slot[top - x]
+        return hs
+
+
 def _supports(total: int, nslots: int, ends: Container[int], mm: int = 0,
-              witnesses: Sequence[tuple[int, int]] = ()) -> Iterator[int]:
+              index: _WitnessIndex | None = None) -> Iterator[int]:
     """Loaded-slot masks of the supports with ``total`` points, lex ascending.
 
     A support S stands for ``v(S)``: one point on each slot of S but the
@@ -97,53 +148,41 @@ def _supports(total: int, nslots: int, ends: Container[int], mm: int = 0,
     image of one of these under a parallel-edge swap.  Each recursion level
     places one point, so the depth is at most ``total``.
 
-    ``witnesses`` holds shadows ``(vmask, slots)`` of covering arcs, and the
-    supports that one of them covers together with the marks ``mm`` are
-    left out.  Each recursion level carries ``alive``, the slot masks of the
-    witnesses that hold ``mm`` and the partial support: a leaf adding slot
-    bit ``b`` is covered exactly when ``b`` is in the union of ``alive``,
-    and a level returns at once when one alive witness holds every slot it
-    may still load.  The consumer may append to ``witnesses`` between
-    yields, and the list only grows, so a level also keeps ``seen``, the
-    length of the list its ``alive`` was read from; before a leaf test it
-    adds the alive entries of ``witnesses[seen:]``.
+    The supports that a witness of ``index`` holds together with the marks
+    ``mm`` are left out.  Each recursion level carries ``hs``, the
+    witnesses that hold ``mm`` and its partial support: a leaf adding slot
+    ``f`` is covered exactly when ``hs & slot[f]`` is nonzero, and a level
+    returns when ``hs & tail[lo]`` is, since one witness then holds every
+    support below it.  The consumer may append to the list between yields,
+    so a level reads ``hs`` afresh after a yield once the list has grown.
     """
-    def live(new: Sequence[tuple[int, int]], sm: int) -> list[int]:
-        """Slot masks of the shadows in ``new`` that hold ``mm`` and ``sm``."""
-        return [s for v, s in new if not (mm & ~v or sm & ~s)]
-
+    if index is None:
+        index = _WitnessIndex((), 0, nslots)
+    witnesses, slot, tail = index.witnesses, index.slot, index.tail
     if total == 0:
-        if not live(witnesses, 0):
+        if not index.holding(mm, 0):
             yield 0
         return
     top = nslots - 1
 
-    def rec(lo: int, rem: int, forced: bool, sm: int, alive: list[int], seen: int):
-        # alive: the slot masks of witnesses[:seen] that hold mm and sm
-        rest = (1 << (nslots - lo)) - 1
-        union = 0
-        for s in alive:
-            if not rest & ~s:
-                return
-            union |= s
+    def rec(lo: int, rem: int, forced: bool, sm: int, hs: int, known: int):
+        # hs: the witnesses among the first ``known`` that hold mm and sm
         # the first loaded slot runs from the last slot down, so the vectors
         # with more leading zeros come first
         for f in (lo,) if forced else range(top, lo - 1, -1):
-            b = 1 << (top - f)
+            if len(witnesses) != known:
+                hs, known = index.holding(mm, sm), index.count
+            if hs & tail[lo]:
+                return
             if rem > 1:
-                yield from rec(f + 1, rem - 1, f not in ends, sm | b,
-                               [s for s in alive if s & b], seen)
-            if f in ends:
-                if len(witnesses) > seen:
-                    new = live(witnesses[seen:], sm)
-                    seen = len(witnesses)
-                    alive += new
-                    for s in new:
-                        union |= s
-                if not b & union:
-                    yield sm | b
+                yield from rec(f + 1, rem - 1, f not in ends, sm | 1 << (top - f),
+                               hs & slot[f], known)
+                if len(witnesses) != known:
+                    hs, known = index.holding(mm, sm), index.count
+            if f in ends and not hs & slot[f]:
+                yield sm | 1 << (top - f)
 
-    yield from rec(0, total, False, 0, live(witnesses, 0), len(witnesses))
+    yield from rec(0, total, False, 0, index.holding(mm, 0), index.count)
 
 
 def iter_placements_indexed(gi: GraphIndex, n: int,
@@ -170,9 +209,10 @@ def iter_placements_indexed(gi: GraphIndex, n: int,
     same order as a walk over all subsets would give.
 
     ``witnesses`` holds base-graph shadows ``(vmask, slots)`` of covering
-    arcs, and the caller may append to it between yields.  The supports of
-    a surviving mark set that one of them covers are skipped without the
-    stabilizer compare (see ``_supports``).  A caller that tests
+    arcs, and the caller may append to it between yields.  The walk reads
+    it through one ``_WitnessIndex``, and the supports of a surviving mark
+    set that one of them covers are skipped without the stabilizer compare
+    (see ``_supports``).  A caller that tests
     coverability loses nothing by this: coverage is a property of the
     placement, shared by its whole orbit, so the skipped representatives
     are covered ones and the uncovered ones come in the same order.  A
@@ -191,21 +231,14 @@ def iter_placements_indexed(gi: GraphIndex, n: int,
     autos = gi.symmetry().autos
     top = gi.n - 1
     ends = {end - 1 for (_, _, _, end) in gi.classes}
+    index = _WitnessIndex(witnesses, gi.n, gi.nslots)
 
     def walk(lo: int, k: int, key: int, mm: int, imgs: list[int]):
         # imgs[i]: image key of the mark set under autos[i], none above key
         stab = [sbits for (_, sbits), img in zip(autos, imgs) if img == key]
-        for sm in _supports(n - k, gi.nslots, ends, mm, witnesses):
-            for sbits in stab:
-                img = 0
-                m = sm
-                while m:
-                    b = m & -m
-                    m ^= b
-                    img |= sbits[b.bit_length() - 1]
-                if img < sm:
-                    break
-            else:
+        for sm in _supports(n - k, gi.nslots, ends, mm, index):
+            bits = _bits(sm)
+            if all(sum(map(sbits.__getitem__, bits)) >= sm for sbits in stab):
                 yield mm, sm
         if k == n:
             return

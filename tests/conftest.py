@@ -269,6 +269,13 @@ def randomly_subdivided(g, rng, times: int, most: int):
     return g
 
 
+def refined(g):
+    """``g`` with every edge subdivided once."""
+    for e in g.edges:
+        g, _ = g.subdivide(e.eid, 1)
+    return g
+
+
 def relabeled(g, rng):
     """A randomly relabeled copy of ``g`` (same isomorphism class)."""
     names = [f"x{i}" for i in range(len(g.vertices))]

@@ -17,21 +17,26 @@ prints one line per fingerprint, ``name items sha256``:
   order included, of every census class up to 9 edges (``bound`` where the
   automorphism bound is hit);
 * ``planar``: the ``is_planar`` verdicts on every census class up to 10
-  edges.
+  edges;
+* ``spoked``: the first 20 items of ``_uncovered`` on K3,3,
+  ``double_circle(4)`` and ``double_circle(5)``, each as given and with
+  every edge subdivided once, n = 2..7 (the subdivided ``double_circle(5)``
+  only up to n = 5): the large groups the census hardly exercises.
 
 Marks are written sorted, so the digests do not depend on the hash seed.
 Run it on two checkouts: equal digests mean equal verdicts, counterexamples,
-scan order, symmetry data and planarity verdicts on these inputs.  A change
-that keeps the verdicts but picks other counterexamples shows as equal
-``verdicts`` and different ``profiles``.  The full run takes under a minute
-on a 2-core host.  The file is not a test module, so pytest does
-not collect it.
+scan order, symmetry data, planarity verdicts and spoked counterexample
+streams on these inputs.  A change that keeps the verdicts but picks other
+counterexamples shows as equal ``verdicts`` and different ``profiles``.
+The full run takes under a minute on a 2-core host.  The file is not a
+test module, so pytest does not collect it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import sys
+from itertools import islice
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -107,6 +112,19 @@ def main() -> None:
     for k in range(1, 11):
         for g in census[k] if k in census else reduced_multigraphs(k):
             d.add(k, is_planar(g))
+    print(d.line(), flush=True)
+
+    d = Digest("spoked")
+    for name, g in (("k33", corpus.k33()), ("double_circle(4)", corpus.double_circle(4)),
+                    ("double_circle(5)", corpus.double_circle(5))):
+        fine = g
+        for e in g.edges:
+            fine, _ = fine.subdivide(e.eid, 1)
+        for label, h, top in ((name, g, 7), (name + " refined", fine,
+                                              5 if name == "double_circle(5)" else 7)):
+            gi = graph_index(h)
+            for n in range(2, top + 1):
+                d.add(label, n, list(islice(_uncovered(gi, n), 20)))
     print(d.line(), flush=True)
 
 

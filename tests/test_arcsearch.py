@@ -15,13 +15,13 @@ from arcon import (
     refine_check,
     smooth,
 )
-from arcon import arcsearch, corpus, obstructions
+from arcon import arcsearch, corpus, obstructions, placements
 from arcon.multigraph import germs, walk_segment
 from arcon.obstructions import RULE_3CUT, RULE_3ENDS, RULE_3LEAF, leaf_block_obstruction
 from arcon.placements import Placement, _to_placement, realize
 from arcon.symmetry import GraphIndex, graph_index
 
-from conftest import naive_is_n_ac, randomly_subdivided, raw_ac_label, relabeled
+from conftest import naive_is_n_ac, randomly_subdivided, raw_ac_label, refined, relabeled
 
 
 def spy_is_n_ac(monkeypatch):
@@ -186,6 +186,70 @@ class TestIsNAc:
                 for _ in islice(arcsearch._uncovered(gi, n), 10):
                     pass
         assert shadows > 0
+
+    def test_image_shadows_are_arcs(self, monkeypatch, census_to_six):
+        # every entry the scan appends, the stabilizer images included, must
+        # be an arc: the placement with a mark on each of its vertices and
+        # one point on each of its slots is coverable.  The groups are the
+        # real ones, and the scan runs on past the first failure (up to ten)
+        real_iter, real_shadow = arcsearch.iter_placements_indexed, arcsearch._path_shadow
+        lists, found = [], []
+
+        def scan(gi, n, witnesses):
+            lists.append(witnesses)
+            return real_iter(gi, n, witnesses)
+
+        def shadow(*a):
+            found.append(real_shadow(*a))
+            return found[-1]
+
+        monkeypatch.setattr(arcsearch, "iter_placements_indexed", scan)
+        monkeypatch.setattr(arcsearch, "_path_shadow", shadow)
+        images = 0
+        for g in census_to_six + looped_or_parallel() + [corpus.k33(), corpus.double_circle(4)]:
+            gi = graph_index(g)
+            top = gi.nslots - 1
+            lists.clear()
+            found.clear()
+            for n in range(2, 8):
+                for _ in islice(arcsearch._uncovered(gi, n), 10):
+                    pass
+            entries = {x for ws in lists for x in ws}
+            images += len(entries - set(found))
+            for vmask, slots in entries:
+                p = Placement.of(
+                    g, [gi.vids[v] for v in range(gi.n) if vmask >> v & 1],
+                    {gi.slot_eids[s]: 1 for s in range(gi.nslots) if slots >> (top - s) & 1})
+                assert covering_arc(*realize(g, p)) is not None, (g, vmask, slots)
+        assert images > 0
+
+    def test_compare_sees_only_representatives(self, monkeypatch):
+        # a witness covers its whole orbit under the mark set's stabilizer,
+        # so at a passing level the supports that reach the stabilizer
+        # compare are exactly the representatives the scan yields
+        real_supports, real_iter = placements._supports, arcsearch.iter_placements_indexed
+        compared, reps = [], []
+
+        def supports(*a):
+            for sm in real_supports(*a):
+                compared.append(sm)
+                yield sm
+
+        def scan(*a):
+            for x in real_iter(*a):
+                reps.append(x)
+                yield x
+
+        monkeypatch.setattr(placements, "_supports", supports)
+        monkeypatch.setattr(arcsearch, "iter_placements_indexed", scan)
+        for g, levels in ((refined(corpus.k33()), range(2, 7)),
+                          (refined(corpus.double_circle(4)), range(2, 6))):
+            gi = graph_index(g)
+            for n in levels:
+                compared.clear()
+                reps.clear()
+                assert next(arcsearch._uncovered(gi, n), None) is None
+                assert compared == [sm for _, sm in reps], (g, n, len(compared), len(reps))
 
     def test_witness_list_only_grows(self, monkeypatch):
         # the scan never forgets a witness: no representative that reaches

@@ -19,7 +19,7 @@ from arcon.placements import (
 )
 from arcon.symmetry import automorphisms, graph_index
 
-from conftest import compositions, naive_orbit_count
+from conftest import compositions, naive_orbit_count, refined
 
 
 def double_star():
@@ -145,10 +145,39 @@ def test_covered_filter_drops_exactly_the_accepted_shadows(small_census):
                     if not any(mm & ~v == 0 and sm & ~s == 0 for v, s in witnesses)]
 
 
-def refined(g):
-    for e in g.edges:
-        g, _ = g.subdivide(e.eid, 1)
-    return g
+def test_index_stays_fresh_across_yields(small_census):
+    # the consumer appends a seeded random shadow after every yield, so the
+    # walk must emit the witness-free stream minus each support that an
+    # entry appended before its turn holds: no more and no fewer.  A leaf
+    # after a deeper yield, and a level after a child's, read a grown list
+    rng = random.Random(0)
+    graphs = [g for k in sorted(small_census) for g in small_census[k]]
+    graphs += [g for g in (ce.builder() for ce in corpus.CORPUS) if len(g.edges) <= 9]
+    skipped = 0
+    for g in graphs:
+        gi = graph_index(g)
+        for n in (1, 2, 3, 4):
+            seed = rng.getrandbits(32)
+
+            def shadows():
+                r = random.Random(seed)
+                while True:
+                    yield (r.getrandbits(gi.n) | r.getrandbits(gi.n),
+                           r.getrandbits(gi.nslots) | r.getrandbits(gi.nslots))
+
+            witnesses, got, draw = [], [], shadows()
+            for x in iter_placements_indexed(gi, n, witnesses):
+                got.append(x)
+                witnesses.append(next(draw))
+            stream = list(iter_placements_indexed(gi, n))
+            want, appended, draw = [], [], shadows()
+            for mm, sm in stream:
+                if not any(mm & ~v == 0 and sm & ~s == 0 for v, s in appended):
+                    want.append((mm, sm))
+                    appended.append(next(draw))
+            assert got == want, (g, n)
+            skipped += len(stream) - len(want)
+    assert skipped > 0
 
 
 def test_mark_sets_are_the_lex_least_subsets():
