@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from typing import Sequence
 
 from .multigraph import BoundExceeded, GraphError, Multigraph, idkey
@@ -92,7 +93,7 @@ class GraphIndex:
     def refined_colors(self) -> list[int]:
         if self._colors is None:
             init = _rank([(self.deg[v], self.loops[v]) for v in range(self.n)])
-            self._colors = _refine(self.n, self.loops, self.mult, init)
+            self._colors = _refine(self.n, self.loops, _adjacency(self.mult), init)
         return self._colors
 
     def symmetry(self) -> "PlacementSymmetry":
@@ -128,10 +129,14 @@ def _rank(keys: Sequence) -> list[int]:
     return [order[k] for k in keys]
 
 
-def _refine(n: int, loops: Sequence[int], mult: Sequence[Sequence[int]],
+def _adjacency(mult: Sequence[Sequence[int]]) -> list[list[tuple[int, int]]]:
+    """``(u, multiplicity)`` for each neighbour ``u`` of each vertex."""
+    return [[(u, m) for u, m in enumerate(row) if m] for row in mult]
+
+
+def _refine(n: int, loops: Sequence[int], adj: Sequence[Sequence[tuple[int, int]]],
             colors: list[int]) -> list[int]:
     """Iterate neighborhood color signatures to a stable partition."""
-    adj = [[(u, row[u]) for u in range(n) if row[u]] for row in mult]
     while True:
         sigs = [(colors[v], loops[v], tuple(sorted((colors[u], m) for u, m in adj[v])))
                 for v in range(n)]
@@ -139,6 +144,21 @@ def _refine(n: int, loops: Sequence[int], mult: Sequence[Sequence[int]],
         if new == colors:
             return colors
         colors = new
+
+
+def _pin(colors: Sequence[int], v: int) -> list[int]:
+    """Individualize ``v``: a color of its own just below its old class."""
+    out = [c * 2 for c in colors]
+    out[v] -= 1
+    return _rank(out)
+
+
+def _first_cell(colors: Sequence[int]) -> list[int] | None:
+    """The vertices of the least color that more than one vertex has."""
+    groups: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        groups.setdefault(c, []).append(v)
+    return next((groups[c] for c in sorted(groups) if len(groups[c]) > 1), None)
 
 
 def _twins(loops: Sequence[int], mult: Sequence[Sequence[int]], i: int, j: int) -> bool:
@@ -176,36 +196,25 @@ def _code_items(n: int, loops, mult, perm: Sequence[int]) -> list[tuple[int, int
 def _canonical_items(n: int, loops, mult, budget: int = CANON_NODE_BUDGET):
     """Minimum relabeled edge list over refinement-consistent labelings."""
     best: list[tuple[int, int, int]] | None = None
+    adj = _adjacency(mult)
+    # depth first, without a recursive closure (a reference cycle)
+    stack = [_refine(n, loops, adj, _rank([(sum(mult[v]) + 2 * loops[v], loops[v])
+                                           for v in range(n)]))]
     nodes = 0
-    colors0 = _refine(n, loops, mult, _rank([(sum(mult[v]) + 2 * loops[v], loops[v])
-                                             for v in range(n)]))
-
-    def rec(colors: list[int]) -> None:
-        nonlocal best, nodes
+    while stack:
+        colors = stack.pop()
         nodes += 1
         if nodes > budget:
             raise BoundExceeded("canonicalization search budget exceeded")
-        groups: dict[int, list[int]] = {}
-        for v, c in enumerate(colors):
-            groups.setdefault(c, []).append(v)
-        target = None
-        for c in sorted(groups):
-            if len(groups[c]) > 1:
-                target = groups[c]
-                break
+        target = _first_cell(colors)
         if target is None:
             items = _code_items(n, loops, mult, colors)
             if best is None or items < best:
                 best = items
-            return
+            continue
         all_twins = all(_twins(loops, mult, target[0], w) for w in target[1:])
         branch = target[:1] if all_twins else target
-        for v in branch:
-            nxt = [c * 2 for c in colors]
-            nxt[v] -= 1
-            rec(_refine(n, loops, mult, _rank(nxt)))
-
-    rec(colors0)
+        stack += [_refine(n, loops, adj, _pin(colors, v)) for v in branch]
     assert best is not None
     return best
 
@@ -251,62 +260,81 @@ def _vertex_autos(n: int, loops, mult, colors: Sequence[int],
                   limit: int) -> list[tuple[int, ...]]:
     """All vertex permutations preserving loops and multiplicities.
 
-    Individualization-refinement: pick the first color class with more than
-    one vertex, pin its first vertex on the domain side against every member
-    on the range side, refine both sides, and prune when the color
-    histograms diverge.  Each automorphism is reached in exactly one branch
-    (its image of the pinned vertex), and leaves are verified directly.  The
-    domain side of a node does not depend on the branch, so it is refined
-    once per node and shared by all its children.
+    Individualization-refinement with orbit pruning (McKay & Piperno).  The
+    domain side pins the base ``b0..bk-1``: at each level the first vertex of
+    the first non-singleton color class, refined after each pin.  From the
+    deepest level up, level ``i`` looks for one automorphism fixing
+    ``b0..b(i-1)`` and sending ``b(i)`` to each class member ``w`` not yet in
+    the orbit of ``b(i)`` under the generators found so far: it pins ``w`` on
+    the range side, refines, prunes on diverging color histograms and
+    verifies the first leaf.  The orbits are the basic orbits of the group,
+    so their sizes multiply to its order, checked against ``limit`` before
+    the group is built from their transversals.  An automorphism is fixed by
+    its base images; the list is sorted by them.
     """
-    autos: list[tuple[int, ...]] = []
+    adj = _adjacency(mult)
+    doms, base, cells = [_refine(n, loops, adj, list(colors))], [], []
+    while (cell := _first_cell(doms[-1])) is not None:
+        base.append(cell[0])
+        cells.append(cell)
+        doms.append(_refine(n, loops, adj, _pin(doms[-1], cell[0])))
+    hists = [sorted(Counter(d).items()) for d in doms]
 
-    def histogram(cs: Sequence[int]):
-        h: dict[int, int] = {}
-        for c in cs:
-            h[c] = h.get(c, 0) + 1
-        return sorted(h.items())
-
-    def rec(dom: list[int], rng: list[int]) -> None:
-        # dom is refined already, rng not yet
-        rng = _refine(n, loops, mult, rng)
-        if histogram(dom) != histogram(rng):
-            return
-        target = None
-        groups: dict[int, list[int]] = {}
-        for v, c in enumerate(dom):
-            groups.setdefault(c, []).append(v)
-        for c in sorted(groups):
-            if len(groups[c]) > 1:
-                target = (c, groups[c][0])
-                break
-        if target is None:
-            pos = {c: v for v, c in enumerate(rng)}
-            perm = tuple(pos[dom[v]] for v in range(n))
-            for v in range(n):
-                if loops[perm[v]] != loops[v]:
-                    return
-                row, prow = mult[v], mult[perm[v]]
-                for u in range(v + 1, n):
-                    if row[u] != prow[perm[u]]:
-                        return
-            autos.append(perm)
-            if len(autos) > limit:
-                raise BoundExceeded("automorphism group larger than the configured bound")
-            return
-        c, v = target
-        dom2 = [x * 2 for x in dom]
-        dom2[v] -= 1
-        dom2 = _refine(n, loops, mult, _rank(dom2))
-        for w in range(n):
-            if rng[w] != c:
+    def find(i: int, w: int) -> tuple[int, ...] | None:
+        # depth first, without a recursive closure (a reference cycle)
+        stack = [(i + 1, doms[i], w)]
+        while stack:
+            j, parent, w = stack.pop()
+            rng = _refine(n, loops, adj, _pin(parent, w))
+            if sorted(Counter(rng).items()) != hists[j]:
                 continue
-            rng2 = [x * 2 for x in rng]
-            rng2[w] -= 1
-            rec(dom2, _rank(rng2))
+            if j < len(base):
+                c = doms[j][base[j]]
+                stack += [(j + 1, rng, x) for x in reversed(range(n)) if rng[x] == c]
+                continue
+            pos = {c: v for v, c in enumerate(rng)}
+            perm = tuple(pos[c] for c in doms[j])
+            if all(loops[perm[v]] == loops[v] and
+                   all(mult[v][u] == mult[perm[v]][perm[u]] for u in range(v + 1, n))
+                   for v in range(n)):
+                return perm
+        return None
 
-    rec(_refine(n, loops, mult, list(colors)), list(colors))
-    return autos
+    gens: list[tuple[int, ...]] = []
+    trans: list[dict[int, tuple[int, ...]]] = []
+    order = 1
+    for i in reversed(range(len(base))):
+        orbit = _orbit(base[i], gens, n)
+        for w in cells[i]:
+            if w not in orbit and (p := find(i, w)):
+                gens.append(p)
+                orbit = _orbit(base[i], gens, n)
+        order *= len(orbit)
+        if order > limit:
+            raise BoundExceeded("automorphism group larger than the configured bound")
+        trans.append(orbit)
+    return sorted(_coset_products(trans, n), key=lambda p: [p[b] for b in base])
+
+
+def _orbit(b: int, gens: Sequence[tuple[int, ...]], n: int) -> dict[int, tuple[int, ...]]:
+    """The orbit of ``b``, each point with a product of ``gens`` sending ``b`` there."""
+    orbit = {b: tuple(range(n))}
+    queue = [b]
+    for x in queue:
+        for s in gens:
+            if (y := s[x]) not in orbit:
+                orbit[y] = tuple(map(s.__getitem__, orbit[x]))
+                queue.append(y)
+    return orbit
+
+
+def _coset_products(trans, n: int) -> list[tuple[int, ...]]:
+    """The group from its transversals, deepest level first: each level's
+    elements are its transversal elements composed with the level below."""
+    group = [tuple(range(n))]
+    for orbit in trans:
+        group = [tuple(map(u.__getitem__, h)) for u in orbit.values() for h in group]
+    return group
 
 
 def automorphisms(g: Multigraph, limit: int = AUTOMORPHISM_PAIR_LIMIT):

@@ -21,13 +21,18 @@ prints one line per fingerprint, ``name items sha256``:
 * ``spoked``: the first 20 items of ``_uncovered`` on K3,3,
   ``double_circle(4)`` and ``double_circle(5)``, each as given and with
   every edge subdivided once, n = 2..7 (the subdivided ``double_circle(5)``
-  only up to n = 5): the large groups the census hardly exercises.
+  only up to n = 5): the large groups the census hardly exercises;
+* ``groups``: the ``PlacementSymmetry.autos`` list, order included, of
+  K3,3, ``double_circle(4)``, ``double_circle(5)``, ``star(6)`` and
+  ``star(7)``, each as given and with every edge subdivided once, and of
+  ``star(8)``.
 
 Marks are written sorted, so the digests do not depend on the hash seed.
 Run it on two checkouts: equal digests mean equal verdicts, counterexamples,
-scan order, symmetry data, planarity verdicts and spoked counterexample
-streams on these inputs.  A change that keeps the verdicts but picks other
-counterexamples shows as equal ``verdicts`` and different ``profiles``.
+scan order, symmetry data, planarity verdicts, spoked counterexample
+streams and large automorphism groups on these inputs.  A change that
+keeps the verdicts but picks other counterexamples shows as equal
+``verdicts`` and different ``profiles``.
 The full run takes under a minute on a 2-core host.  The file is not a
 test module, so pytest does not collect it.
 """
@@ -117,15 +122,28 @@ def main() -> None:
     d = Digest("spoked")
     for name, g in (("k33", corpus.k33()), ("double_circle(4)", corpus.double_circle(4)),
                     ("double_circle(5)", corpus.double_circle(5))):
-        fine = g
-        for e in g.edges:
-            fine, _ = fine.subdivide(e.eid, 1)
-        for label, h, top in ((name, g, 7), (name + " refined", fine,
+        for label, h, top in ((name, g, 7), (name + " refined", subdivided(g),
                                               5 if name == "double_circle(5)" else 7)):
             gi = graph_index(h)
             for n in range(2, top + 1):
                 d.add(label, n, list(islice(_uncovered(gi, n), 20)))
     print(d.line(), flush=True)
+
+    d = Digest("groups")
+    for name, g in (("k33", corpus.k33()), ("double_circle(4)", corpus.double_circle(4)),
+                    ("double_circle(5)", corpus.double_circle(5)),
+                    ("star(6)", corpus.star(6)), ("star(7)", corpus.star(7))):
+        d.add(name, graph_index(g).symmetry().autos)
+        d.add(name + " refined", graph_index(subdivided(g)).symmetry().autos)
+    d.add("star(8)", graph_index(corpus.star(8)).symmetry().autos)
+    print(d.line(), flush=True)
+
+
+def subdivided(g):
+    """``g`` with every edge subdivided once."""
+    for e in list(g.edges):
+        g, _ = g.subdivide(e.eid, 1)
+    return g
 
 
 if __name__ == "__main__":

@@ -1,10 +1,14 @@
 import itertools
+import time
 
+import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from arcon import BoundExceeded, are_homeomorphic, build, canonical_form
 from arcon import corpus
+from arcon import symmetry
 from arcon.symmetry import _vertex_autos, automorphisms, graph_index
 
 from conftest import naive_code, relabeled
@@ -156,3 +160,54 @@ def test_vertex_autos_match_brute_force():
         autos = _vertex_autos(n, loops, mult, gi.refined_colors(), 10**6)
         assert len(autos) == len(set(autos))
         assert set(autos) == brute
+
+
+def test_vertex_autos_bound_the_order_before_building_the_group(monkeypatch):
+    # the basic orbits of star(8)'s 8! automorphisms multiply past 1000 long
+    # before the last one is found, and no element of the group is built
+    calls = []
+    monkeypatch.setattr(symmetry, "_coset_products", lambda *a: calls.append(a))
+    gi = graph_index(corpus.star(8))
+    start = time.perf_counter()
+    with pytest.raises(BoundExceeded, match="automorphism group"):
+        _vertex_autos(gi.n, gi.loops, gi.mult, gi.refined_colors(), 1000)
+    assert time.perf_counter() - start < 0.5
+    assert calls == []
+
+
+def _base(gi):
+    """The domain side's pinned vertices: first vertex of the first non-singleton class."""
+    adj, colors, base = symmetry._adjacency(gi.mult), gi.refined_colors(), []
+    while len(set(colors)) < gi.n:
+        b = colors.index(min(c for c in colors if colors.count(c) > 1))
+        base.append(b)
+        colors = symmetry._refine(gi.n, gi.loops, adj, symmetry._pin(colors, b))
+    return base
+
+
+LARGE_GROUPS = {"k33": corpus.k33(), "double_circle(4)": corpus.double_circle(4),
+                "double_circle(5)": corpus.double_circle(5), "star(6)": corpus.star(6),
+                "star(7)": corpus.star(7)}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_GROUPS))
+@pytest.mark.parametrize("subdivided", [False, True])
+def test_vertex_autos_match_networkx(name, subdivided):
+    # an independent oracle for groups too large to brute-force: VF2's
+    # self-isomorphisms of the (simple) graph, each listed once, in base order
+    g = LARGE_GROUPS[name]
+    if subdivided:
+        for e in list(g.edges):
+            g, _ = g.subdivide(e.eid, 1)
+    gi = graph_index(g)
+    assert not any(gi.loops) and max(map(max, gi.mult)) == 1
+    simple = nx.Graph()
+    simple.add_nodes_from(range(gi.n))
+    simple.add_edges_from((i, j) for (i, j, _, _) in gi.classes)
+    oracle = {tuple(m[v] for v in range(gi.n))
+              for m in GraphMatcher(simple, simple).isomorphisms_iter()}
+    autos = _vertex_autos(gi.n, gi.loops, gi.mult, gi.refined_colors(), 10**6)
+    assert set(autos) == oracle
+    keys = [[p[b] for b in _base(gi)] for p in autos]
+    assert len(set(map(tuple, keys))) == len(autos)
+    assert keys == sorted(keys)
