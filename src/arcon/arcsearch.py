@@ -54,48 +54,44 @@ def _images(table: list[tuple[int, ...]], members: list[int]) -> Iterator[int]:
     return map(sum, zip(repeat(0, len(table)), *(map(itemgetter(x), table) for x in members)))
 
 
+def _dfs(nmask: list[int], marked: int, full: int, path: list[int], v: int,
+         visited: int) -> bool:
+    """Extend ``path``, which ends at ``v`` and visits ``visited``, to cover
+    ``marked``; on failure ``path`` is left as it came."""
+    um = marked & ~visited
+    comp = _reach(nmask, um & -um, full & ~visited)
+    if um & ~comp:
+        return False
+    cand = nmask[v] & comp
+    while cand:
+        b = cand & -cand
+        cand ^= b
+        w = b.bit_length() - 1
+        nv = visited | b
+        path.append(w)
+        if b & marked and not (marked & ~nv) or _dfs(nmask, marked, full, path, w, nv):
+            return True
+        path.pop()
+    return False
+
+
 def _find_covering_path(nmask: list[int], marked: int) -> Optional[list[int]]:
     """A simple path with marked endpoints visiting all marked vertices.
 
     Vertices are bit indices of ``nmask``.  Deterministic: starts and branch
     choices are taken in ascending index order, and the first completion wins.
+    The depth-first search (``_dfs``, a module function, so no closure
+    cycle per call) prunes a partial path once the unvisited marked
+    vertices no longer lie in one component of the unvisited graph.
     """
     if marked == 0:
         raise GraphError("no marked vertices")
     if marked & (marked - 1) == 0:
         return [marked.bit_length() - 1]
     full = (1 << len(nmask)) - 1
-    path: list[int] = []
-
-    def dfs(v: int, visited: int) -> bool:
-        um = marked & ~visited
-        rem = full & ~visited
-        comp = _reach(nmask, um & -um, rem)
-        if um & ~comp:
-            return False
-        cand = nmask[v] & comp
-        while cand:
-            b = cand & -cand
-            cand ^= b
-            w = b.bit_length() - 1
-            nv = visited | b
-            if b & marked and not (marked & ~nv):
-                path.append(w)
-                return True
-            path.append(w)
-            if dfs(w, nv):
-                return True
-            path.pop()
-        return False
-
-    m = marked
-    while m:
-        b = m & -m
-        m ^= b
-        s = b.bit_length() - 1
-        path.clear()
-        path.append(s)
-        if dfs(s, b):
+    for s in _bits(marked):
+        path = [s]
+        if _dfs(nmask, marked, full, path, s, 1 << s):
             return path
     return None
 

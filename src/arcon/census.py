@@ -18,6 +18,7 @@ from typing import Callable, Iterator, Optional
 from .arcsearch import _reach, ac_number
 from .multigraph import BoundExceeded, GraphError, Multigraph, build
 from .obstructions import _blocks
+from .placements import _bits
 from .symmetry import canonical_form, graph_index, neighbour_masks
 
 MAX_CENSUS_EDGES = 11
@@ -30,22 +31,24 @@ SEARCH_CHUNK = 256  # graphs handed to a search's process pool at a time
 
 def _degree_sequences(total: int, vcount: int) -> Iterator[tuple[int, ...]]:
     """Non-increasing sequences of ``vcount`` degrees from {1, 3, 4, ...} summing to total."""
+    yield from _degrees(total, vcount, total, [])
 
-    def rec(remaining: int, slots: int, cap: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if slots == 0:
-            if remaining == 0:
-                yield tuple(acc)
-            return
-        if remaining < slots or remaining > slots * cap:
-            return
-        for d in range(min(cap, remaining - slots + 1), 0, -1):
-            if d == 2:
-                continue
-            acc.append(d)
-            yield from rec(remaining - d, slots - 1, d, acc)
-            acc.pop()
 
-    yield from rec(total, vcount, total, [])
+def _degrees(remaining: int, slots: int, cap: int, acc: list[int]
+             ) -> Iterator[tuple[int, ...]]:
+    """``acc`` extended by ``slots`` more degrees, none above ``cap``, summing to ``remaining``."""
+    if slots == 0:
+        if remaining == 0:
+            yield tuple(acc)
+        return
+    if remaining < slots or remaining > slots * cap:
+        return
+    for d in range(min(cap, remaining - slots + 1), 0, -1):
+        if d == 2:
+            continue
+        acc.append(d)
+        yield from _degrees(remaining - d, slots - 1, d, acc)
+        acc.pop()
 
 
 def _matrices(degseq: tuple[int, ...]) -> Iterator[tuple[list[int], list[list[int]]]]:
@@ -68,75 +71,81 @@ def _matrices(degseq: tuple[int, ...]) -> Iterator[tuple[list[int], list[list[in
     survives at least once, and it is the first of its class to come out.
     """
     n = len(degseq)
-    full = (1 << n) - 1
-    loops = [0] * n
-    mult = [[0] * n for _ in range(n)]
-    res = list(degseq)
-    comp = [1 << v for v in range(n)]  # component of each vertex over the finished rows
-    # tied[c]: columns c and c+1 have equal degree and agree in every row so far
-    tied = [c + 1 < n and degseq[c] == degseq[c + 1] for c in range(n)]
+    # the fill state every row generator shares: (n, full, loops, mult, res,
+    # comp, tied, prevs, rooms).  comp[v] is the component of v over the
+    # finished rows; tied[c] says columns c and c+1 have equal degree and
+    # agree in every row so far; prevs[i] and rooms[i] are set as row i starts
+    yield from _fill_row((n, (1 << n) - 1, [0] * n, [[0] * n for _ in range(n)],
+                          list(degseq), [1 << v for v in range(n)],
+                          [c + 1 < n and degseq[c] == degseq[c + 1] for c in range(n)],
+                          [None] * n, [None] * n), 0)
 
-    def fill_row(i: int) -> Iterator[tuple[list[int], list[list[int]]]]:
-        if i == n:
-            yield loops[:], [row[:] for row in mult]
-            return
-        row = mult[i]
-        prev = mult[i - 1] if i and tied[i - 1] else None  # row i may not read above it
-        room = [0] * (n + 1)  # room[j]: residual degree left in columns j..n-1
-        for j in range(n - 1, i, -1):
-            room[j] = room[j + 1] + res[j]
 
-        def close(cur: int) -> Iterator[tuple[list[int], list[list[int]]]]:
-            if not cur >> (i + 1) and cur != full:
-                return  # a finished component that misses part of the graph
-            saved = comp[:]
-            rest = cur
-            while rest:
-                b = rest & -rest
-                comp[b.bit_length() - 1] = cur
-                rest ^= b
-            yield from fill_row(i + 1)
-            comp[:] = saved
+def _fill_row(st: tuple, i: int) -> Iterator[tuple[list[int], list[list[int]]]]:
+    """Rows ``i..n-1``, rows ``0..i-1`` being done."""
+    n, _, loops, mult, res, comp, tied, prevs, rooms = st
+    if i == n:
+        yield loops[:], [row[:] for row in mult]
+        return
+    prev = prevs[i] = mult[i - 1] if i and tied[i - 1] else None  # row i may not read above it
+    room = rooms[i] = [0] * (n + 1)  # room[j]: residual degree left in columns j..n-1
+    for j in range(n - 1, i, -1):
+        room[j] = room[j + 1] + res[j]
+    top = res[i] // 2
+    if prev is not None and loops[i - 1] < top:
+        top = loops[i - 1]
+    for li in range(top, -1, -1):
+        rem = res[i] - 2 * li
+        if rem > room[i + 1]:
+            break
+        loops[i] = li
+        yield from _assign(st, i, i + 1, rem, comp[i], prev is not None and li == loops[i - 1])
+    loops[i] = 0
 
-        def assign(j: int, rem: int, cur: int, tight: bool
-                   ) -> Iterator[tuple[list[int], list[list[int]]]]:
-            if j == n:
-                if rem == 0:
-                    yield from close(cur)
-                return
-            hi = min(rem, res[j])
-            pair = j - 1 > i and tied[j - 1]
-            if pair and row[j - 1] < hi:
-                hi = row[j - 1]
-            if tight and prev[j] < hi:
-                hi = prev[j]
-            lo = rem - room[j + 1]
-            for m in range(hi, max(lo, 0) - 1, -1):
-                row[j] = mult[j][i] = m
-                res[j] -= m
-                split = pair and m < row[j - 1]
-                if split:
-                    tied[j - 1] = False
-                yield from assign(j + 1, rem - m, cur | comp[j] if m else cur,
-                                  tight and m == prev[j])
-                if split:
-                    tied[j - 1] = True
-                res[j] += m
-            row[j] = mult[j][i] = 0
 
-        top = res[i] // 2
-        if prev is not None and loops[i - 1] < top:
-            top = loops[i - 1]
-        for li in range(top, -1, -1):
-            rem = res[i] - 2 * li
-            if rem > room[i + 1]:
-                break
-            loops[i] = li
-            yield from assign(i + 1, rem, comp[i],
-                              prev is not None and li == loops[i - 1])
-        loops[i] = 0
+def _close(st: tuple, i: int, cur: int) -> Iterator[tuple[list[int], list[list[int]]]]:
+    """Row ``i`` is done and its vertex's component is ``cur``: merge, fill on."""
+    full, comp = st[1], st[5]
+    if not cur >> (i + 1) and cur != full:
+        return  # a finished component that misses part of the graph
+    saved = comp[:]
+    rest = cur
+    while rest:
+        b = rest & -rest
+        comp[b.bit_length() - 1] = cur
+        rest ^= b
+    yield from _fill_row(st, i + 1)
+    comp[:] = saved
 
-    yield from fill_row(0)
+
+def _assign(st: tuple, i: int, j: int, rem: int, cur: int, tight: bool
+            ) -> Iterator[tuple[list[int], list[list[int]]]]:
+    """Entries ``j..n-1`` of row ``i``, ``rem`` degree left to place in them."""
+    n, _, _, mult, res, comp, tied, prevs, rooms = st
+    if j == n:
+        if rem == 0:
+            yield from _close(st, i, cur)
+        return
+    row, prev = mult[i], prevs[i]
+    hi = min(rem, res[j])
+    pair = j - 1 > i and tied[j - 1]
+    if pair and row[j - 1] < hi:
+        hi = row[j - 1]
+    if tight and prev[j] < hi:
+        hi = prev[j]
+    lo = rem - rooms[i][j + 1]
+    for m in range(hi, max(lo, 0) - 1, -1):
+        row[j] = mult[j][i] = m
+        res[j] -= m
+        split = pair and m < row[j - 1]
+        if split:
+            tied[j - 1] = False
+        yield from _assign(st, i, j + 1, rem - m, cur | comp[j] if m else cur,
+                           tight and m == prev[j])
+        if split:
+            tied[j - 1] = True
+        res[j] += m
+    row[j] = mult[j][i] = 0
 
 
 def _matrix_graph(loops: list[int], mult: list[list[int]]) -> Multigraph:
@@ -185,13 +194,6 @@ def reduced_multigraphs(edge_count: int, max_edges: int = MAX_CENSUS_EDGES
 
 
 # -- planarity -------------------------------------------------------------------
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        b = mask & -mask
-        mask ^= b
-        yield b.bit_length() - 1
 
 
 def _bridge_path(adj: list[int], a: int, inner: int, ends: int) -> list[int]:

@@ -64,7 +64,7 @@ class Multigraph:
     topological question.
     """
 
-    __slots__ = ("_vertices", "_edges", "_cache", "__weakref__")
+    __slots__ = ("_vertices", "_edges", "_cache")
 
     def __init__(self, vertices: Iterable[Id], edges: Iterable[Edge]):
         vlist = list(vertices)
@@ -255,9 +255,8 @@ def smooth(g: Multigraph) -> Multigraph:
     """
     if not g.is_connected():
         raise GraphError("smooth expects a connected graph")
-    got = g._cache.get("smoothed")
-    if got is not None:
-        return got
+    if "smoothed" in g._cache:
+        return g._cache["smoothed"] or g
     keep = [v for v in g.vertices if _suppressible(g, v) is None]
     if len(keep) == len(g.vertices):
         s = g
@@ -271,7 +270,7 @@ def smooth(g: Multigraph) -> Multigraph:
                 eid = min((e.eid for e in seg.edges), key=idkey)
                 merged[eid] = Edge(eid, seg.start, seg.end)
         s = Multigraph(keep, merged.values())
-    g._cache["smoothed"] = s
+    g._cache["smoothed"] = None if s is g else s  # None: no cycle through the cache
     return s
 
 

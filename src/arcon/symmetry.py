@@ -18,7 +18,6 @@ and mutually interchangeable (twin) vertices are branched only once.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 from typing import Sequence
 
@@ -43,13 +42,12 @@ class GraphIndex:
     """
 
     __slots__ = (
-        "g", "n", "vids", "vpos", "loops", "mult", "deg",
+        "n", "vids", "vpos", "loops", "mult", "deg",
         "nslots", "slot_pairs", "slot_eids", "classes", "class_of_pair",
         "_colors", "_symmetry",
     )
 
     def __init__(self, g: Multigraph):
-        self.g = g
         self.vids = g.vertices
         self.n = len(self.vids)
         self.vpos = {v: i for i, v in enumerate(self.vids)}
@@ -391,45 +389,22 @@ class PlacementSymmetry:
     Parallel-edge swaps are left out: supports are class-suffix instead.
     """
 
-    __slots__ = ("gi", "autos")
+    __slots__ = ("autos",)
 
     def __init__(self, gi: GraphIndex):
-        self.gi = gi
         n = gi.n
-        # every permutation inside a twin class is an automorphism, so the
-        # product of the classes' factorials bounds the group below
-        size = 1
-        for cl in self._twin_classes():
-            size *= math.factorial(len(cl))
-        if size > SKELETON_AUTO_LIMIT:
-            raise BoundExceeded("automorphism group larger than the configured bound")
         vautos = _vertex_autos(n, gi.loops, gi.mult, gi.refined_colors(),
                                SKELETON_AUTO_LIMIT)
-        self.autos = [(tuple(1 << (n - 1 - w) for w in vperm), self._slot_bits(vperm))
+        self.autos = [(tuple(1 << (n - 1 - w) for w in vperm), _slot_bits(gi, vperm))
                       for vperm in vautos if vperm != tuple(range(n))]
 
-    def _twin_classes(self) -> list[list[int]]:
-        """The twin classes inside each refined color class."""
-        gi = self.gi
-        colors = gi.refined_colors()
-        groups: dict[int, list[list[int]]] = {}
-        for v in range(gi.n):
-            classes = groups.setdefault(colors[v], [])
-            for cl in classes:
-                if _twins(gi.loops, gi.mult, cl[0], v):
-                    cl.append(v)
-                    break
-            else:
-                classes.append([v])
-        return [cl for classes in groups.values() for cl in classes]
 
-    def _slot_bits(self, vperm: Sequence[int]) -> tuple[int, ...]:
-        """Image bit of the slot at each mask bit; class offsets are kept."""
-        gi = self.gi
-        top = gi.nslots - 1
-        bits = [0] * gi.nslots
-        for (i, j, s, e) in gi.classes:
-            ts = gi.classes[gi.class_of_pair[tuple(sorted((vperm[i], vperm[j])))]][2]
-            for off in range(e - s):
-                bits[top - s - off] = 1 << (top - ts - off)
-        return tuple(bits)
+def _slot_bits(gi: GraphIndex, vperm: Sequence[int]) -> tuple[int, ...]:
+    """Image bit of the slot at each mask bit; class offsets are kept."""
+    top = gi.nslots - 1
+    bits = [0] * gi.nslots
+    for (i, j, s, e) in gi.classes:
+        ts = gi.classes[gi.class_of_pair[tuple(sorted((vperm[i], vperm[j])))]][2]
+        for off in range(e - s):
+            bits[top - s - off] = 1 << (top - ts - off)
+    return tuple(bits)

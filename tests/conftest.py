@@ -158,7 +158,7 @@ def prev_slots(gi) -> list[int]:
     return prev
 
 
-def count_vector_stream(gi, n: int):
+def count_vector_stream(g, n: int):
     """Every count-vector orbit representative, in lex order of (marks, counts).
 
     The placement quotient before supports: each mark set lex-least over the
@@ -166,11 +166,12 @@ def count_vector_stream(gi, n: int):
     under the mark set's stabilizer, compared slot by slot.  The vertex
     automorphisms are the distinct vertex maps of ``automorphisms()``.
     """
+    gi = graph_index(g)
     slot_of = {}
     for (i, j, start, _) in gi.classes:
         slot_of[(i, j)] = start
     vautos = sorted({tuple(gi.vpos[vmap[v]] for v in gi.vids)
-                     for vmap, _ in automorphisms(gi.g)})
+                     for vmap, _ in automorphisms(g)})
     prev = prev_slots(gi)
     for marks in sorted(
         m for size in range(min(n, gi.n) + 1)
@@ -248,7 +249,7 @@ def naive_is_n_ac(g, n: int):
     cached witness covers.
     """
     gi = graph_index(g)
-    for marks, cvec in count_vector_stream(gi, n):
+    for marks, cvec in count_vector_stream(g, n):
         if _find_covering_path(*count_vector_masks(gi, marks, cvec)) is None:
             return False, count_vector_placement(gi, marks, cvec)
     return True, None

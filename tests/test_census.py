@@ -121,6 +121,35 @@ class TestReducedMultigraphs:
             next(reduced_multigraphs(0))
 
 
+def test_census_path_leaves_no_cyclic_garbage():
+    # the census fill, the index and its symmetry, the level-3 test with its
+    # path search, and smooth build no reference cycle: everything they
+    # leave is freed by reference counting, none of it by the cyclic GC
+    import gc
+
+    from arcon import ac_number, smooth
+    from arcon.symmetry import graph_index
+
+    k33 = corpus.k33()
+    for e in k33.edges:
+        k33, _ = k33.subdivide(e.eid, 1)
+    gc.collect()
+    gc.disable()
+    try:
+        for k in range(1, 8):
+            for g in reduced_multigraphs(k):
+                is_planar(g)
+                canonical_form(g)
+                ac_number(g, cap=3)
+                graph_index(g).symmetry()
+                smooth(g)
+        smooth(k33)
+        del g, k33
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def nx_planar(g):
     nxg = nx.MultiGraph()
     nxg.add_nodes_from(g.vertices)
