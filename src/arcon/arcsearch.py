@@ -3,9 +3,11 @@
 A graph is n-arc connected when every n points lie on one arc.  Per
 placement, that is a concrete question: after realizing the interior points
 as vertices, does a simple path with marked endpoints visit every marked
-vertex?  ``covering_arc`` answers it by backtracking with a
-reachable-component prune; ``is_n_ac`` quantifies over one placement per
-automorphism orbit of (marked vertices, loaded edges).
+vertex?  ``covering_arc`` answers it by backtracking with two prunes: the
+unvisited marked vertices must lie in one component, and an arc has two
+ends, so at most one unvisited marked vertex may be left with a single way
+in.  ``is_n_ac`` quantifies over one placement per automorphism orbit of
+(marked vertices, loaded edges).
 """
 
 from __future__ import annotations
@@ -54,22 +56,38 @@ def _images(table: list[tuple[int, ...]], members: list[int]) -> Iterator[int]:
     return map(sum, zip(repeat(0, len(table)), *(map(itemgetter(x), table) for x in members)))
 
 
-def _dfs(nmask: list[int], marked: int, full: int, path: list[int], v: int,
-         visited: int) -> bool:
+def _dfs(nmask: list[int], marked: int, full: int, failed: int, path: list[int], v: int,
+         visited: int, ends: int) -> bool:
     """Extend ``path``, which ends at ``v`` and visits ``visited``, to cover
-    ``marked``; on failure ``path`` is left as it came."""
+    ``marked``; on failure ``path`` is left as it came.
+
+    ``ends`` holds the forced ends: the unvisited marked vertices with fewer
+    than two ways in, a way in being an unvisited neighbour or ``v``.  The
+    caller keeps it at most one vertex, and none of ``failed``.
+    """
     um = marked & ~visited
     comp = _reach(nmask, um & -um, full & ~visited)
     if um & ~comp:
         return False
     cand = nmask[v] & comp
+    # once the path leaves v, v is no way in: recount its unvisited marked neighbours
+    near = nmask[v] & um & ~ends
+    while near:
+        b = near & -near
+        near ^= b
+        ways = nmask[b.bit_length() - 1] & ~visited
+        if not ways & (ways - 1):
+            ends |= b
     while cand:
         b = cand & -cand
         cand ^= b
+        e = ends & ~b
+        if e & (e - 1) or e & failed:
+            continue  # two forced ends, or one no covering path ends at
         w = b.bit_length() - 1
         nv = visited | b
         path.append(w)
-        if b & marked and not (marked & ~nv) or _dfs(nmask, marked, full, path, w, nv):
+        if b & marked and not (marked & ~nv) or _dfs(nmask, marked, full, failed, path, w, nv, e):
             return True
         path.pop()
     return False
@@ -82,17 +100,40 @@ def _find_covering_path(nmask: list[int], marked: int) -> Optional[list[int]]:
     choices are taken in ascending index order, and the first completion wins.
     The depth-first search (``_dfs``, a module function, so no closure
     cycle per call) prunes a partial path once the unvisited marked
-    vertices no longer lie in one component of the unvisited graph.
+    vertices no longer lie in one component of the unvisited graph, and
+    once it leaves two forced ends.
+
+    The prune counts the arc's ends.  An unvisited marked vertex with fewer
+    than two ways in (unvisited neighbours, or the path's live end) can only
+    be the path's last vertex, so a partial path with two such vertices has
+    no completion.  A step from ``v`` to ``w`` takes a way in only from
+    ``v``'s neighbours, so the search updates the forced ends over those
+    alone.  When the search from a start ``s`` fails, no covering path ends
+    at ``s`` either, since its reverse would start there; so a forced end
+    that is an earlier failed start prunes too, and a start that leaves two
+    forced ends is not searched.  Only subtrees with no completion are cut
+    and the order is unchanged, so the path found is the one the plain
+    search finds.
     """
     if marked == 0:
         raise GraphError("no marked vertices")
     if marked & (marked - 1) == 0:
         return [marked.bit_length() - 1]
     full = (1 << len(nmask)) - 1
+    # with only the start visited, a way in is any neighbour
+    ends = 0
+    for u in _bits(marked):
+        ways = nmask[u]
+        if not ways & (ways - 1):
+            ends |= 1 << u
+    failed = 0
     for s in _bits(marked):
+        b = 1 << s
+        e = ends & ~b
         path = [s]
-        if _dfs(nmask, marked, full, path, s, 1 << s):
+        if not (e & (e - 1) or e & failed) and _dfs(nmask, marked, full, failed, path, s, b, e):
             return path
+        failed |= b
     return None
 
 
@@ -132,9 +173,10 @@ def covering_arc(gprime: Multigraph, marked: Iterable[Id]) -> Optional[ArcWitnes
     """Search ``gprime`` (loop-free) for a simple path covering ``marked``.
 
     Returns a validated witness or None when no such path exists.  The search
-    is exhaustive backtracking over (start, edge choices) with a pruning step
-    that abandons a partial path once some unvisited marked vertex is cut off
-    from its live end.
+    is exhaustive backtracking over (start, edge choices) that abandons a
+    partial path once some unvisited marked vertex is cut off from its live
+    end, or once two of them can only be the path's last vertex (see
+    ``_find_covering_path``).
     """
     marked = frozenset(marked)
     if not marked:

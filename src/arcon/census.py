@@ -171,9 +171,11 @@ def reduced_multigraphs(edge_count: int, max_edges: int = MAX_CENSUS_EDGES
     joins the census at a single edge.  ``_matrices`` cuts disconnected fills
     and most labeled duplicates while it fills (see there for the two exact
     prunes and why every class survives), and a canonical-form dedupe drops
-    the few duplicates left.  Deterministic order: vertex count, then degree
-    sequence, then descending matrix reading; each class is yielded as the
-    greatest labeling of its sorted degree sequence.
+    the few duplicates left.  The dedupe runs per degree sequence, since
+    graphs with different degree sequences are never isomorphic, so it holds
+    the codes of one sequence at a time.  Deterministic order: vertex count,
+    then degree sequence, then descending matrix reading; each class is
+    yielded as the greatest labeling of its sorted degree sequence.
     """
     if edge_count < 1:
         raise GraphError("edge_count must be >= 1")
@@ -181,10 +183,10 @@ def reduced_multigraphs(edge_count: int, max_edges: int = MAX_CENSUS_EDGES
         raise BoundExceeded(f"census limited to {max_edges} edges, asked for {edge_count}")
     if edge_count == 1:
         yield build(["a"], [("e0", "a", "a")])  # circle: the sanctioned degree-2 form
-    seen: set[bytes] = set()
     total = 2 * edge_count
     for vcount in range(1, edge_count + 2):
         for degseq in _degree_sequences(total, vcount):
+            seen: set[bytes] = set()  # graphs of other degree sequences are never isomorphic
             for loops, mult in _matrices(degseq):
                 g = _matrix_graph(loops, mult)
                 code = canonical_form(g)

@@ -140,7 +140,9 @@ class Multigraph:
         except KeyError:
             raise GraphError(f"unknown vertex {v!r}") from None
 
-    def incident(self, v: Id) -> tuple[Edge, ...]:
+    @property
+    def incidence(self) -> Mapping[Id, tuple[Edge, ...]]:
+        """The edges at each vertex in edge order, a loop listed once."""
         inc = self._cache.get("incident")
         if inc is None:
             inc = {u: [] for u in self._vertices}
@@ -150,8 +152,11 @@ class Multigraph:
                     inc[e.b].append(e)
             inc = {u: tuple(es) for u, es in inc.items()}
             self._cache["incident"] = inc
+        return inc
+
+    def incident(self, v: Id) -> tuple[Edge, ...]:
         try:
-            return inc[v]
+            return self.incidence[v]
         except KeyError:
             raise GraphError(f"unknown vertex {v!r}") from None
 
@@ -161,12 +166,13 @@ class Multigraph:
     def is_connected(self) -> bool:
         c = self._cache.get("connected")
         if c is None:
+            inc = self.incidence
             seen = {self._vertices[0]}
             stack = [self._vertices[0]]
             while stack:
                 u = stack.pop()
-                for e in self.incident(u):
-                    w = e.other(u)
+                for e in inc[u]:
+                    w = e.b if e.a == u else e.a
                     if w not in seen:
                         seen.add(w)
                         stack.append(w)
@@ -247,29 +253,48 @@ def smooth(g: Multigraph) -> Multigraph:
     degree-2 vertex a smoothed graph may contain.
 
     Each maximal chain through suppressible vertices becomes one edge that
-    keeps the idkey-least edge id of the chain; the surviving vertices keep
-    their ids, and a collapsed cycle keeps its idkey-greatest vertex.  An
-    already-smooth graph is returned as is.  Chains are found by walking the
-    segments out of the vertices that stay, so the cost is linear in the
-    graph.
+    keeps the idkey-least edge id of the chain, directed from its later end
+    in vertex order to its earlier one (a chain that closes into a loop is a
+    loop at its one kept vertex); the surviving vertices keep their ids, and
+    a collapsed cycle keeps its idkey-greatest vertex.  An already-smooth
+    graph is returned as is.  Each chain is walked once, from its first edge
+    in edge order (so the idkey-least one) out to both kept ends, so the
+    cost is linear in the graph.
     """
     if not g.is_connected():
         raise GraphError("smooth expects a connected graph")
     if "smoothed" in g._cache:
         return g._cache["smoothed"] or g
-    keep = [v for v in g.vertices if _suppressible(g, v) is None]
+    deg, inc = g.degrees, g.incidence
+    # a degree-2 vertex with two distinct edges is suppressible; one reached
+    # along a non-loop edge always has two, since a loop would use up its degree
+    keep = [v for v in g.vertices if deg[v] != 2 or len(inc[v]) == 1]
     if len(keep) == len(g.vertices):
         s = g
     elif not keep:  # a cycle
         v = g.vertices[-1]
         s = Multigraph([v], [Edge(g.edges[0].eid, v, v)])
     else:
-        merged: dict[Id, Edge] = {}  # each chain is walked from both ends
-        for v in keep:
-            for seg in segments_from(g, v):
-                eid = min((e.eid for e in seg.edges), key=idkey)
-                merged[eid] = Edge(eid, seg.start, seg.end)
-        s = Multigraph(keep, merged.values())
+        merged = []
+        done: set[Id] = set()  # ids of the edges past the first of a walked chain
+        for e in g.edges:
+            if e.eid in done:
+                continue
+            if e.a == e.b:  # a loop sits at a kept vertex
+                merged.append(e)
+                continue
+            ends = []
+            for cur in (e.a, e.b):
+                last = e
+                while deg[cur] == 2:
+                    f, h = inc[cur]
+                    last = h if f is last else f
+                    done.add(last.eid)
+                    cur = last.b if last.a == cur else last.a
+                ends.append(cur)
+            x, y = ends
+            merged.append(Edge(e.eid, y, x) if idkey(x) < idkey(y) else Edge(e.eid, x, y))
+        s = Multigraph(keep, merged)
     g._cache["smoothed"] = None if s is g else s  # None: no cycle through the cache
     return s
 

@@ -146,7 +146,8 @@ def _supports(total: int, nslots: int, ends: Container[int], mm: int = 0,
     vectors.  ``ends`` holds the last slot of each parallel class; the loaded
     slots of a class form a suffix of it, because any other support is the
     image of one of these under a parallel-edge swap.  Each recursion level
-    places one point, so the depth is at most ``total``.
+    (``_support_level``, a module generator, so no closure cycle per mark
+    set) places one point, so the depth is at most ``total``.
 
     The supports that a witness of ``index`` holds together with the marks
     ``mm`` are left out.  Each recursion level carries ``hs``, the
@@ -158,31 +159,36 @@ def _supports(total: int, nslots: int, ends: Container[int], mm: int = 0,
     """
     if index is None:
         index = _WitnessIndex((), 0, nslots)
-    witnesses, slot, tail = index.witnesses, index.slot, index.tail
     if total == 0:
         if not index.holding(mm, 0):
             yield 0
         return
-    top = nslots - 1
+    # the state every level shares: (top, ends, mm, index, witnesses, slot, tail)
+    yield from _support_level((nslots - 1, ends, mm, index, index.witnesses, index.slot,
+                               index.tail), 0, total, False, 0, index.holding(mm, 0), index.count)
 
-    def rec(lo: int, rem: int, forced: bool, sm: int, hs: int, known: int):
-        # hs: the witnesses among the first ``known`` that hold mm and sm
-        # the first loaded slot runs from the last slot down, so the vectors
-        # with more leading zeros come first
-        for f in (lo,) if forced else range(top, lo - 1, -1):
+
+def _support_level(st: tuple, lo: int, rem: int, forced: bool, sm: int, hs: int, known: int
+                   ) -> Iterator[int]:
+    """The supports that add ``rem`` points to ``sm`` on slots from ``lo`` on.
+
+    ``hs``: the witnesses among the first ``known`` that hold ``mm`` and ``sm``.
+    """
+    top, ends, mm, index, witnesses, slot, tail = st
+    # the first loaded slot runs from the last slot down, so the vectors
+    # with more leading zeros come first
+    for f in (lo,) if forced else range(top, lo - 1, -1):
+        if len(witnesses) != known:
+            hs, known = index.holding(mm, sm), index.count
+        if hs & tail[lo]:
+            return
+        if rem > 1:
+            yield from _support_level(st, f + 1, rem - 1, f not in ends, sm | 1 << (top - f),
+                                      hs & slot[f], known)
             if len(witnesses) != known:
                 hs, known = index.holding(mm, sm), index.count
-            if hs & tail[lo]:
-                return
-            if rem > 1:
-                yield from rec(f + 1, rem - 1, f not in ends, sm | 1 << (top - f),
-                               hs & slot[f], known)
-                if len(witnesses) != known:
-                    hs, known = index.holding(mm, sm), index.count
-            if f in ends and not hs & slot[f]:
-                yield sm | 1 << (top - f)
-
-    yield from rec(0, total, False, 0, index.holding(mm, 0), index.count)
+        if f in ends and not hs & slot[f]:
+            yield sm | 1 << (top - f)
 
 
 def iter_placements_indexed(gi: GraphIndex, n: int,
@@ -197,8 +203,9 @@ def iter_placements_indexed(gi: GraphIndex, n: int,
     size, ``v(S) < v(T)`` exactly when the indicator of S is lex-smaller,
     which is the integer compare of their masks.
 
-    Mark sets are walked depth first, each sorted tuple before its
-    extensions by larger vertices, which is the lex order of the tuples.
+    Mark sets are walked depth first (``_mark_node``, a module generator),
+    each sorted tuple before its extensions by larger vertices, which is
+    the lex order of the tuples.
     Each node carries the image keys of its mark set under every
     automorphism, so a child adds one bit per image.  A node with an image
     key greater than its own is rejected together with its whole subtree:
@@ -229,31 +236,37 @@ def iter_placements_indexed(gi: GraphIndex, n: int,
     every entry in it is the shadow of a real arc.
     """
     autos = gi.symmetry().autos
-    top = gi.n - 1
     ends = {end - 1 for (_, _, _, end) in gi.classes}
     index = _WitnessIndex(witnesses, gi.n, gi.nslots)
+    # the state every node shares: (n, nverts, nslots, autos, ends, index)
+    yield from _mark_node((n, gi.n, gi.nslots, autos, ends, index), 0, 0, 0, 0, [0] * len(autos))
 
-    def walk(lo: int, k: int, key: int, mm: int, imgs: list[int]):
-        # imgs[i]: image key of the mark set under autos[i], none above key
-        stab = [sbits for (_, sbits), img in zip(autos, imgs) if img == key]
-        for sm in _supports(n - k, gi.nslots, ends, mm, index):
-            bits = _bits(sm)
-            if all(sum(map(sbits.__getitem__, bits)) >= sm for sbits in stab):
-                yield mm, sm
-        if k == n:
-            return
-        for v in range(lo, gi.n):
-            ckey = key | 1 << (top - v)
-            cimgs = []
-            for (vbits, _), img in zip(autos, imgs):
-                img |= vbits[v]
-                if img > ckey:
-                    break
-                cimgs.append(img)
-            else:
-                yield from walk(v + 1, k + 1, ckey, mm | 1 << v, cimgs)
 
-    yield from walk(0, 0, 0, 0, [0] * len(autos))
+def _mark_node(st: tuple, lo: int, k: int, key: int, mm: int, imgs: list[int]
+               ) -> Iterator[tuple[int, int]]:
+    """The representatives with the ``k`` marks ``mm`` or their extensions from ``lo`` on.
+
+    ``imgs[i]``: the image key of the mark set under ``autos[i]``, none above ``key``.
+    """
+    n, nverts, nslots, autos, ends, index = st
+    stab = [sbits for (_, sbits), img in zip(autos, imgs) if img == key]
+    for sm in _supports(n - k, nslots, ends, mm, index):
+        bits = _bits(sm)
+        if all(sum(map(sbits.__getitem__, bits)) >= sm for sbits in stab):
+            yield mm, sm
+    if k == n:
+        return
+    top = nverts - 1
+    for v in range(lo, nverts):
+        ckey = key | 1 << (top - v)
+        cimgs = []
+        for (vbits, _), img in zip(autos, imgs):
+            img |= vbits[v]
+            if img > ckey:
+                break
+            cimgs.append(img)
+        else:
+            yield from _mark_node(st, v + 1, k + 1, ckey, mm | 1 << v, cimgs)
 
 
 def enumerate_placements(g: Multigraph, n: int) -> Iterator[Placement]:

@@ -119,6 +119,56 @@ def naive_smooth(g):
         cur = Multigraph([u for u in cur.vertices if u != v], edges)
 
 
+def _reference_reach(nmask, seed: int, allowed: int) -> int:
+    reach = frontier = seed
+    while frontier:
+        nxt = 0
+        for v in range(len(nmask)):
+            if frontier >> v & 1:
+                nxt |= nmask[v]
+        frontier = nxt & allowed & ~reach
+        reach |= frontier
+    return reach
+
+
+def _reference_dfs(nmask, marked, full, path, v, visited) -> bool:
+    um = marked & ~visited
+    comp = _reference_reach(nmask, um & -um, full & ~visited)
+    if um & ~comp:
+        return False
+    cand = nmask[v] & comp
+    while cand:
+        b = cand & -cand
+        cand ^= b
+        w = b.bit_length() - 1
+        nv = visited | b
+        path.append(w)
+        if b & marked and not (marked & ~nv) or _reference_dfs(nmask, marked, full, path, w, nv):
+            return True
+        path.pop()
+    return False
+
+
+def reference_covering_path(nmask, marked):
+    """The covering-path search with the component prune alone.
+
+    Same start order and branch order as ``_find_covering_path``, and the
+    first completion wins, so the end-counting search must match it path
+    for path.
+    """
+    if marked == 0:
+        raise GraphError("no marked vertices")
+    if marked & (marked - 1) == 0:
+        return [marked.bit_length() - 1]
+    full = (1 << len(nmask)) - 1
+    for s in range(len(nmask)):
+        if marked >> s & 1:
+            path = [s]
+            if _reference_dfs(nmask, marked, full, path, s, 1 << s):
+                return path
+    return None
+
+
 def compositions(total: int, nslots: int, prev_slot) -> Iterator[tuple[int, ...]]:
     """Count vectors summing to ``total``, lex ascending, class-sorted.
 

@@ -25,12 +25,18 @@ prints one line per fingerprint, ``name items sha256``:
 * ``groups``: the ``PlacementSymmetry.autos`` list, order included, of
   K3,3, ``double_circle(4)``, ``double_circle(5)``, ``star(6)`` and
   ``star(7)``, each as given and with every edge subdivided once, and of
-  ``star(8)``.
+  ``star(8)``;
+* ``smoothed``: the vertices and oriented edges of ``smooth`` on three
+  seeded random subdivisions of every census class up to 7 edges;
+* ``paths``: the input and the returned path of every
+  ``_find_covering_path`` call that ``ac_number`` makes on the census up
+  to 8 edges.
 
 Marks are written sorted, so the digests do not depend on the hash seed.
 Run it on two checkouts: equal digests mean equal verdicts, counterexamples,
 scan order, symmetry data, planarity verdicts, spoked counterexample
-streams and large automorphism groups on these inputs.  A change that
+streams, large automorphism groups, smoothed forms and covering paths on
+these inputs.  A change that
 keeps the verdicts but picks other counterexamples shows as equal
 ``verdicts`` and different ``profiles``.
 The full run takes under a minute on a 2-core host.  The file is not a
@@ -40,16 +46,18 @@ test module, so pytest does not collect it.
 from __future__ import annotations
 
 import hashlib
+import random
 import sys
 from itertools import islice
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from arcon import ac_number, canonical_form, corpus, enumerate_placements, is_planar  # noqa: E402
+from arcon import (  # noqa: E402
+    ac_number, arcsearch, canonical_form, corpus, enumerate_placements, is_planar)
 from arcon.arcsearch import _uncovered  # noqa: E402
 from arcon.census import reduced_multigraphs  # noqa: E402
-from arcon.multigraph import BoundExceeded, idkey  # noqa: E402
+from arcon.multigraph import BoundExceeded, Multigraph, idkey, smooth  # noqa: E402
 from arcon.symmetry import graph_index  # noqa: E402
 
 
@@ -136,6 +144,35 @@ def main() -> None:
         d.add(name, graph_index(g).symmetry().autos)
         d.add(name + " refined", graph_index(subdivided(g)).symmetry().autos)
     d.add("star(8)", graph_index(corpus.star(8)).symmetry().autos)
+    print(d.line(), flush=True)
+
+    d = Digest("smoothed")
+    rng = random.Random(17)
+    for k in range(1, 8):
+        for g in census[k]:
+            for _ in range(3):
+                h = g
+                for _ in range(rng.randint(1, 3)):
+                    h, _ = h.subdivide(rng.choice(h.edges).eid, rng.randint(1, 3))
+                s = smooth(h)
+                d.add(k, s.vertices, s.edges)
+    print(d.line(), flush=True)
+
+    d = Digest("paths")
+    search = arcsearch._find_covering_path
+
+    def recorded(nmask, marked):
+        path = search(nmask, marked)
+        d.add(nmask, marked, path)
+        return path
+
+    arcsearch._find_covering_path = recorded
+    try:
+        for k in range(1, 9):
+            for g in census[k]:
+                ac_number(Multigraph(g.vertices, g.edges))  # a fresh copy: nothing cached
+    finally:
+        arcsearch._find_covering_path = search
     print(d.line(), flush=True)
 
 

@@ -4,6 +4,7 @@ from itertools import islice
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arcon import (
     GraphError,
@@ -21,7 +22,14 @@ from arcon.obstructions import RULE_3CUT, RULE_3ENDS, RULE_3LEAF, leaf_block_obs
 from arcon.placements import Placement, _to_placement, realize
 from arcon.symmetry import GraphIndex, graph_index
 
-from conftest import naive_is_n_ac, randomly_subdivided, raw_ac_label, refined, relabeled
+from conftest import (
+    naive_is_n_ac,
+    randomly_subdivided,
+    raw_ac_label,
+    reference_covering_path,
+    refined,
+    relabeled,
+)
 
 
 def spy_is_n_ac(monkeypatch):
@@ -87,6 +95,83 @@ class TestCoveringArc:
         assert w is not None
         assert w.vertices[0] in marked and w.vertices[-1] in marked
         assert marked <= set(w.vertices)
+
+
+@st.composite
+def search_inputs(draw, max_vertices=12):
+    """A connected loop-free adjacency-mask list and a nonempty marked mask."""
+    n = draw(st.integers(1, max_vertices))
+    nmask = [0] * n
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]  # a spanning tree
+    if n > 1:
+        pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               max_size=2 * n))
+    for a, b in pairs:
+        if a != b:
+            nmask[a] |= 1 << b
+            nmask[b] |= 1 << a
+    return nmask, draw(st.integers(1, (1 << n) - 1))
+
+
+class TestCoveringPathSearch:
+    """The end-counting prune cuts only subtrees with no completion."""
+
+    @settings(max_examples=300)
+    @given(search_inputs())
+    def test_matches_reference_on_random_graphs(self, case):
+        nmask, marked = case
+        assert arcsearch._find_covering_path(nmask, marked) == \
+            reference_covering_path(nmask, marked)
+
+    def test_matches_reference_on_ac_number_searches(self, monkeypatch, census_to_six):
+        real = arcsearch._find_covering_path
+        searches = []
+
+        def compared(nmask, marked):
+            path = real(nmask, marked)
+            assert path == reference_covering_path(nmask, marked), (nmask, marked)
+            searches.append(path)
+            return path
+
+        monkeypatch.setattr(arcsearch, "_find_covering_path", compared)
+        for g in census_to_six:
+            ac_number(g)
+            ac_number(randomly_subdivided(g, random.Random(len(searches)), 2, 2))
+        assert None in searches and len(searches) > len(census_to_six)
+
+    def test_star_leaves_need_no_search(self, monkeypatch):
+        # each start leaves the other two leaves as forced ends
+        calls = []
+        real = arcsearch._dfs
+
+        def spy(*a):
+            calls.append(a)
+            return real(*a)
+
+        monkeypatch.setattr(arcsearch, "_dfs", spy)
+        assert covering_arc(corpus.star(3), {"l0", "l1", "l2"}) is None
+        assert calls == []
+        assert covering_arc(corpus.star(3), {"l0", "l1"}) is not None
+        assert calls
+
+    def test_failed_start_is_no_end(self, monkeypatch):
+        # hub c=3 with leaves p=0 and q=1 and a branch c - m=2 - r=4, marks
+        # p, q, m: p and q are forced ends, so the start at m is skipped, and
+        # once the start at p fails, so is the one at q (p is a forced end
+        # that failed)
+        starts = []
+        real = arcsearch._dfs
+
+        def spy(nmask, marked, full, failed, path, v, visited, ends):
+            if visited == 1 << v:
+                starts.append(v)
+            return real(nmask, marked, full, failed, path, v, visited, ends)
+
+        monkeypatch.setattr(arcsearch, "_dfs", spy)
+        nmask = [0b1000, 0b1000, 0b11000, 0b111, 0b100]
+        assert arcsearch._find_covering_path(nmask, 0b111) is None
+        assert reference_covering_path(nmask, 0b111) is None
+        assert starts == [0]
 
 
 class TestIsNAc:

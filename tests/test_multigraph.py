@@ -18,7 +18,7 @@ from arcon import (
     terminal_edges,
 )
 from arcon import corpus
-from arcon.multigraph import Edge, Multigraph
+from arcon.multigraph import Edge, Multigraph, idkey
 
 from conftest import naive_smooth, randomly_subdivided, relabeled
 
@@ -147,6 +147,43 @@ def assert_same_smoothing(g):
     assert (got is g) == (want is g)
 
 
+def chain_smoothing(g):
+    """``smooth(g)`` by union-find over the edges that meet at suppressible vertices.
+
+    Each class is a chain; its merged edge keeps the idkey-least id and runs
+    from the chain's later kept end (in vertex order) to its earlier one.  A
+    cycle becomes a loop at the idkey-greatest vertex.
+    """
+    parent = {e.eid: e.eid for e in g.edges}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    suppressed = set()
+    for v in g.vertices:
+        inc = g.incident(v)
+        if g.degree(v) == 2 and len(inc) == 2:
+            suppressed.add(v)
+            parent[find(inc[0].eid)] = find(inc[1].eid)
+    if not suppressed:
+        return g
+    chains = {}
+    for e in g.edges:
+        chains.setdefault(find(e.eid), []).append(e)
+    kept = [v for v in g.vertices if v not in suppressed]
+    if not kept:
+        v = g.vertices[-1]
+        return Multigraph([v], [Edge(min(parent, key=idkey), v, v)])
+    merged = []
+    for chain in chains.values():
+        eid = min((e.eid for e in chain), key=idkey)
+        ends = sorted({x for e in chain for x in (e.a, e.b) if x not in suppressed}, key=idkey)
+        merged.append(Edge(eid, ends[-1], ends[0]))
+    return Multigraph(kept, merged)
+
+
 class TestSmooth:
     def test_path_to_edge(self):
         g = build("abc", [("a", "b"), ("b", "c")])
@@ -192,6 +229,46 @@ class TestSmooth:
     @given(graphs_connected)
     def test_matches_naive_on_random(self, g):
         assert_same_smoothing(g)
+
+    def test_chain_closing_into_a_loop(self):
+        # a - b - c - a through two suppressible vertices, and a whisker a - d
+        g = build("abcd", [("z", "a", "b"), ("c1", "b", "c"), ("m", "c", "a"), ("w", "a", "d")])
+        assert smooth(g) == Multigraph("ad", [Edge("c1", "a", "a"), Edge("w", "d", "a")])
+
+    def test_parallel_chains(self):
+        # three chains between u and v, subdivided differently; each keeps
+        # its least id and runs from v to u
+        g = build(["u", "v", 1, 2, 3], [("k", "u", 1), ("b", 1, "v"), ("j", "v", 2),
+                                        ("h", 2, 3), ("a", 3, "u"), ("q", "u", "v")])
+        assert smooth(g) == Multigraph(["u", "v"], [
+            Edge("b", "v", "u"), Edge("a", "v", "u"), Edge("q", "v", "u")])
+
+    def test_loops_at_kept_vertices(self):
+        # a lone loop is the circle form; a loop at a branch point stays as it is
+        c = corpus.circle()
+        assert smooth(c) is c
+        g = build("axyb", [("e0", "a", "a"), ("e3", "a", "x"), ("e1", "x", "y"),
+                           ("e2", "y", "b")])
+        assert smooth(g) == Multigraph("ab", [Edge("e0", "a", "a"), Edge("e1", "b", "a")])
+
+    def test_pure_cycle(self):
+        g = build([2, 0, 1, 3], [("f", 0, 1), ("d", 1, 2), ("e", 2, 3), ("g", 3, 0)])
+        assert smooth(g) == Multigraph([3], [Edge("d", 3, 3)])
+
+    def test_orientation_and_ids_on_subdivided_census(self, small_census):
+        rng = random.Random(13)
+        for graphs in small_census.values():
+            for g in graphs:
+                assert smooth(g) == chain_smoothing(g)
+                for _ in range(2):
+                    h = randomly_subdivided(g, rng, 3, 3)
+                    assert smooth(h) == chain_smoothing(h)
+                    r = relabeled(h, rng)  # string ids, in another order
+                    assert smooth(r) == chain_smoothing(r)
+
+    @given(graphs_connected)
+    def test_orientation_and_ids_on_random(self, g):
+        assert smooth(g) == chain_smoothing(g)
 
     @given(graphs_connected)
     def test_idempotent(self, g):

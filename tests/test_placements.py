@@ -283,3 +283,26 @@ class TestRealize:
             Placement.of(g, ["zzz"], {})
         with pytest.raises(GraphError):
             Placement.of(g, [], {"nope": 1})
+
+
+def test_scans_leave_no_cyclic_garbage():
+    # the mark-set walk and the support levels are module generators that
+    # share one state tuple, so a scan builds no self-referring closure and
+    # everything it leaves is freed by reference counting
+    import gc
+
+    from arcon import ac_number, is_n_ac
+
+    gc.collect()
+    gc.disable()
+    try:
+        for k in range(1, 8):
+            for g in reduced_multigraphs(k):
+                ac_number(g, cap=7)
+        for g in (corpus.k33(), corpus.double_circle(4)):
+            for n in range(2, 7):
+                is_n_ac(g, n)
+        del g
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
