@@ -208,7 +208,18 @@ def covering_arc(gprime: Multigraph, marked: Iterable[Id]) -> Optional[ArcWitnes
 
 def _covered(gi: GraphIndex, p: Placement) -> bool:
     """Does one arc cover the placement ``p`` of ``gi``'s graph?"""
-    return _find_covering_path(*_realize_masks(gi, *_shadow(gi, p))) is not None
+    return _find_covering_path(*_realize_masks(gi.n, gi.slot_pairs, *_shadow(gi, p))) is not None
+
+
+def _covered_raw(g: Multigraph, p: Placement) -> bool:
+    """``_covered`` read straight from ``g``'s edges, in edge order, with no index."""
+    vpos = {v: i for i, v in enumerate(g.vertices)}
+    cm = p.count_map()
+    top = len(g.edges) - 1
+    mm = sum(1 << vpos[v] for v in p.marks)
+    sm = sum(1 << (top - k) for k, e in enumerate(g.edges) if cm.get(e.eid))
+    pairs = [(vpos[e.a], vpos[e.b]) for e in g.edges]
+    return _find_covering_path(*_realize_masks(len(vpos), pairs, mm, sm)) is not None
 
 
 def _uncovered(gi: GraphIndex, n: int) -> Iterator[tuple[int, int]]:
@@ -233,7 +244,7 @@ def _uncovered(gi: GraphIndex, n: int) -> Iterator[tuple[int, int]]:
     witnesses: list[tuple[int, int]] = []
     fixed, vbs, sbs = -1, [], []
     for mm, sm in iter_placements_indexed(gi, n, witnesses):
-        path = _find_covering_path(*_realize_masks(gi, mm, sm))
+        path = _find_covering_path(*_realize_masks(gi.n, gi.slot_pairs, mm, sm))
         if path is None:
             yield mm, sm
             continue
@@ -344,7 +355,9 @@ def ac_number(g: Multigraph, cap: int = 7) -> AcProfile:
     surviving vertex ids and the idkey-least edge id of each merged chain, and
     points inside one piece of a chain sit in the same space as points inside
     the merged edge.  When smoothing changed the graph, the counterexample is
-    certified once more on ``g`` itself by the exhaustive path search.
+    certified once more on ``g`` itself by the exhaustive path search, on a
+    realization read from ``g``'s edges (``_covered_raw``), so no index of
+    ``g`` is built.
     """
     if cap < 2:
         raise GraphError("cap must be >= 2")
@@ -364,8 +377,7 @@ def ac_number(g: Multigraph, cap: int = 7) -> AcProfile:
                 raise GraphError("internal: level-3 leaf-block placement is covered")
         verdicts.append((n, ok))
         if not ok:
-            # a one-off index of g, not kept in its cache
-            if s is not g and _covered(GraphIndex(g), c):
+            if s is not g and _covered_raw(g, c):
                 raise GraphError(f"internal: level-{n} counterexample of the smoothed "
                                  "graph is covered on the input graph")
             cex, cexn = c, n

@@ -49,7 +49,7 @@ def _load(path: str) -> Multigraph:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_graph_text(fh.read())
-    except (ParseError, GraphError, OSError) as exc:
+    except (ParseError, GraphError, OSError, UnicodeDecodeError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
 
@@ -226,7 +226,7 @@ def search_cmd(edges_min: int, edges_max: int, planar: bool, profile_expr: str,
                    "ac": rec.ac, "omega": rec.omega}, as_json)
         progress.report()
         _emit({"matches": progress.matches}, as_json)
-    except GraphError as exc:
+    except (GraphError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
 

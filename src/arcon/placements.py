@@ -153,42 +153,53 @@ def _supports(total: int, nslots: int, ends: Container[int], mm: int = 0,
     ``mm`` are left out.  Each recursion level carries ``hs``, the
     witnesses that hold ``mm`` and its partial support: a leaf adding slot
     ``f`` is covered exactly when ``hs & slot[f]`` is nonzero, and a level
-    returns when ``hs & tail[lo]`` is, since one witness then holds every
-    support below it.  The consumer may append to the list between yields,
-    so a level reads ``hs`` afresh after a yield once the list has grown.
+    from ``lo`` on is covered as a whole when ``hs & tail[lo]`` is, since
+    one witness then holds every support below it.  That test is made
+    before a level is entered, so a covered level is never created.  The
+    consumer may append to the list only while a yield is suspended, so a
+    level's view stays current between yields: it re-reads ``hs`` only
+    after a yield of its own or of a child, once the list has grown, and
+    tests its tail right after.  A stale view would still be sound, since
+    it holds only witnesses of the longer list.
     """
     if index is None:
         index = _WitnessIndex((), 0, nslots)
+    hs = index.holding(mm, 0)
     if total == 0:
-        if not index.holding(mm, 0):
+        if not hs:
             yield 0
-        return
-    # the state every level shares: (top, ends, mm, index, witnesses, slot, tail)
-    yield from _support_level((nslots - 1, ends, mm, index, index.witnesses, index.slot,
-                               index.tail), 0, total, False, 0, index.holding(mm, 0), index.count)
+    elif not hs & index.tail[0]:
+        # the state every level shares: (top, ends, mm, index, witnesses, slot, tail)
+        yield from _support_level((nslots - 1, ends, mm, index, index.witnesses, index.slot,
+                                   index.tail), 0, total, False, 0, hs, index.count)
 
 
 def _support_level(st: tuple, lo: int, rem: int, forced: bool, sm: int, hs: int, known: int
                    ) -> Iterator[int]:
     """The supports that add ``rem`` points to ``sm`` on slots from ``lo`` on.
 
-    ``hs``: the witnesses among the first ``known`` that hold ``mm`` and ``sm``.
+    ``hs``: the witnesses among the first ``known`` that hold ``mm`` and
+    ``sm``; the caller has checked that ``hs & tail[lo]`` is zero.
     """
     top, ends, mm, index, witnesses, slot, tail = st
     # the first loaded slot runs from the last slot down, so the vectors
     # with more leading zeros come first
     for f in (lo,) if forced else range(top, lo - 1, -1):
-        if len(witnesses) != known:
-            hs, known = index.holding(mm, sm), index.count
-        if hs & tail[lo]:
-            return
-        if rem > 1:
+        hf = hs & slot[f]
+        if rem > 1 and not hf & tail[f + 1]:
             yield from _support_level(st, f + 1, rem - 1, f not in ends, sm | 1 << (top - f),
-                                      hs & slot[f], known)
+                                      hf, known)
             if len(witnesses) != known:
                 hs, known = index.holding(mm, sm), index.count
-        if f in ends and not hs & slot[f]:
+                if hs & tail[lo]:
+                    return
+                hf = hs & slot[f]
+        if f in ends and not hf:
             yield sm | 1 << (top - f)
+            if len(witnesses) != known:
+                hs, known = index.holding(mm, sm), index.count
+                if hs & tail[lo]:
+                    return
 
 
 def iter_placements_indexed(gi: GraphIndex, n: int,
@@ -288,20 +299,24 @@ def enumerate_placements(g: Multigraph, n: int) -> Iterator[Placement]:
 # -- realization ---------------------------------------------------------------
 
 
-def _realize_masks(gi: GraphIndex, mm: int, sm: int) -> tuple[list[int], int]:
-    """Adjacency bitmasks of the shadow's realization, and its marked mask.
+def _realize_masks(nverts: int, slot_pairs: Sequence[tuple[int, int]], mm: int, sm: int
+                   ) -> tuple[list[int], int]:
+    """Adjacency bitmasks of a shadow's realization, and its marked mask.
 
-    Each loaded slot gets one marked vertex, the k-th loaded slot (in slot
-    order) vertex ``gi.n + k``: on a non-loop slot between its two ends, on
-    a loop hanging off the loop's vertex.  An empty non-loop slot is a
-    direct adjacency and an empty loop is left out, since no simple path
-    with marked ends can use it.  Parallel edges collapse to one adjacency
-    bit, which is harmless for vertex-simple path existence.
+    The graph has ``nverts`` vertices and one slot per entry of
+    ``slot_pairs``, the slot's two end vertices (``GraphIndex.slot_pairs``,
+    or a graph's edges in edge order).  Each loaded slot gets one marked
+    vertex, the k-th loaded slot (in slot order) vertex ``nverts + k``: on
+    a non-loop slot between its two ends, on a loop hanging off the loop's
+    vertex.  An empty non-loop slot is a direct adjacency and an empty loop
+    is left out, since no simple path with marked ends can use it.
+    Parallel edges collapse to one adjacency bit, which is harmless for
+    vertex-simple path existence.
     """
-    nmask = [0] * gi.n
+    nmask = [0] * nverts
     marked = mm
-    top = gi.nslots - 1
-    for s, (i, j) in enumerate(gi.slot_pairs):
+    top = len(slot_pairs) - 1
+    for s, (i, j) in enumerate(slot_pairs):
         if sm >> (top - s) & 1:
             x = len(nmask)
             b = 1 << x
@@ -319,7 +334,7 @@ def _realize_masks(gi: GraphIndex, mm: int, sm: int) -> tuple[list[int], int]:
 
 
 def _path_shadow(gi: GraphIndex, sm: int, path: list[int]) -> tuple[int, int]:
-    """The base-graph shadow of a path found in ``_realize_masks(gi, mm, sm)``.
+    """The base-graph shadow of a path found in the realization of ``(mm, sm)``.
 
     Returns ``(vmask, slots)``: the base vertices on the path, and the mask
     of the edge slots the arc it stands for meets in a nondegenerate

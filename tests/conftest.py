@@ -17,7 +17,7 @@ from hypothesis import settings
 from arcon import build, canonical_form, is_n_ac
 from arcon.arcsearch import _find_covering_path
 from arcon.multigraph import Edge, GraphError, Multigraph, _suppressible, idkey
-from arcon.placements import Placement
+from arcon.placements import Placement, _WitnessIndex
 from arcon.symmetry import automorphisms, graph_index
 
 settings.register_profile("ci", deadline=None, max_examples=40)
@@ -167,6 +167,41 @@ def reference_covering_path(nmask, marked):
             if _reference_dfs(nmask, marked, full, path, s, 1 << s):
                 return path
     return None
+
+
+def reference_supports(total: int, nslots: int, ends, mm: int = 0, index=None):
+    """The support walk that tests every level's tail on entry.
+
+    A copy of the walk before levels were checked ahead of descent: each
+    level is entered, and every loop turn compares the witness count with
+    its view's before the tail test.  It yields the same stream as
+    ``_supports`` for any consumer that appends only between yields.
+    """
+    if index is None:
+        index = _WitnessIndex((), 0, nslots)
+    if total == 0:
+        if not index.holding(mm, 0):
+            yield 0
+        return
+    yield from _reference_support_level(
+        (nslots - 1, ends, mm, index, index.witnesses, index.slot, index.tail),
+        0, total, False, 0, index.holding(mm, 0), index.count)
+
+
+def _reference_support_level(st, lo, rem, forced, sm, hs, known):
+    top, ends, mm, index, witnesses, slot, tail = st
+    for f in (lo,) if forced else range(top, lo - 1, -1):
+        if len(witnesses) != known:
+            hs, known = index.holding(mm, sm), index.count
+        if hs & tail[lo]:
+            return
+        if rem > 1:
+            yield from _reference_support_level(st, f + 1, rem - 1, f not in ends,
+                                                sm | 1 << (top - f), hs & slot[f], known)
+            if len(witnesses) != known:
+                hs, known = index.holding(mm, sm), index.count
+        if f in ends and not hs & slot[f]:
+            yield sm | 1 << (top - f)
 
 
 def compositions(total: int, nslots: int, prev_slot) -> Iterator[tuple[int, ...]]:

@@ -30,13 +30,18 @@ prints one line per fingerprint, ``name items sha256``:
   seeded random subdivisions of every census class up to 7 edges;
 * ``paths``: the input and the returned path of every
   ``_find_covering_path`` call that ``ac_number`` makes on the census up
-  to 8 edges.
+  to 8 edges;
+* ``scan``: every ``(mm, sm)`` that ``iter_placements_indexed`` yields to
+  ``_uncovered`` on K3,3 and ``double_circle(4)``, each as given and with
+  every edge subdivided once, n = 2..6 (the subdivided
+  ``double_circle(4)`` only up to n = 5): the stream the witness list
+  prunes, which the verdicts alone do not show.
 
 Marks are written sorted, so the digests do not depend on the hash seed.
 Run it on two checkouts: equal digests mean equal verdicts, counterexamples,
 scan order, symmetry data, planarity verdicts, spoked counterexample
-streams, large automorphism groups, smoothed forms and covering paths on
-these inputs.  A change that
+streams, large automorphism groups, smoothed forms, covering paths and
+scanned representatives on these inputs.  A change that
 keeps the verdicts but picks other counterexamples shows as equal
 ``verdicts`` and different ``profiles``.
 The full run takes under a minute on a 2-core host.  The file is not a
@@ -173,6 +178,27 @@ def main() -> None:
                 ac_number(Multigraph(g.vertices, g.edges))  # a fresh copy: nothing cached
     finally:
         arcsearch._find_covering_path = search
+    print(d.line(), flush=True)
+
+    d = Digest("scan")
+    scan = arcsearch.iter_placements_indexed
+
+    def scanned(gi, n, witnesses=()):
+        for mm, sm in scan(gi, n, witnesses):
+            d.add(label, n, mm, sm)
+            yield mm, sm
+
+    arcsearch.iter_placements_indexed = scanned
+    try:
+        for name, g in (("k33", corpus.k33()), ("double_circle(4)", corpus.double_circle(4))):
+            for label, h, top in ((name, g, 6), (name + " refined", subdivided(g),
+                                                 5 if name == "double_circle(4)" else 6)):
+                gi = graph_index(h)
+                for n in range(2, top + 1):
+                    for _ in _uncovered(gi, n):
+                        pass
+    finally:
+        arcsearch.iter_placements_indexed = scan
     print(d.line(), flush=True)
 
 

@@ -4,7 +4,7 @@ from itertools import islice
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from arcon import (
     GraphError,
@@ -481,6 +481,55 @@ class TestAcNumber:
             assert prof.counterexample.n == prof.counterexample_n
             sub, marked = realize(h, prof.counterexample)
             assert covering_arc(sub, marked) is None, name
+
+    def test_raw_certification_builds_no_index(self, monkeypatch):
+        h = randomly_subdivided(corpus.triod(), random.Random(4), 3, 2)
+        s = smooth(h)
+        assert s is not h
+        built, searched = [], []
+        real_init, real_search = GraphIndex.__init__, arcsearch._find_covering_path
+
+        def init_spy(self, g):
+            built.append(g)
+            real_init(self, g)
+
+        def search_spy(nmask, marked):
+            searched.append(marked)
+            return real_search(nmask, marked)
+
+        monkeypatch.setattr(GraphIndex, "__init__", init_spy)
+        monkeypatch.setattr(arcsearch, "_find_covering_path", search_spy)
+        prof = ac_number(h)
+        assert prof.counterexample_n == 3
+        # one index, of the smoothed graph; one search on it and one on the input
+        assert len(built) == 1 and built[0] is s
+        assert len(searched) == 2
+
+    def test_raw_certification_raises_when_covered(self, monkeypatch):
+        h = randomly_subdivided(corpus.triod(), random.Random(4), 3, 2)
+        real, calls = arcsearch._find_covering_path, []
+
+        def covers_on_input(nmask, marked):
+            calls.append(marked)
+            return real(nmask, marked) if len(calls) == 1 else [marked.bit_length() - 1]
+
+        monkeypatch.setattr(arcsearch, "_find_covering_path", covers_on_input)
+        with pytest.raises(GraphError, match="covered on the input graph"):
+            ac_number(h)
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_raw_realization_decides_like_the_index(self, data):
+        # edge order on the input, slot order on its index: same verdict
+        rng = random.Random(data.draw(st.integers(0, 10**6)))
+        names = [ce.name for ce in corpus.CORPUS if len(ce.builder().edges) <= 9]
+        g = randomly_subdivided(corpus.entry(data.draw(st.sampled_from(names))).builder(),
+                                rng, 2, 2)
+        marks = data.draw(st.sets(st.sampled_from(g.vertices)))
+        counts = {e.eid: data.draw(st.integers(0, 2)) for e in g.edges}
+        assume(marks or any(counts.values()))
+        p = Placement.of(g, marks, counts)
+        assert arcsearch._covered_raw(g, p) == arcsearch._covered(GraphIndex(g), p)
 
 
 def theorem_applies(g) -> bool:

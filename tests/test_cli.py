@@ -60,6 +60,14 @@ class TestAcnum:
         res = runner.invoke(main, ["acnum", str(p)])
         assert res.exit_code == 2
 
+    def test_non_utf8_file_exits_2(self, runner, tmp_path):
+        p = tmp_path / "latin1.graph"
+        p.write_bytes("a b\nb \xe9\n".encode("latin-1"))
+        res = runner.invoke(main, ["acnum", str(p)])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "error:" in res.output
+
     def test_disconnected_exits_2(self, runner, tmp_path):
         p = tmp_path / "dis.graph"
         p.write_text("a a\nb b\n")
@@ -202,6 +210,14 @@ class TestSearch:
         res = runner.invoke(main, args)
         assert res.exit_code == 2
         assert "corrupt" in res.output
+
+    def test_checkpoint_in_missing_directory_exit_2(self, runner, tmp_path):
+        ck = tmp_path / "missing" / "cp.jsonl"
+        res = runner.invoke(main, ["search", "--edges-min", "1", "--edges-max", "2",
+                                   "--profile", "omega", "--resume", str(ck)])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "error:" in res.output and not ck.parent.exists()
 
     def test_bad_profile_exit_2(self, runner):
         for expr in ("=9", "=x", "=3,!x"):

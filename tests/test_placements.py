@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from arcon import GraphError, build, covering_arc, reduced_multigraphs
 from arcon import corpus
-from arcon.arcsearch import _find_covering_path
+from arcon import placements
+from arcon.arcsearch import _find_covering_path, _uncovered
 from arcon.placements import (
     Placement,
+    _WitnessIndex,
     _realize_masks,
     _shadow,
     _supports,
@@ -19,7 +21,7 @@ from arcon.placements import (
 )
 from arcon.symmetry import automorphisms, graph_index
 
-from conftest import compositions, naive_orbit_count, refined
+from conftest import compositions, naive_orbit_count, reference_supports, refined
 
 
 def double_star():
@@ -222,6 +224,54 @@ def test_supports_are_the_v_form_compositions(class_sizes, total):
     assert got == [int("".join("1" if c else "0" for c in cvec), 2) for cvec in want]
 
 
+@settings(max_examples=300)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=6), st.integers(0, 6),
+       st.integers(1, 5), st.integers(0, 4), st.data())
+def test_walk_matches_reference_walk(class_sizes, total, nverts, nstart, data):
+    # same class sizes, total, marks and starting witnesses for both walks,
+    # and a consumer that appends the same seeded shadows after yields;
+    # shadows are dense, and most hold the marks, so levels get pruned
+    ends, nslots = set(), 0
+    for size in class_sizes:
+        nslots += size
+        ends.add(nslots - 1)
+    mm = data.draw(st.integers(0, (1 << nverts) - 1))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+
+    def stream(walk):
+        r = random.Random(seed)
+
+        def shadow():
+            vm = r.getrandbits(nverts) | (mm if r.random() < 0.8 else 0)
+            return vm, r.getrandbits(nslots) | r.getrandbits(nslots)
+
+        witnesses = [shadow() for _ in range(nstart)]
+        out = []
+        for sm in walk(total, nslots, ends, mm, _WitnessIndex(witnesses, nverts, nslots)):
+            out.append(sm)
+            witnesses.extend(shadow() for _ in range(r.choice((0, 0, 1, 2))))
+        return out
+
+    assert stream(_supports) == stream(reference_supports)
+
+
+def test_no_level_is_entered_covered(monkeypatch):
+    # the tail test runs before descent: no level starts on a current view
+    # whose witnesses already hold every support below it
+    real, entered = placements._support_level, []
+
+    def spy(st, lo, rem, forced, sm, hs, known):
+        witnesses, tail = st[4], st[6]
+        entered.append(known == len(witnesses) and hs & tail[lo] != 0)
+        yield from real(st, lo, rem, forced, sm, hs, known)
+
+    monkeypatch.setattr(placements, "_support_level", spy)
+    gi = graph_index(refined(corpus.k33()))
+    for n in range(2, 7):
+        assert list(_uncovered(gi, n)) == []
+    assert len(entered) > 1000 and not any(entered)
+
+
 @settings(max_examples=200)
 @given(st.data())
 def test_shadow_realization_decides_like_realize(small_census, data):
@@ -235,7 +285,7 @@ def test_shadow_realization_decides_like_realize(small_census, data):
     assume(marks or any(counts.values()))
     p = Placement.of(g, marks, counts)
     gi = graph_index(g)
-    uncovered = _find_covering_path(*_realize_masks(gi, *_shadow(gi, p))) is None
+    uncovered = _find_covering_path(*_realize_masks(gi.n, gi.slot_pairs, *_shadow(gi, p))) is None
     assert uncovered == (covering_arc(*realize(g, p)) is None)
 
 
