@@ -31,7 +31,6 @@ from .classify import (
     homeo_class,
     is_7ac_theorem,
     necessary_conditions,
-    obstruction_7,
     reduced_graph,
 )
 from .multigraph import (
@@ -48,6 +47,7 @@ from .multigraph import (
     smooth,
     terminal_edges,
 )
+from .obstructions import seven_point_obstruction as obstruction_7
 from .placements import Placement, enumerate_placements, realize
 from .symmetry import are_homeomorphic, automorphisms, canonical_form
 

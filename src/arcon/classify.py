@@ -17,7 +17,6 @@ from typing import NamedTuple, Optional
 from .arcsearch import is_n_ac
 from .multigraph import Edge, GraphError, Multigraph, smooth
 from .obstructions import RULE_3CUT, RULE_3ENDS, RULE_3LEAF, leaf_block_obstruction
-from .obstructions import seven_point_obstruction as obstruction_7
 
 
 class HomeoClass(enum.Enum):

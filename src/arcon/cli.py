@@ -29,7 +29,6 @@ from .classify import (
     cross_check,
     homeo_class,
     necessary_conditions,
-    obstruction_7,
     reduced_graph,
 )
 from .arcsearch import covering_arc
@@ -41,6 +40,7 @@ from .multigraph import (
     parse_graph_text,
     smooth,
 )
+from .obstructions import seven_point_obstruction
 from .placements import Placement, realize
 from .symmetry import are_homeomorphic
 
@@ -261,7 +261,7 @@ def verify_paper(deep: bool, only: Optional[str], as_json: bool) -> None:
         _emit({"check": "cross_check", "entry": ce.name, "ok": ok}, as_json)
         branchy = len([v for v in g.vertices if g.degree(v) >= 3]) >= 3
         if branchy:
-            p = obstruction_7(g)
+            p = seven_point_obstruction(g)
             sub, marked = realize(g, p)
             ok = covering_arc(sub, marked) is None
             failures += 0 if ok else 1

@@ -322,67 +322,6 @@ def terminal_edges(g: Multigraph) -> tuple[Edge, ...]:
     return tuple(e for e in s.edges if e.a in ends or e.b in ends)
 
 
-# -- germ/segment structure ------------------------------------------------
-#
-# A germ is an edge-end at a vertex: one local direction.  Walking a germ
-# through degree-2 vertices until the first vertex of degree != 2 yields the
-# maximal branch-free segment in that direction.
-
-
-class Germ(NamedTuple):
-    vertex: Id
-    edge: Edge
-    side: int  # 0: leaves along a->b, 1: leaves along b->a
-
-
-class Segment(NamedTuple):
-    start: Id
-    end: Id
-    edges: tuple[Edge, ...]  # in walk order from start
-    germ: Germ               # the germ at start this segment realizes
-
-
-def germs(g: Multigraph, v: Id) -> tuple[Germ, ...]:
-    """All edge-ends at ``v`` in deterministic order; a loop contributes two."""
-    out = []
-    for e in sorted(g.incident(v), key=lambda e: idkey(e.eid)):
-        if e.is_loop:
-            out.append(Germ(v, e, 0))
-            out.append(Germ(v, e, 1))
-        else:
-            out.append(Germ(v, e, 0 if e.a == v else 1))
-    return tuple(out)
-
-
-def walk_segment(g: Multigraph, germ: Germ) -> Segment:
-    """Follow a germ through degree-2 vertices to the first branching/end vertex.
-
-    Loops at the start vertex are their own segments (start == end).  The walk
-    is well defined because an interior degree-2 vertex has exactly one way
-    onward.
-    """
-    v = germ.vertex
-    e = germ.edge
-    if e.is_loop:
-        return Segment(v, v, (e,), germ)
-    edges = [e]
-    cur = e.other(v)
-    prev_edge = e
-    while cur != v and g.degree(cur) == 2:
-        inc = g.incident(cur)
-        nxt = inc[0] if inc[0].eid != prev_edge.eid else inc[1]
-        if nxt.is_loop:  # degree-2 via a lone loop cannot continue a chain
-            break
-        edges.append(nxt)
-        prev_edge = nxt
-        cur = nxt.other(cur)
-    return Segment(v, cur, tuple(edges), germ)
-
-
-def segments_from(g: Multigraph, v: Id) -> tuple[Segment, ...]:
-    return tuple(walk_segment(g, gm) for gm in germs(g, v))
-
-
 # -- text format -------------------------------------------------------------
 #
 # One edge per line as two whitespace-separated names ("a a" is a loop,

@@ -4,8 +4,8 @@ An arc has two endpoints.  Level 3 is a theorem: a graph is 3-arc connected
 exactly when its block-cut tree has at most two leaves, and three points
 inside three leaf blocks need three arc ends (``leaf_block_obstruction``;
 three endpoints of the graph and a vertex in three blocks are its special
-cases).  Around a branch point, points planted just inside several
-edge-germs force any covering arc to spend an endpoint locally; three branch
+cases).  Around a branch point, points planted just inside several of its
+edge-ends force any covering arc to spend an endpoint locally; three branch
 points in a row need more endpoints than an arc has.  These constructions
 produce concrete placements; callers certify them with the exhaustive
 covering-arc search, so a construction that ever failed to obstruct would be
@@ -17,16 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, NamedTuple
 
-from .multigraph import (
-    Edge,
-    Germ,
-    GraphError,
-    Id,
-    Multigraph,
-    germs,
-    idkey,
-    segments_from,
-)
+from .multigraph import Edge, GraphError, Id, Multigraph, smooth
 from .placements import Placement
 from .symmetry import GraphIndex, graph_index, neighbour_masks
 
@@ -102,8 +93,8 @@ def leaf_block_obstruction(g: Multigraph) -> LeafObstruction | None:
 
     * ``3endpoints``: marks at the three idkey-least degree-1 vertices;
     * ``3way-cut``: one point on the idkey-least edge at ``v`` of each of
-      its first three blocks, in the order of those edges (``germs``
-      order), where ``v`` is the idkey-least vertex in three blocks or more
+      its first three blocks, in the order of those edges (edge order at
+      ``v``), where ``v`` is the idkey-least vertex in three blocks or more
       (removing it leaves as many pieces, a loop counting as one);
     * ``3leaf-blocks``: one point on the idkey-least edge of each of the
       first three leaf blocks, in the order of those edges.
@@ -168,19 +159,20 @@ def _one_per_block(g: Multigraph, gi: GraphIndex, edges: Iterable[Edge],
     return Placement.of(g, (), {eid: 1 for eid in picks})
 
 
-def kod_core(g: Multigraph, v: Id, k: int) -> Placement | None:
-    """One interior point just inside each of ``k`` edge-germs at ``v``.
+def _ends(g: Multigraph, v: Id) -> list[Id]:
+    """The ids of the edges at ``v`` in edge order, a loop listed twice."""
+    return [e.eid for e in g.incident(v) for _ in range(1 + e.is_loop)]
 
-    A loop contributes two germs (its two halves).  Returns None when the
-    vertex has fewer than ``k`` germs.
+
+def kod_core(g: Multigraph, v: Id, k: int) -> Placement | None:
+    """One interior point just inside each of ``k`` edge-ends at ``v``.
+
+    The edge-ends are taken in edge order, a loop's two ends one after the
+    other.  Returns None when the vertex has fewer than ``k`` edge-ends.
     """
-    gs = germs(g, v)
-    if len(gs) < k:
+    if g.degree(v) < k:
         return None
-    counts: Counter = Counter()
-    for gm in gs[:k]:
-        counts[gm.edge.eid] += 1
-    return Placement.of(g, (), counts)
+    return Placement.of(g, (), Counter(_ends(g, v)[:k]))
 
 
 def seven_point_obstruction(g: Multigraph) -> Placement:
@@ -188,44 +180,35 @@ def seven_point_obstruction(g: Multigraph) -> Placement:
 
     Takes branch points q1, q2, q3 with branch-free connections q1-q2 and
     q2-q3, puts one point inside each connection, and plants 2/1/2 points on
-    other germs at q1/q2/q3.  Any covering arc would need an endpoint near
-    each of the three branch points, one more endpoint than an arc has.
+    other edge-ends at q1/q2/q3.  Any covering arc would need an endpoint
+    near each of the three branch points, one more endpoint than an arc has.
+    The choice is made on ``smooth(g)``, where a branch-free connection is a
+    single edge; smoothing keeps the branch points and names each chain by
+    its idkey-least edge, so the placement is valid on ``g``.
     """
     if not g.is_connected():
         raise GraphError("obstruction construction expects a connected graph")
-    branch = sorted((v for v in g.vertices if g.degree(v) >= 3), key=idkey)
+    s = smooth(g)
+    deg = s.degrees
+    branch = [v for v in s.vertices if deg[v] >= 3]
     if len(branch) < 3:
         raise GraphError("need at least 3 branch points")
-    choice = None
     for q2 in branch:
-        segs = [s for s in segments_from(g, q2)
-                if s.end != q2 and g.degree(s.end) >= 3]
-        for s1 in segs:
-            s2 = next((s for s in segs if s.end != s1.end), None)
-            if s2 is not None:
-                choice = (q2, s1, s2)
-                break
-        if choice:
+        links = [e for e in s.incident(q2) if not e.is_loop and deg[e.other(q2)] >= 3]
+        e3 = next((e for e in links if e.other(q2) != links[0].other(q2)), None)
+        if e3 is not None:
             break
-    if choice is None:  # unreachable for connected graphs with >= 3 branch points
+    else:  # unreachable for connected graphs with >= 3 branch points
         raise GraphError("no two branch-free connections from one branch point")
-    q2, seg1, seg2 = choice
-    counts: Counter = Counter()
-    counts[seg1.edges[0].eid] += 1  # interior of q2-q1 connection
-    counts[seg2.edges[0].eid] += 1  # interior of q2-q3 connection
-    spare_q2 = [gm for gm in germs(g, q2) if gm not in (seg1.germ, seg2.germ)]
-    counts[spare_q2[0].edge.eid] += 1
-
-    def plant_two(seg) -> None:
-        q = seg.end
-        last = seg.edges[-1]
-        arrival = Germ(q, last, 0 if last.a == q else 1)
-        spare = [gm for gm in germs(g, q) if gm != arrival]
-        counts[spare[0].edge.eid] += 1
-        counts[spare[1].edge.eid] += 1
-
-    plant_two(seg1)
-    plant_two(seg2)
+    e1 = links[0]  # the connection to q1; e3 the one to q3
+    spare = _ends(s, q2)
+    spare.remove(e1.eid)
+    spare.remove(e3.eid)
+    counts = Counter((e1.eid, e3.eid, spare[0]))
+    for e in (e1, e3):  # two points at each far end, off the connection
+        spare = _ends(s, e.other(q2))
+        spare.remove(e.eid)
+        counts.update(spare[:2])
     return Placement.of(g, (), counts)
 
 
@@ -254,13 +237,13 @@ def probe_placements(g: Multigraph, n: int):
     when it exists.  The speculative fans run for n = 4 and 5 only: at n = 4
     the 3-fan and the fan of size ``min(deg, 4)``, at n = 5 only the fan of
     size ``min(deg, 5)``, when that is at least 4.  At n = 3 a 3-fan at v
-    obstructs only when its germs enter three blocks at v, and then the
+    obstructs only when its edge-ends enter three blocks at v, and then the
     leaf-block obstruction has already been found.  Over the census up to 9
     edges the 3-fan hit none of its 267 tries at n = 5, and the fans none of
     their 56 tries at n >= 6.
     """
     seen = set()
-    branch = sorted((v for v in g.vertices if g.degree(v) >= 3), key=idkey)
+    branch = [v for v in g.vertices if g.degree(v) >= 3]
 
     def emit(core: Placement | None):
         if core is None or core.n > n:

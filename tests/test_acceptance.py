@@ -216,17 +216,13 @@ class TestCriterion6Properties:
                f"{checked} witnesses")
 
     def test_triod_leg_conditions(self):
-        from arcon.multigraph import germs
-
         checked = 0
         for name in ("theta", "circle-three-spokes", "k33", "circle-two-chords"):
             g = corpus.entry(name).builder()
             for q in g.vertices:
                 if g.degree(q) != 3 or g.loops_at(q):
                     continue
-                counts: dict = {}
-                for gm in germs(g, q):
-                    counts[gm.edge.eid] = counts.get(gm.edge.eid, 0) + 1
+                counts = {e.eid: 1 for e in g.incident(q)}
                 from arcon.placements import Placement
 
                 sub, marked = realize(g, Placement.of(g, (), counts))

@@ -17,7 +17,6 @@ from arcon import (
     smooth,
 )
 from arcon import arcsearch, corpus, obstructions, placements
-from arcon.multigraph import germs, walk_segment
 from arcon.obstructions import RULE_3CUT, RULE_3ENDS, RULE_3LEAF, leaf_block_obstruction
 from arcon.placements import Placement, _to_placement, realize
 from arcon.symmetry import GraphIndex, graph_index
@@ -633,13 +632,10 @@ class TestWitnessTriodConditions:
             for q in g.vertices:
                 if g.degree(q) != 3:
                     continue
-                gs = germs(g, q)
-                if len({gm.edge.eid for gm in gs}) < 3:
+                inc = g.incident(q)
+                if len(inc) < 3:
                     continue  # loops complicate the nearest-point bookkeeping
-                counts = {}
-                for gm in gs:
-                    counts[gm.edge.eid] = counts.get(gm.edge.eid, 0) + 1
-                yield g, q, counts
+                yield g, q, {e.eid: 1 for e in inc}
 
     def test_center_interior_and_leg_endpoint(self):
         checked = 0
@@ -652,19 +648,10 @@ class TestWitnessTriodConditions:
             w.validate()
             assert q in w.vertices
             assert w.vertices[0] != q and w.vertices[-1] != q
-            # the walk from q along each used germ meets a marked point; at least
-            # one endpoint of the path must be one of the three nearest marks
-            near = set()
-            for gm in germs(sub, q):
-                seg = walk_segment(sub, gm)
-                for e in seg.edges:
-                    for v in (e.a, e.b):
-                        if v in marked:
-                            near.add(v)
-                            break
-                    else:
-                        continue
-                    break
+            # each edge at q carries one point, so the three nearest marks are
+            # q's neighbours in sub; at least one endpoint of the path is one
+            near = {e.other(q) for e in sub.incident(q)}
+            assert near <= marked
             assert w.vertices[0] in near or w.vertices[-1] in near
             checked += 1
         assert checked >= 4

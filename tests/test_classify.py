@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from arcon import (
     GraphError,
     HomeoClass,
+    branch_points,
     build,
     covering_arc,
     cross_check,
@@ -12,6 +15,8 @@ from arcon import (
     necessary_conditions,
     obstruction_7,
     reduced_graph,
+    reduced_multigraphs,
+    smooth,
 )
 from arcon import corpus
 from arcon.classify import (
@@ -22,7 +27,10 @@ from arcon.classify import (
     RULE_3LEAF,
     RULE_DEG5,
 )
-from arcon.placements import realize
+from arcon.obstructions import kod_core
+from arcon.placements import Placement, realize
+
+from conftest import randomly_subdivided
 
 
 class TestReducedGraph:
@@ -164,14 +172,22 @@ class TestObstruction7:
         sub, marked = realize(g, p)
         assert covering_arc(sub, marked) is None
 
-    def test_works_through_subdivision(self):
-        g, _ = corpus.triple_triod().subdivide("e0", 2)
-        p = obstruction_7(g)
-        sub, marked = realize(g, p)
-        assert covering_arc(sub, marked) is None
+    def test_works_through_subdivision(self, census_to_six):
+        inputs = [corpus.triple_triod().subdivide("e0", 2)[0]]
+        rng = random.Random(7)
+        inputs += [randomly_subdivided(g, rng, 2, 2)
+                   for g in census_to_six + list(reduced_multigraphs(7))
+                   if len(branch_points(g)) >= 3]
+        assert len(inputs) == 1 + 343
+        for h in inputs:
+            # built on the smoothed graph, named by the chains' kept edge ids
+            p = obstruction_7(h)
+            p.validate(h)
+            assert p == obstruction_7(smooth(h))
+            assert covering_arc(*realize(h, p)) is None
 
-    def test_loop_supplies_two_germs(self):
-        # branch points carrying loops: germs come in pairs from the loop halves
+    def test_loop_supplies_two_edge_ends(self):
+        # branch points carrying loops: a loop supplies two edge-ends
         g = build(
             "abc",
             [("a", "a"), ("a", "b"), ("b", "b"), ("b", "c"), ("c", "c")],
@@ -183,6 +199,23 @@ class TestObstruction7:
     def test_requires_three_branch_points(self):
         with pytest.raises(GraphError, match="3 branch points"):
             obstruction_7(corpus.dumbbell())
+
+
+class TestKodCore:
+    def test_edge_ends_in_edge_order(self):
+        # at v, in edge order: an edge to a, a loop, two parallel edges to b
+        g = build("vab", [("e0", "v", "a"), ("e1", "v", "v"), ("e2", "b", "v"),
+                          ("e3", "v", "b"), ("e4", "a", "b")])
+        expected = [
+            {"e0": 1},
+            {"e0": 1, "e1": 1},
+            {"e0": 1, "e1": 2},  # the loop's two ends one after the other
+            {"e0": 1, "e1": 2, "e2": 1},
+            {"e0": 1, "e1": 2, "e2": 1, "e3": 1},
+        ]
+        for k, counts in enumerate(expected, start=1):
+            assert kod_core(g, "v", k) == Placement.of(g, (), counts)
+        assert g.degree("v") == 5 and kod_core(g, "v", 6) is None
 
 
 class TestCrossCheck:
