@@ -49,7 +49,7 @@ from .multigraph import (
 )
 from .obstructions import seven_point_obstruction as obstruction_7
 from .placements import Placement, enumerate_placements, realize
-from .symmetry import are_homeomorphic, automorphisms, canonical_form
+from .symmetry import are_homeomorphic, canonical_form
 
 __version__ = "0.1.0"
 
@@ -57,7 +57,7 @@ __all__ = [
     "AcProfile", "ArcWitness", "BoundExceeded", "ConditionReport", "Edge",
     "GraphError", "HomeoClass", "MinimalityReport", "Multigraph", "ParseError",
     "Placement", "ReducedGraph", "SearchRecord", "SearchTask", "ac_number",
-    "are_homeomorphic", "automorphisms", "branch_points", "build",
+    "are_homeomorphic", "branch_points", "build",
     "canonical_form", "covering_arc", "cross_check", "enumerate_placements",
     "format_graph_text", "graph_endpoints", "homeo_class", "is_7ac_theorem",
     "is_n_ac", "is_planar", "necessary_conditions", "obstruction_7",

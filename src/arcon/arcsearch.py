@@ -396,7 +396,9 @@ def refine_check(g: Multigraph, n: int, extra: int = 1) -> bool:
     finer point positions (old interior spots become markable vertices).
     The refined copy is kept in ``g``'s cache (a ``Multigraph`` is
     immutable), so its index and placement symmetry are built once for all
-    the levels asked about ``g``.
+    the levels asked about ``g``.  Unlike ``smooth``'s result, it is worth
+    keeping: the later levels reuse that placement symmetry, which costs
+    more to build than the copy costs to hold.
     """
     if extra < 1:
         raise GraphError("extra must be >= 1")

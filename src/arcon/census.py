@@ -173,9 +173,11 @@ def reduced_multigraphs(edge_count: int, max_edges: int = MAX_CENSUS_EDGES
     prunes and why every class survives), and a canonical-form dedupe drops
     the few duplicates left.  The dedupe runs per degree sequence, since
     graphs with different degree sequences are never isomorphic, so it holds
-    the codes of one sequence at a time.  Deterministic order: vertex count,
-    then degree sequence, then descending matrix reading; each class is
-    yielded as the greatest labeling of its sorted degree sequence.
+    the codes of one sequence at a time.  A yielded class carries its
+    cached code and nothing else; its index is built only when a caller
+    asks for one.  Deterministic order: vertex count, then degree sequence,
+    then descending matrix reading; each class is yielded as the greatest
+    labeling of its sorted degree sequence.
     """
     if edge_count < 1:
         raise GraphError("edge_count must be >= 1")

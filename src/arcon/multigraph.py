@@ -190,7 +190,9 @@ class Multigraph:
         """
         if k < 1:
             raise GraphError("subdivision count must be >= 1")
-        e = self.edge(eid)
+        e = next((x for x in self._edges if x.eid == eid), None)
+        if e is None:
+            raise GraphError(f"unknown edge {eid!r}")
         taken = set(self._vertices)
         fresh: list[Id] = []
         for i in range(1, k + 1):
@@ -201,11 +203,12 @@ class Multigraph:
             fresh.append(name)
         chain = [e.a, *fresh, e.b]
         new_edges = [x for x in self._edges if x.eid != eid]
+        existing = {x.eid for x in new_edges}
         for i in range(len(chain) - 1):
             ne = f"{eid}#{i}" if i else eid
-            existing = {x.eid for x in new_edges}
             while ne in existing:
                 ne = str(ne) + "'"
+            existing.add(ne)
             new_edges.append(Edge(ne, chain[i], chain[i + 1]))
         return Multigraph(list(self._vertices) + fresh, new_edges), tuple(fresh)
 
@@ -230,20 +233,6 @@ def build(vertices: Iterable[Id], edges: Iterable[Sequence[Id]]) -> Multigraph:
     return Multigraph(vertices, elist)
 
 
-def _suppressible(g: Multigraph, v: Id) -> tuple[Edge, Edge] | None:
-    """The two distinct edges at a degree-2 vertex, or None.
-
-    A vertex carrying a single loop has degree 2 but both edge-ends belong to
-    the same edge, so it is not suppressible; that is the circle normal form.
-    """
-    if g.degree(v) != 2:
-        return None
-    inc = g.incident(v)
-    if len(inc) != 2:  # single loop
-        return None
-    return inc[0], inc[1]
-
-
 def smooth(g: Multigraph) -> Multigraph:
     """Suppress degree-2 vertices until none remain.
 
@@ -260,43 +249,43 @@ def smooth(g: Multigraph) -> Multigraph:
     graph is returned as is.  Each chain is walked once, from its first edge
     in edge order (so the idkey-least one) out to both kept ends, so the
     cost is linear in the graph.
+
+    Nothing is cached on ``g``: a raw input's smoothed graph, with the index
+    and block decomposition later calls keep on it, lives only as long as
+    the caller holds it (for ``ac_number``, one call), and asking again
+    costs one more linear walk.
     """
     if not g.is_connected():
         raise GraphError("smooth expects a connected graph")
-    if "smoothed" in g._cache:
-        return g._cache["smoothed"] or g
     deg, inc = g.degrees, g.incidence
     # a degree-2 vertex with two distinct edges is suppressible; one reached
     # along a non-loop edge always has two, since a loop would use up its degree
     keep = [v for v in g.vertices if deg[v] != 2 or len(inc[v]) == 1]
     if len(keep) == len(g.vertices):
-        s = g
-    elif not keep:  # a cycle
+        return g
+    if not keep:  # a cycle
         v = g.vertices[-1]
-        s = Multigraph([v], [Edge(g.edges[0].eid, v, v)])
-    else:
-        merged = []
-        done: set[Id] = set()  # ids of the edges past the first of a walked chain
-        for e in g.edges:
-            if e.eid in done:
-                continue
-            if e.a == e.b:  # a loop sits at a kept vertex
-                merged.append(e)
-                continue
-            ends = []
-            for cur in (e.a, e.b):
-                last = e
-                while deg[cur] == 2:
-                    f, h = inc[cur]
-                    last = h if f is last else f
-                    done.add(last.eid)
-                    cur = last.b if last.a == cur else last.a
-                ends.append(cur)
-            x, y = ends
-            merged.append(Edge(e.eid, y, x) if idkey(x) < idkey(y) else Edge(e.eid, x, y))
-        s = Multigraph(keep, merged)
-    g._cache["smoothed"] = None if s is g else s  # None: no cycle through the cache
-    return s
+        return Multigraph([v], [Edge(g.edges[0].eid, v, v)])
+    merged = []
+    done: set[Id] = set()  # ids of the edges past the first of a walked chain
+    for e in g.edges:
+        if e.eid in done:
+            continue
+        if e.a == e.b:  # a loop sits at a kept vertex
+            merged.append(e)
+            continue
+        ends = []
+        for cur in (e.a, e.b):
+            last = e
+            while deg[cur] == 2:
+                f, h = inc[cur]
+                last = h if f is last else f
+                done.add(last.eid)
+                cur = last.b if last.a == cur else last.a
+            ends.append(cur)
+        x, y = ends
+        merged.append(Edge(e.eid, y, x) if idkey(x) < idkey(y) else Edge(e.eid, x, y))
+    return Multigraph(keep, merged)
 
 
 def branch_points(g: Multigraph) -> frozenset[Id]:
@@ -318,7 +307,7 @@ def graph_endpoints(g: Multigraph) -> frozenset[Id]:
 def terminal_edges(g: Multigraph) -> tuple[Edge, ...]:
     """Edges of the smoothed form incident to a degree-1 vertex."""
     s = smooth(g)
-    ends = graph_endpoints(g)
+    ends = graph_endpoints(s)
     return tuple(e for e in s.edges if e.a in ends or e.b in ends)
 
 

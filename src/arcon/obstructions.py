@@ -86,8 +86,11 @@ def leaf_block_obstruction(g: Multigraph) -> LeafObstruction | None:
 
     Otherwise three points no arc covers (see ``ac_number`` for the proof),
     with the rules that hold.  The answer is kept in ``g``'s cache, so
-    ``ac_number``'s level 3, every later ``probe_placements`` call and
-    ``necessary_conditions`` share one block decomposition.  A loop is a
+    ``ac_number``'s level 3 and every later ``probe_placements`` call on
+    the same graph object share one block decomposition.  Those callers
+    and ``necessary_conditions`` ask on the smoothed graph, and ``smooth``
+    keeps nothing on a raw input, so separate callers on one raw input each
+    smooth it and decompose their own copy.  A loop is a
     block of its own, and a parallel class lies inside one block.  The
     placement is the first that applies:
 

@@ -1,33 +1,33 @@
 """Isomorphism machinery for small multigraphs.
 
-Three related jobs live here:
+Two related jobs live here:
 
 * canonical codes (``canonical_form``): a byte string equal for two graphs
   exactly when they are isomorphic as multigraphs with loops,
-* explicit automorphisms (``automorphisms``): vertex/edge permutation pairs,
 * placement symmetry (:class:`PlacementSymmetry`): the vertex automorphisms
   with their action on edge slots, used to enumerate placements one per
   orbit.
 
-Everything works on an integer-indexed view (:class:`GraphIndex`).  The
-canonical code is the minimum relabeled edge list over all labelings
-consistent with iterated degree refinement; individualization handles ties
-and mutually interchangeable (twin) vertices are branched only once.
+Both work on the loop counts and multiplicity matrix of a graph
+(``_matrix``); placement symmetry reads them from the integer-indexed view
+(:class:`GraphIndex`) that holds them.  The canonical code is the minimum
+relabeled edge list over all labelings consistent with iterated degree
+refinement; individualization handles ties and mutually interchangeable
+(twin) vertices are branched only once.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
+from operator import itemgetter
 from typing import Sequence
 
-from .multigraph import BoundExceeded, GraphError, Multigraph, idkey
+from .multigraph import BoundExceeded, GraphError, Id, Multigraph
 
 # Search/size bounds.  Census graphs stay far below these; the errors exist
 # so misuse fails loudly instead of hanging.
 CANON_NODE_BUDGET = 500_000
 SKELETON_AUTO_LIMIT = 50_000
-AUTOMORPHISM_PAIR_LIMIT = 100_000
 DEFAULT_MAX_CANON_VERTICES = 12
 
 
@@ -35,8 +35,9 @@ class GraphIndex:
     """Integer-indexed adjacency view of a multigraph.
 
     Vertices are numbered by sorted id; edge slots are numbered with parallel
-    classes consecutive (sorted by endpoint pair, then edge id).  ``classes``
-    holds ``(i, j, start, end)`` per class, its slots being ``start..end-1``.
+    classes consecutive (sorted by endpoint pair, then edge id: the sort is
+    stable and ``g.edges`` come in edge-id order).  ``classes`` holds
+    ``(i, j, start, end)`` per class, its slots being ``start..end-1``.
     A placement shadow is a marked-vertex mask with vertex ``v`` at bit ``v``
     and a loaded-slot mask with slot ``s`` at bit ``nslots-1-s``.
     """
@@ -49,26 +50,17 @@ class GraphIndex:
 
     def __init__(self, g: Multigraph):
         self.vids = g.vertices
-        self.n = len(self.vids)
-        self.vpos = {v: i for i, v in enumerate(self.vids)}
-        n = self.n
-        self.loops = [0] * n
-        self.mult = [[0] * n for _ in range(n)]
+        self.n = n = len(self.vids)
+        self.vpos, self.loops, self.mult = _matrix(g)
+        vpos = self.vpos
         indexed = []
         for e in g.edges:
-            i, j = self.vpos[e.a], self.vpos[e.b]
-            if i > j:
-                i, j = j, i
-            if i == j:
-                self.loops[i] += 1
-            else:
-                self.mult[i][j] += 1
-                self.mult[j][i] += 1
-            indexed.append(((i, j), idkey(e.eid), e.eid))
-        indexed.sort(key=lambda t: (t[0], t[1]))
+            i, j = vpos[e.a], vpos[e.b]
+            indexed.append(((i, j) if i <= j else (j, i), e.eid))
+        indexed.sort(key=itemgetter(0))
         self.nslots = len(indexed)
         self.slot_pairs = tuple(t[0] for t in indexed)
-        self.slot_eids = tuple(t[2] for t in indexed)
+        self.slot_eids = tuple(t[1] for t in indexed)
         classes: list[tuple[int, int, int, int]] = []
         self.class_of_pair: dict[tuple[int, int], int] = {}
         start = 0
@@ -98,6 +90,22 @@ class GraphIndex:
         if self._symmetry is None:
             self._symmetry = PlacementSymmetry(self)
         return self._symmetry
+
+
+def _matrix(g: Multigraph) -> tuple[dict[Id, int], list[int], list[list[int]]]:
+    """Vertex positions by sorted id, loop counts, and the multiplicity matrix."""
+    vpos = {v: i for i, v in enumerate(g.vertices)}
+    n = len(vpos)
+    loops = [0] * n
+    mult = [[0] * n for _ in range(n)]
+    for e in g.edges:
+        i, j = vpos[e.a], vpos[e.b]
+        if i == j:
+            loops[i] += 1
+        else:
+            mult[i][j] += 1
+            mult[j][i] += 1
+    return vpos, loops, mult
 
 
 def graph_index(g: Multigraph) -> GraphIndex:
@@ -230,14 +238,18 @@ def canonical_form(g: Multigraph, max_vertices: int = DEFAULT_MAX_CANON_VERTICES
 
     Two multigraphs produce equal codes exactly when they are isomorphic
     (loops and parallel edges included).  Raises :class:`BoundExceeded` above
-    ``max_vertices``.
+    ``max_vertices``.  Only the code is kept in ``g``'s cache: it is read
+    from the loop/multiplicity matrix (``_matrix``), and no
+    :class:`GraphIndex` is built, so a census class carries nothing else
+    until a caller asks for its index.
     """
-    gi = graph_index(g)
-    if gi.n > max_vertices:
-        raise BoundExceeded(f"canonical_form limited to {max_vertices} vertices, got {gi.n}")
+    n = len(g.vertices)
+    if n > max_vertices:
+        raise BoundExceeded(f"canonical_form limited to {max_vertices} vertices, got {n}")
     cached = g._cache.get("canon")
     if cached is None:
-        cached = canonical_bytes(gi.n, gi.loops, gi.mult)
+        _, loops, mult = _matrix(g)
+        cached = canonical_bytes(n, loops, mult)
         g._cache["canon"] = cached
     return cached
 
@@ -251,7 +263,7 @@ def are_homeomorphic(g1: Multigraph, g2: Multigraph) -> bool:
     return canonical_form(smooth(g1)) == canonical_form(smooth(g2))
 
 
-# -- explicit automorphisms ---------------------------------------------------
+# -- vertex automorphisms -----------------------------------------------------
 
 
 def _vertex_autos(n: int, loops, mult, colors: Sequence[int],
@@ -333,45 +345,6 @@ def _coset_products(trans, n: int) -> list[tuple[int, ...]]:
     for orbit in trans:
         group = [tuple(map(u.__getitem__, h)) for u in orbit.values() for h in group]
     return group
-
-
-def automorphisms(g: Multigraph, limit: int = AUTOMORPHISM_PAIR_LIMIT):
-    """The full automorphism group as explicit (vertex map, edge map) pairs.
-
-    A pair maps vertex ids to vertex ids and edge ids to edge ids; parallel
-    edges (and parallel loops) may permute freely above any vertex
-    permutation, so the group size is |vertex autos| * prod(class sizes!).
-    Raises :class:`BoundExceeded` when that count exceeds ``limit``.
-    """
-    gi = graph_index(g)
-    vautos = _vertex_autos(gi.n, gi.loops, gi.mult, gi.refined_colors(), limit)
-    class_sizes = [e - s for (_, _, s, e) in gi.classes]
-    total = len(vautos)
-    for sz in class_sizes:
-        for f in range(2, sz + 1):
-            total *= f
-        if total > limit:
-            raise BoundExceeded("automorphism pair count exceeds the configured bound")
-    class_slots = [list(range(s, e)) for (_, _, s, e) in gi.classes]
-    pairs = []
-    for va in vautos:
-        vmap = {gi.vids[i]: gi.vids[va[i]] for i in range(gi.n)}
-        targets = []
-        for (i, j, s, e) in gi.classes:
-            ti, tj = va[i], va[j]
-            if ti > tj:
-                ti, tj = tj, ti
-            tcls = gi.class_of_pair[(ti, tj)]
-            targets.append(class_slots[tcls])
-        for assignment in itertools.product(
-            *[itertools.permutations(t) for t in targets]
-        ):
-            emap = {}
-            for (ci, (_, _, s, e)) in enumerate(gi.classes):
-                for off, slot in enumerate(range(s, e)):
-                    emap[gi.slot_eids[slot]] = gi.slot_eids[assignment[ci][off]]
-            pairs.append((vmap, emap))
-    return pairs
 
 
 # -- placement symmetry --------------------------------------------------------

@@ -1,9 +1,10 @@
 """Shared fixtures and independent oracles.
 
 The oracles here deliberately avoid the library's clever paths: orbit counts
-come from explicit automorphism pairs plus union-find, canonical-code checks
-from a minimum over all vertex permutations, and censuses from
-generate-everything-and-deduplicate.  Tests freeze values computed by these.
+come from explicit automorphism pairs (``automorphisms``) plus union-find,
+canonical-code checks from a minimum over all vertex permutations, and
+censuses from generate-everything-and-deduplicate.  Tests freeze values
+computed by these.
 """
 
 from __future__ import annotations
@@ -16,12 +17,53 @@ from hypothesis import settings
 
 from arcon import build, canonical_form, is_n_ac
 from arcon.arcsearch import _find_covering_path
-from arcon.multigraph import Edge, GraphError, Multigraph, _suppressible, idkey
+from arcon.multigraph import BoundExceeded, Edge, GraphError, Id, Multigraph, idkey
 from arcon.placements import Placement, _WitnessIndex
-from arcon.symmetry import automorphisms, graph_index
+from arcon.symmetry import _vertex_autos, graph_index
 
 settings.register_profile("ci", deadline=None, max_examples=40)
 settings.load_profile("ci")
+
+AUTOMORPHISM_PAIR_LIMIT = 100_000
+
+
+def automorphisms(g, limit: int = AUTOMORPHISM_PAIR_LIMIT):
+    """The full automorphism group as explicit (vertex map, edge map) pairs.
+
+    A pair maps vertex ids to vertex ids and edge ids to edge ids; parallel
+    edges (and parallel loops) may permute freely above any vertex
+    permutation, so the group size is |vertex autos| * prod(class sizes!).
+    Raises :class:`BoundExceeded` when that count exceeds ``limit``.
+    """
+    gi = graph_index(g)
+    vautos = _vertex_autos(gi.n, gi.loops, gi.mult, gi.refined_colors(), limit)
+    class_sizes = [e - s for (_, _, s, e) in gi.classes]
+    total = len(vautos)
+    for sz in class_sizes:
+        for f in range(2, sz + 1):
+            total *= f
+        if total > limit:
+            raise BoundExceeded("automorphism pair count exceeds the configured bound")
+    class_slots = [list(range(s, e)) for (_, _, s, e) in gi.classes]
+    pairs = []
+    for va in vautos:
+        vmap = {gi.vids[i]: gi.vids[va[i]] for i in range(gi.n)}
+        targets = []
+        for (i, j, s, e) in gi.classes:
+            ti, tj = va[i], va[j]
+            if ti > tj:
+                ti, tj = tj, ti
+            tcls = gi.class_of_pair[(ti, tj)]
+            targets.append(class_slots[tcls])
+        for assignment in itertools.product(
+            *[itertools.permutations(t) for t in targets]
+        ):
+            emap = {}
+            for (ci, (_, _, s, e)) in enumerate(gi.classes):
+                for off, slot in enumerate(range(s, e)):
+                    emap[gi.slot_eids[slot]] = gi.slot_eids[assignment[ci][off]]
+            pairs.append((vmap, emap))
+    return pairs
 
 
 def naive_orbit_count(g, n: int) -> int:
@@ -92,6 +134,20 @@ def naive_census_codes(k: int) -> set:
             if ok:
                 seen.add(canonical_form(g))
     return seen
+
+
+def _suppressible(g: Multigraph, v: Id) -> tuple[Edge, Edge] | None:
+    """The two distinct edges at a degree-2 vertex, or None.
+
+    A vertex carrying a single loop has degree 2 but both edge-ends belong to
+    the same edge, so it is not suppressible; that is the circle normal form.
+    """
+    if g.degree(v) != 2:
+        return None
+    inc = g.incident(v)
+    if len(inc) != 2:  # single loop
+        return None
+    return inc[0], inc[1]
 
 
 def naive_smooth(g):

@@ -18,6 +18,9 @@ prints one line per fingerprint, ``name items sha256``:
   automorphism bound is hit);
 * ``planar``: the ``is_planar`` verdicts on every census class up to 10
   edges;
+* ``census``: the vertices and oriented edges of every class that
+  ``reduced_multigraphs`` yields up to 10 edges, in order: the labeled
+  stream the dedupe keeps, which the canonical codes alone do not show;
 * ``spoked``: the first 20 items of ``_uncovered`` on K3,3,
   ``double_circle(4)`` and ``double_circle(5)``, each as given and with
   every edge subdivided once, n = 2..7 (the subdivided ``double_circle(5)``
@@ -39,11 +42,11 @@ prints one line per fingerprint, ``name items sha256``:
 
 Marks are written sorted, so the digests do not depend on the hash seed.
 Run it on two checkouts: equal digests mean equal verdicts, counterexamples,
-scan order, symmetry data, planarity verdicts, spoked counterexample
-streams, large automorphism groups, smoothed forms, covering paths and
-scanned representatives on these inputs.  A change that
-keeps the verdicts but picks other counterexamples shows as equal
-``verdicts`` and different ``profiles``.
+scan order, symmetry data, planarity verdicts, census labelings, spoked
+counterexample streams, large automorphism groups, smoothed forms, covering
+paths and scanned representatives on these inputs.  A change that keeps the
+verdicts but picks other counterexamples shows as equal ``verdicts`` and
+different ``profiles``.
 The full run takes under a minute on a 2-core host.  The file is not a
 test module, so pytest does not collect it.
 """
@@ -126,11 +129,13 @@ def main() -> None:
             d.add(k, canonical_form(g), autos)
     print(d.line(), flush=True)
 
-    d = Digest("planar")
+    d, dc = Digest("planar"), Digest("census")
     for k in range(1, 11):
         for g in census[k] if k in census else reduced_multigraphs(k):
             d.add(k, is_planar(g))
+            dc.add(k, g.vertices, g.edges)
     print(d.line(), flush=True)
+    print(dc.line(), flush=True)
 
     d = Digest("spoked")
     for name, g in (("k33", corpus.k33()), ("double_circle(4)", corpus.double_circle(4)),

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from arcon import (
     GraphError,
+    Multigraph,
     ac_number,
     build,
     covering_arc,
@@ -451,8 +452,8 @@ class TestAcNumber:
         assert prof.verdicts[0] == (2, True) and prof.label == "4"
         # level 3 is the block-cut tree theorem, so the scan starts at 4
         assert [n for _, n in calls] == [4, 5]
-        assert all(g is s for g, _ in calls)
-        assert len(asked) == 1 and asked[0] is s
+        assert all(g == s for g, _ in calls)
+        assert len(asked) == 1 and asked[0] == s
 
     def test_one_block_decomposition_per_graph(self, monkeypatch):
         runs = []
@@ -501,7 +502,7 @@ class TestAcNumber:
         prof = ac_number(h)
         assert prof.counterexample_n == 3
         # one index, of the smoothed graph; one search on it and one on the input
-        assert len(built) == 1 and built[0] is s
+        assert len(built) == 1 and built[0] == s
         assert len(searched) == 2
 
     def test_raw_certification_raises_when_covered(self, monkeypatch):
@@ -515,6 +516,15 @@ class TestAcNumber:
         monkeypatch.setattr(arcsearch, "_find_covering_path", covers_on_input)
         with pytest.raises(GraphError, match="covered on the input graph"):
             ac_number(h)
+
+    def test_raw_input_keeps_no_smoothed_graph(self):
+        # the smoothed graph, with its index and blocks, lasts one call
+        rng = random.Random(5)
+        for name in ("triod", "circle-two-chords", "circle-three-spokes", "k33"):
+            h = randomly_subdivided(corpus.entry(name).builder(), rng, 3, 2)
+            first = ac_number(h)
+            assert not any(isinstance(x, (Multigraph, GraphIndex)) for x in h._cache.values())
+            assert ac_number(h) == first, name
 
     @settings(max_examples=150)
     @given(st.data())

@@ -114,6 +114,16 @@ class TestReducedMultigraphs:
                 s = smooth(g)
                 assert len(s.edges) == len(g.edges)
 
+    def test_classes_carry_only_their_code(self):
+        # the dedupe keeps the code on each class and builds no index; the
+        # circle skips the dedupe and carries nothing
+        for k in range(1, 9):
+            classes = list(reduced_multigraphs(k))
+            assert sum("canon" in g._cache for g in classes) == len(classes) - (k == 1)
+            for g in classes:
+                assert set(g._cache) <= {"canon"}
+                assert canonical_form(g) == canonical_form(build(g.vertices, g.edges))
+
     def test_bound(self):
         with pytest.raises(BoundExceeded):
             next(reduced_multigraphs(12))

@@ -123,6 +123,12 @@ class TestSubdivide:
         with pytest.raises(GraphError, match="unknown edge"):
             corpus.arc().subdivide("nope", 1)
 
+    def test_leaves_no_edge_map(self):
+        th = corpus.theta()
+        g, _ = th.subdivide(th.edges[0].eid, 2)
+        g, _ = g.subdivide(th.edges[0].eid, 1)
+        assert "edge_map" not in th._cache and "edge_map" not in g._cache
+
     def test_fresh_ids_in_order_along_edge(self):
         g, fresh = corpus.arc().subdivide("e0", 3)
         # walking from endpoint a must meet the fresh vertices in order

@@ -19,9 +19,9 @@ from arcon.placements import (
     iter_placements_indexed,
     realize,
 )
-from arcon.symmetry import automorphisms, graph_index
+from arcon.symmetry import graph_index
 
-from conftest import compositions, naive_orbit_count, reference_supports, refined
+from conftest import automorphisms, compositions, naive_orbit_count, reference_supports, refined
 
 
 def double_star():

@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 
 import networkx as nx
@@ -9,9 +10,9 @@ from networkx.algorithms.isomorphism import GraphMatcher
 from arcon import BoundExceeded, are_homeomorphic, build, canonical_form
 from arcon import corpus
 from arcon import symmetry
-from arcon.symmetry import _vertex_autos, automorphisms, graph_index
+from arcon.symmetry import GraphIndex, _vertex_autos, graph_index
 
-from conftest import naive_code, relabeled
+from conftest import automorphisms, naive_code, relabeled
 from test_multigraph import graphs_any
 
 
@@ -39,6 +40,22 @@ class TestCanonicalForm:
         with pytest.raises(BoundExceeded):
             canonical_form(big)
         assert canonical_form(big, max_vertices=13)  # override works
+
+    def test_builds_no_index(self, monkeypatch):
+        built = []
+        real = GraphIndex.__init__
+
+        def init_spy(self, g):
+            built.append(g)
+            real(self, g)
+
+        monkeypatch.setattr(GraphIndex, "__init__", init_spy)
+        g = corpus.k33()
+        assert canonical_form(g) == canonical_form(relabeled(g, random.Random(1)))
+        big = build(range(13), [(i, (i + 1) % 13) for i in range(13)])
+        with pytest.raises(BoundExceeded):
+            canonical_form(big)
+        assert built == [] and set(g._cache) == {"canon"}
 
     @given(graphs_any, st.randoms())
     def test_invariant_under_relabeling(self, g, rng):
