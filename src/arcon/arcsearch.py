@@ -22,13 +22,13 @@ from .obstructions import leaf_block_obstruction, probe_placements
 from .placements import (
     Placement,
     _bits,
+    _edge_masks,
     _path_shadow,
     _realize_masks,
-    _shadow,
     _to_placement,
     iter_placements_indexed,
 )
-from .symmetry import GraphIndex, graph_index, neighbour_masks
+from .symmetry import GraphIndex, graph_index
 
 
 def _reach(nmask: list[int], seed: int, allowed: int) -> int:
@@ -163,8 +163,11 @@ class ArcWitness:
             raise GraphError("witness path misses a marked vertex")
         if len(self.edges) != len(self.vertices) - 1:
             raise GraphError("witness edge count mismatch")
+        edges = {e.eid: e for e in g.edges}
         for i, eid in enumerate(self.edges):
-            e = g.edge(eid)
+            e = edges.get(eid)
+            if e is None:
+                raise GraphError(f"unknown edge {eid!r}")
             if {e.a, e.b} != {self.vertices[i], self.vertices[i + 1]}:
                 raise GraphError("witness edge does not join consecutive vertices")
 
@@ -176,7 +179,9 @@ def covering_arc(gprime: Multigraph, marked: Iterable[Id]) -> Optional[ArcWitnes
     is exhaustive backtracking over (start, edge choices) that abandons a
     partial path once some unvisited marked vertex is cut off from its live
     end, or once two of them can only be the path's last vertex (see
-    ``_find_covering_path``).
+    ``_find_covering_path``).  The search runs on ``gprime``'s own adjacency
+    (``_edge_masks``), with no index; each step of the path is named by the
+    idkey-least edge id between its two vertices.
     """
     marked = frozenset(marked)
     if not marked:
@@ -184,42 +189,25 @@ def covering_arc(gprime: Multigraph, marked: Iterable[Id]) -> Optional[ArcWitnes
     for e in gprime.edges:
         if e.is_loop:
             raise GraphError("covering_arc expects a loop-free graph")
-    gi = graph_index(gprime)
-    for v in marked:
-        if v not in gi.vpos:
-            raise GraphError(f"marked vertex {v!r} not in graph")
-    nmask = neighbour_masks(gi)
-    mmask = 0
-    for v in marked:
-        mmask |= 1 << gi.vpos[v]
-    path = _find_covering_path(nmask, mmask)
+    unknown = marked.difference(gprime.vertices)
+    if unknown:
+        raise GraphError(f"marked vertex {next(iter(unknown))!r} not in graph")
+    path = _find_covering_path(*_edge_masks(gprime, marked))
     if path is None:
         return None
-    ids = tuple(gi.vids[i] for i in path)
-    eids = []
-    for u, w in zip(path, path[1:]):
-        a, b = (u, w) if u < w else (w, u)
-        cls = gi.classes[gi.class_of_pair[(a, b)]]
-        eids.append(gi.slot_eids[cls[2]])  # least edge id in the parallel class
-    witness = ArcWitness(gprime, marked, ids, tuple(eids))
+    ids = tuple(gprime.vertices[i] for i in path)
+    least: dict[frozenset, Id] = {}
+    for e in gprime.edges:
+        least.setdefault(frozenset((e.a, e.b)), e.eid)
+    eids = tuple(least[frozenset(step)] for step in zip(ids, ids[1:]))
+    witness = ArcWitness(gprime, marked, ids, eids)
     witness.validate()
     return witness
 
 
-def _covered(gi: GraphIndex, p: Placement) -> bool:
-    """Does one arc cover the placement ``p`` of ``gi``'s graph?"""
-    return _find_covering_path(*_realize_masks(gi.n, gi.slot_pairs, *_shadow(gi, p))) is not None
-
-
-def _covered_raw(g: Multigraph, p: Placement) -> bool:
-    """``_covered`` read straight from ``g``'s edges, in edge order, with no index."""
-    vpos = {v: i for i, v in enumerate(g.vertices)}
-    cm = p.count_map()
-    top = len(g.edges) - 1
-    mm = sum(1 << vpos[v] for v in p.marks)
-    sm = sum(1 << (top - k) for k, e in enumerate(g.edges) if cm.get(e.eid))
-    pairs = [(vpos[e.a], vpos[e.b]) for e in g.edges]
-    return _find_covering_path(*_realize_masks(len(vpos), pairs, mm, sm)) is not None
+def _covered(g: Multigraph, p: Placement) -> bool:
+    """Does one arc cover the placement ``p`` of ``g``?  Builds no index."""
+    return _find_covering_path(*_edge_masks(g, p.marks, p.count_map())) is not None
 
 
 def _uncovered(gi: GraphIndex, n: int) -> Iterator[tuple[int, int]]:
@@ -276,10 +264,10 @@ def is_n_ac(g: Multigraph, n: int) -> tuple[bool, Optional[Placement]]:
         raise GraphError("n must be >= 1")
     if not g.is_connected():
         raise GraphError("is_n_ac expects a connected graph")
-    gi = graph_index(g)
     for cand in probe_placements(g, n):
-        if not _covered(gi, cand):
+        if not _covered(g, cand):
             return False, cand
+    gi = graph_index(g)
     for mm, sm in _uncovered(gi, n):
         return False, _to_placement(gi, n, mm, sm)
     return True, None
@@ -356,8 +344,8 @@ def ac_number(g: Multigraph, cap: int = 7) -> AcProfile:
     points inside one piece of a chain sit in the same space as points inside
     the merged edge.  When smoothing changed the graph, the counterexample is
     certified once more on ``g`` itself by the exhaustive path search, on a
-    realization read from ``g``'s edges (``_covered_raw``), so no index of
-    ``g`` is built.
+    realization read from ``g``'s edges (``_covered``), so no index of ``g``
+    is built.
     """
     if cap < 2:
         raise GraphError("cap must be >= 2")
@@ -373,11 +361,11 @@ def ac_number(g: Multigraph, cap: int = 7) -> AcProfile:
         else:
             obs = leaf_block_obstruction(s)
             ok, c = obs is None, obs.placement if obs else None
-            if not ok and _covered(graph_index(s), c):
+            if not ok and _covered(s, c):
                 raise GraphError("internal: level-3 leaf-block placement is covered")
         verdicts.append((n, ok))
         if not ok:
-            if s is not g and _covered_raw(g, c):
+            if s is not g and _covered(g, c):
                 raise GraphError(f"internal: level-{n} counterexample of the smoothed "
                                  "graph is covered on the input graph")
             cex, cexn = c, n

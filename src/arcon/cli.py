@@ -38,7 +38,6 @@ from .multigraph import (
     ParseError,
     format_graph_text,
     parse_graph_text,
-    smooth,
 )
 from .obstructions import seven_point_obstruction
 from .placements import Placement, realize
@@ -231,15 +230,10 @@ def search_cmd(edges_min: int, edges_max: int, planar: bool, profile_expr: str,
         sys.exit(2)
 
 
-REFINE_EDGE_LIMIT = 9  # refine_check cost explodes with edge count; --deep lifts this
-
-
 @main.command("verify-paper")
-@click.option("--deep", is_flag=True,
-              help="Include the heavy checks (refine on the large corpus graphs).")
 @click.option("--only", default=None, help="Restrict to corpus entries whose name contains this.")
 @click.option("--json", "as_json", is_flag=True, help="JSON output.")
-def verify_paper(deep: bool, only: Optional[str], as_json: bool) -> None:
+def verify_paper(only: Optional[str], as_json: bool) -> None:
     """Re-derive the documented corpus values and invariants; exit 1 on any mismatch."""
     failures = 0
     entries = [ce for ce in corpus.CORPUS if only is None or only in ce.name]
@@ -266,10 +260,9 @@ def verify_paper(deep: bool, only: Optional[str], as_json: bool) -> None:
             ok = covering_arc(sub, marked) is None
             failures += 0 if ok else 1
             _emit({"check": "obstruction_7", "entry": ce.name, "ok": ok}, as_json)
-        if deep or len(smooth(g).edges) <= REFINE_EDGE_LIMIT:
-            ok = all(refine_check(g, n) for n in range(2, 8))
-            failures += 0 if ok else 1
-            _emit({"check": "refine", "entry": ce.name, "ok": ok}, as_json)
+        ok = all(refine_check(g, n) for n in range(2, 8))
+        failures += 0 if ok else 1
+        _emit({"check": "refine", "entry": ce.name, "ok": ok}, as_json)
         ok = are_homeomorphic(parse_graph_text(format_graph_text(g)), g)
         failures += 0 if ok else 1
         _emit({"check": "roundtrip", "entry": ce.name, "ok": ok}, as_json)

@@ -110,18 +110,11 @@ class Multigraph:
         return f"Multigraph({len(self._vertices)} vertices, {len(self._edges)} edges)"
 
     def edge(self, eid: Id) -> Edge:
-        try:
-            return self.edge_map[eid]
-        except KeyError:
-            raise GraphError(f"unknown edge {eid!r}") from None
-
-    @property
-    def edge_map(self) -> Mapping[Id, Edge]:
-        m = self._cache.get("edge_map")
-        if m is None:
-            m = {e.eid: e for e in self._edges}
-            self._cache["edge_map"] = m
-        return m
+        """The edge with id ``eid``, found by one scan of the edges."""
+        e = next((x for x in self._edges if x.eid == eid), None)
+        if e is None:
+            raise GraphError(f"unknown edge {eid!r}")
+        return e
 
     @property
     def degrees(self) -> Mapping[Id, int]:
@@ -190,9 +183,7 @@ class Multigraph:
         """
         if k < 1:
             raise GraphError("subdivision count must be >= 1")
-        e = next((x for x in self._edges if x.eid == eid), None)
-        if e is None:
-            raise GraphError(f"unknown edge {eid!r}")
+        e = self.edge(eid)
         taken = set(self._vertices)
         fresh: list[Id] = []
         for i in range(1, k + 1):

@@ -16,13 +16,15 @@ appear only in :class:`Placement`, at the boundary.  A shadow (marks, S)
 stands for the placement ``v(S)``: one point on each loaded slot but the
 last, which takes the rest.  Shadows are enumerated in lexicographic order
 of (sorted marked vertices, count vector of ``v(S)``), one per automorphism
-orbit: the lex-least ``v(S)`` of the orbit.
+orbit: the lex-least ``v(S)`` of the orbit.  A placement asked about on its
+own is realized from the graph's edges in edge order (``_edge_masks``), so
+it needs no index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Iterator, Mapping, Sequence
+from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 from .multigraph import GraphError, Id, Multigraph, idkey
 from .symmetry import GraphIndex, graph_index
@@ -49,8 +51,10 @@ class Placement:
         for v in self.marks:
             if v not in g.degrees:
                 raise GraphError(f"placement marks unknown vertex {v!r}")
+        eids = {e.eid for e in g.edges}
         for eid, c in self.counts:
-            g.edge(eid)
+            if eid not in eids:
+                raise GraphError(f"unknown edge {eid!r}")
             if c < 0:
                 raise GraphError("negative interior count")
 
@@ -77,13 +81,6 @@ def _to_placement(gi: GraphIndex, n: int, mm: int, sm: int) -> Placement:
         counts[gi.slot_eids[loaded[-1]]] = n - mm.bit_count() - len(loaded) + 1
     return Placement(frozenset(gi.vids[v] for v in range(gi.n) if mm >> v & 1),
                      tuple(sorted(counts.items(), key=lambda t: idkey(t[0]))))
-
-
-def _shadow(gi: GraphIndex, p: Placement) -> tuple[int, int]:
-    """``(mm, sm)`` of a placement: marked-vertex mask and loaded-slot mask."""
-    cm = p.count_map()
-    return (sum(1 << gi.vpos[v] for v in p.marks),
-            sum(1 << (gi.nslots - 1 - s) for s, eid in enumerate(gi.slot_eids) if cm.get(eid)))
 
 
 def _bits(m: int) -> list[int]:
@@ -137,8 +134,8 @@ class _WitnessIndex:
         return hs
 
 
-def _supports(total: int, nslots: int, ends: Container[int], mm: int = 0,
-              index: _WitnessIndex | None = None) -> Iterator[int]:
+def _supports(total: int, nslots: int, ends: Container[int], mm: int,
+              index: _WitnessIndex) -> Iterator[int]:
     """Loaded-slot masks of the supports with ``total`` points, lex ascending.
 
     A support S stands for ``v(S)``: one point on each slot of S but the
@@ -162,8 +159,6 @@ def _supports(total: int, nslots: int, ends: Container[int], mm: int = 0,
     tests its tail right after.  A stale view would still be sound, since
     it holds only witnesses of the longer list.
     """
-    if index is None:
-        index = _WitnessIndex((), 0, nslots)
     hs = index.holding(mm, 0)
     if total == 0:
         if not hs:
@@ -331,6 +326,22 @@ def _realize_masks(nverts: int, slot_pairs: Sequence[tuple[int, int]], mm: int, 
             nmask[i] |= 1 << j
             nmask[j] |= 1 << i
     return nmask, marked
+
+
+def _edge_masks(g: Multigraph, marks: Iterable[Id] = (), counts: Mapping[Id, int] = {}
+                ) -> tuple[list[int], int]:
+    """``_realize_masks`` of marks and interior counts read straight from ``g``.
+
+    Vertices are numbered by sorted id and slots are ``g``'s edges in edge
+    order, so no :class:`GraphIndex` is built; an edge is loaded when its
+    count is nonzero.  With no counts this is ``g``'s own adjacency, parallel
+    edges merged and loops left out.
+    """
+    vpos = {v: i for i, v in enumerate(g.vertices)}
+    top = len(g.edges) - 1
+    mm = sum(1 << vpos[v] for v in marks)
+    sm = sum(1 << (top - k) for k, e in enumerate(g.edges) if counts.get(e.eid))
+    return _realize_masks(len(vpos), [(vpos[e.a], vpos[e.b]) for e in g.edges], mm, sm)
 
 
 def _path_shadow(gi: GraphIndex, sm: int, path: list[int]) -> tuple[int, int]:

@@ -199,7 +199,7 @@ def _code_items(n: int, loops, mult, perm: Sequence[int]) -> list[tuple[int, int
     return items
 
 
-def _canonical_items(n: int, loops, mult, budget: int = CANON_NODE_BUDGET):
+def _canonical_items(n: int, loops, mult):
     """Minimum relabeled edge list over refinement-consistent labelings."""
     best: list[tuple[int, int, int]] | None = None
     adj = _adjacency(mult)
@@ -210,7 +210,7 @@ def _canonical_items(n: int, loops, mult, budget: int = CANON_NODE_BUDGET):
     while stack:
         colors = stack.pop()
         nodes += 1
-        if nodes > budget:
+        if nodes > CANON_NODE_BUDGET:
             raise BoundExceeded("canonicalization search budget exceeded")
         target = _first_cell(colors)
         if target is None:
@@ -233,19 +233,20 @@ def canonical_bytes(n: int, loops, mult) -> bytes:
     return bytes(out)
 
 
-def canonical_form(g: Multigraph, max_vertices: int = DEFAULT_MAX_CANON_VERTICES) -> bytes:
+def canonical_form(g: Multigraph) -> bytes:
     """Byte code identifying the isomorphism class of ``g``.
 
     Two multigraphs produce equal codes exactly when they are isomorphic
     (loops and parallel edges included).  Raises :class:`BoundExceeded` above
-    ``max_vertices``.  Only the code is kept in ``g``'s cache: it is read
-    from the loop/multiplicity matrix (``_matrix``), and no
-    :class:`GraphIndex` is built, so a census class carries nothing else
-    until a caller asks for its index.
+    ``DEFAULT_MAX_CANON_VERTICES`` vertices.  Only the code is kept in
+    ``g``'s cache: it is read from the loop/multiplicity matrix
+    (``_matrix``), and no :class:`GraphIndex` is built, so a census class
+    carries nothing else until a caller asks for its index.
     """
     n = len(g.vertices)
-    if n > max_vertices:
-        raise BoundExceeded(f"canonical_form limited to {max_vertices} vertices, got {n}")
+    if n > DEFAULT_MAX_CANON_VERTICES:
+        raise BoundExceeded(
+            f"canonical_form limited to {DEFAULT_MAX_CANON_VERTICES} vertices, got {n}")
     cached = g._cache.get("canon")
     if cached is None:
         _, loops, mult = _matrix(g)

@@ -38,15 +38,19 @@ prints one line per fingerprint, ``name items sha256``:
   ``_uncovered`` on K3,3 and ``double_circle(4)``, each as given and with
   every edge subdivided once, n = 2..6 (the subdivided
   ``double_circle(4)`` only up to n = 5): the stream the witness list
-  prunes, which the verdicts alone do not show.
+  prunes, which the verdicts alone do not show;
+* ``witnesses``: the ``covering_arc(*realize(g, p))`` path (vertices and
+  edges, or ``-``) on five seeded random placements ``p`` of every corpus
+  graph and every census class up to 6 edges: the witness a caller sees.
+  It reads only public names, so it runs on older checkouts too.
 
 Marks are written sorted, so the digests do not depend on the hash seed.
 Run it on two checkouts: equal digests mean equal verdicts, counterexamples,
 scan order, symmetry data, planarity verdicts, census labelings, spoked
 counterexample streams, large automorphism groups, smoothed forms, covering
-paths and scanned representatives on these inputs.  A change that keeps the
-verdicts but picks other counterexamples shows as equal ``verdicts`` and
-different ``profiles``.
+paths, scanned representatives and covering-arc witnesses on these inputs.
+A change that keeps the verdicts but picks other counterexamples shows as
+equal ``verdicts`` and different ``profiles``.
 The full run takes under a minute on a 2-core host.  The file is not a
 test module, so pytest does not collect it.
 """
@@ -62,7 +66,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from arcon import (  # noqa: E402
-    ac_number, arcsearch, canonical_form, corpus, enumerate_placements, is_planar)
+    Placement, ac_number, arcsearch, canonical_form, corpus, covering_arc, enumerate_placements,
+    is_planar, realize)
 from arcon.arcsearch import _uncovered  # noqa: E402
 from arcon.census import reduced_multigraphs  # noqa: E402
 from arcon.multigraph import BoundExceeded, Multigraph, idkey, smooth  # noqa: E402
@@ -204,6 +209,21 @@ def main() -> None:
                         pass
     finally:
         arcsearch.iter_placements_indexed = scan
+    print(d.line(), flush=True)
+
+    d = Digest("witnesses")
+    rng = random.Random(23)
+    graphs = [(ce.name, ce.builder()) for ce in corpus.CORPUS]
+    graphs += [(k, g) for k in range(1, 7) for g in census[k]]
+    for label, g in graphs:
+        for _ in range(5):
+            marks = [v for v in g.vertices if rng.random() < 0.3]
+            counts = {e.eid: rng.choice((0, 0, 1, 2)) for e in g.edges}
+            if not marks and not any(counts.values()):
+                counts[g.edges[0].eid] = 1
+            p = Placement.of(g, marks, counts)
+            w = covering_arc(*realize(g, p))
+            d.add(label, placement_text(p), "-" if w is None else (w.vertices, w.edges))
     print(d.line(), flush=True)
 
 

@@ -14,6 +14,7 @@ from arcon import (
     covering_arc,
     is_n_ac,
     necessary_conditions,
+    reduced_multigraphs,
     refine_check,
     smooth,
 )
@@ -82,6 +83,18 @@ class TestCoveringArc:
     def test_empty_marked_rejected(self):
         with pytest.raises(GraphError, match="nonempty"):
             covering_arc(corpus.arc(), ())
+
+    def test_builds_no_index(self, monkeypatch):
+        built, real = [], GraphIndex.__init__
+
+        def init_spy(self, g):
+            built.append(g)
+            real(self, g)
+
+        monkeypatch.setattr(GraphIndex, "__init__", init_spy)
+        g = corpus.k33()
+        assert covering_arc(*realize(g, obstructions.seven_point_obstruction(g))) is None
+        assert built == []
 
     def test_single_marked_vertex(self):
         w = covering_arc(corpus.arc(), {"a"})
@@ -528,17 +541,25 @@ class TestAcNumber:
 
     @settings(max_examples=150)
     @given(st.data())
-    def test_raw_realization_decides_like_the_index(self, data):
-        # edge order on the input, slot order on its index: same verdict
+    def test_covered_decides_like_realize(self, data):
+        # the realization read from the edges, against the subdivided graph
         rng = random.Random(data.draw(st.integers(0, 10**6)))
         names = [ce.name for ce in corpus.CORPUS if len(ce.builder().edges) <= 9]
-        g = randomly_subdivided(corpus.entry(data.draw(st.sampled_from(names))).builder(),
-                                rng, 2, 2)
+        g = corpus.entry(data.draw(st.sampled_from(names))).builder()
+        if data.draw(st.booleans()):
+            g = randomly_subdivided(g, rng, 2, 2)
         marks = data.draw(st.sets(st.sampled_from(g.vertices)))
         counts = {e.eid: data.draw(st.integers(0, 2)) for e in g.edges}
         assume(marks or any(counts.values()))
         p = Placement.of(g, marks, counts)
-        assert arcsearch._covered_raw(g, p) == arcsearch._covered(GraphIndex(g), p)
+        assert arcsearch._covered(g, p) == (covering_arc(*realize(g, p)) is not None)
+
+    def test_census_classes_keep_no_edge_map(self):
+        # placements check their edge ids without caching a map on the graph
+        classes = list(reduced_multigraphs(7))
+        for g in classes:
+            ac_number(g)
+        assert not any("edge_map" in g._cache for g in classes)
 
 
 def theorem_applies(g) -> bool:

@@ -242,6 +242,11 @@ class TestVerifyPaper:
         assert "ok=true" in res.output
         assert "failures=0" in res.output
 
+    def test_refines_every_entry(self, runner):
+        res = runner.invoke(main, ["verify-paper", "--only", "double-circle-5"])
+        assert res.exit_code == 0
+        assert "check=refine entry=double-circle-5 ok=true" in res.output
+
     def test_small_family(self, runner):
         res = runner.invoke(main, ["verify-paper", "--only", "circle-two"])
         assert res.exit_code == 0

@@ -13,7 +13,6 @@ from arcon.placements import (
     Placement,
     _WitnessIndex,
     _realize_masks,
-    _shadow,
     _supports,
     enumerate_placements,
     iter_placements_indexed,
@@ -218,7 +217,7 @@ def test_supports_are_the_v_form_compositions(class_sizes, total):
     for size in class_sizes:
         prev += [-1] + list(range(len(prev), len(prev) + size - 1))
         ends.add(len(prev) - 1)
-    got = list(_supports(total, len(prev), ends))
+    got = list(_supports(total, len(prev), ends, 0, _WitnessIndex((), 0, len(prev))))
     want = [c for c in compositions(total, len(prev), prev) if v_form(c)]
     # slot s is bit nslots-1-s
     assert got == [int("".join("1" if c else "0" for c in cvec), 2) for cvec in want]
@@ -284,8 +283,11 @@ def test_shadow_realization_decides_like_realize(small_census, data):
     counts = {e.eid: data.draw(st.integers(0, 3)) for e in g.edges}
     assume(marks or any(counts.values()))
     p = Placement.of(g, marks, counts)
+    # the shadow in the scan's slot order
     gi = graph_index(g)
-    uncovered = _find_covering_path(*_realize_masks(gi.n, gi.slot_pairs, *_shadow(gi, p))) is None
+    mm = sum(1 << gi.vpos[v] for v in marks)
+    sm = sum(1 << (gi.nslots - 1 - s) for s, eid in enumerate(gi.slot_eids) if counts[eid])
+    uncovered = _find_covering_path(*_realize_masks(gi.n, gi.slot_pairs, mm, sm)) is None
     assert uncovered == (covering_arc(*realize(g, p)) is None)
 
 
