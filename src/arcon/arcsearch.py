@@ -17,7 +17,7 @@ from itertools import compress, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
-from .multigraph import GraphError, Id, Multigraph, smooth
+from .multigraph import BoundExceeded, GraphError, Id, Multigraph, smooth
 from .obstructions import leaf_block_obstruction, probe_placements
 from .placements import (
     Placement,
@@ -114,6 +114,9 @@ def _find_covering_path(nmask: list[int], marked: int) -> Optional[list[int]]:
     forced ends is not searched.  Only subtrees with no completion are cut
     and the order is unchanged, so the path found is the one the plain
     search finds.
+
+    ``_dfs`` recurses once per path vertex, so a path deeper than the
+    interpreter's recursion limit raises ``BoundExceeded``.
     """
     if marked == 0:
         raise GraphError("no marked vertices")
@@ -127,13 +130,17 @@ def _find_covering_path(nmask: list[int], marked: int) -> Optional[list[int]]:
         if not ways & (ways - 1):
             ends |= 1 << u
     failed = 0
-    for s in _bits(marked):
-        b = 1 << s
-        e = ends & ~b
-        path = [s]
-        if not (e & (e - 1) or e & failed) and _dfs(nmask, marked, full, failed, path, s, b, e):
-            return path
-        failed |= b
+    try:
+        for s in _bits(marked):
+            b = 1 << s
+            e = ends & ~b
+            path = [s]
+            if not (e & (e - 1) or e & failed) and _dfs(nmask, marked, full, failed, path,
+                                                         s, b, e):
+                return path
+            failed |= b
+    except RecursionError:
+        raise BoundExceeded("covering path deeper than the recursion limit") from None
     return None
 
 
@@ -375,27 +382,24 @@ def ac_number(g: Multigraph, cap: int = 7) -> AcProfile:
     return AcProfile(tuple(verdicts), cap, cex, cexn)
 
 
-def refine_check(g: Multigraph, n: int, extra: int = 1) -> bool:
+def refine_check(g: Multigraph, n: int) -> bool:
     """Recompute is_n_ac on a refined subdivision and compare verdicts.
 
-    Subdividing every edge ``extra`` times changes the presentation but not
-    the space, so the verdicts must agree; this validates the placement
-    quotient without assuming it, since the refined graph offers strictly
-    finer point positions (old interior spots become markable vertices).
-    The refined copy is kept in ``g``'s cache (a ``Multigraph`` is
-    immutable), so its index and placement symmetry are built once for all
-    the levels asked about ``g``.  Unlike ``smooth``'s result, it is worth
-    keeping: the later levels reuse that placement symmetry, which costs
-    more to build than the copy costs to hold.
+    Subdividing every edge once changes the presentation but not the space,
+    so the verdicts must agree; this validates the placement quotient
+    without assuming it, since the refined graph offers strictly finer point
+    positions (old interior spots become markable vertices).  The refined
+    copy is kept in ``g``'s cache under ``"refined"``, so its index and
+    placement symmetry are built once for all the levels asked about ``g``:
+    the later levels reuse that symmetry, which costs more to build than
+    the copy costs to hold.
     """
-    if extra < 1:
-        raise GraphError("extra must be >= 1")
-    refined = g._cache.get(("refined", extra))
+    refined = g._cache.get("refined")
     if refined is None:
         refined = g
         for e in g.edges:
-            refined, _ = refined.subdivide(e.eid, extra)
-        g._cache[("refined", extra)] = refined
+            refined, _ = refined.subdivide(e.eid, 1)
+        g._cache["refined"] = refined
     base, _ = is_n_ac(g, n)
     fine, _ = is_n_ac(refined, n)
     return base == fine

@@ -11,6 +11,7 @@ resumable checkpoint, and verifies minimal-edge-count claims.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterator, Optional
@@ -163,8 +164,7 @@ def _matrix_graph(loops: list[int], mult: list[list[int]]) -> Multigraph:
     return build(range(n), edges)
 
 
-def reduced_multigraphs(edge_count: int, max_edges: int = MAX_CENSUS_EDGES
-                        ) -> Iterator[Multigraph]:
+def reduced_multigraphs(edge_count: int) -> Iterator[Multigraph]:
     """One representative per homeomorphism class with ``edge_count`` smoothed edges.
 
     Connected multigraphs with all degrees 1 or >= 3; the one-loop circle
@@ -177,12 +177,13 @@ def reduced_multigraphs(edge_count: int, max_edges: int = MAX_CENSUS_EDGES
     cached code and nothing else; its index is built only when a caller
     asks for one.  Deterministic order: vertex count, then degree sequence,
     then descending matrix reading; each class is yielded as the greatest
-    labeling of its sorted degree sequence.
+    labeling of its sorted degree sequence.  Above ``MAX_CENSUS_EDGES``
+    edges it raises ``BoundExceeded``.
     """
     if edge_count < 1:
         raise GraphError("edge_count must be >= 1")
-    if edge_count > max_edges:
-        raise BoundExceeded(f"census limited to {max_edges} edges, asked for {edge_count}")
+    if edge_count > MAX_CENSUS_EDGES:
+        raise BoundExceeded(f"census limited to {MAX_CENSUS_EDGES} edges, asked for {edge_count}")
     if edge_count == 1:
         yield build(["a"], [("e0", "a", "a")])  # circle: the sanctioned degree-2 form
     total = 2 * edge_count
@@ -470,9 +471,10 @@ def search(task: SearchTask, stop_after: Optional[int] = None,
     corruption earlier in the file raises ``GraphError``).  Records are keyed
     by canonical code, which does not depend on the labeling the census
     happens to yield, so any checkpoint of the same task resumes.
-    ``stop_after`` (testing hook) aborts after that many newly processed
-    graphs.  ``progress``, when given, is called once per processed record,
-    resumed or fresh, after the record has been checkpointed and emitted.
+    ``stop_after`` aborts after that many newly processed graphs, as a kill
+    would (the kill-and-resume tests use it).  ``progress``, when given, is
+    called once per processed record, resumed or fresh, after the record
+    has been checkpointed and emitted; pass it by keyword.
     """
     done: dict[str, SearchRecord] = {}
     out = None
@@ -548,31 +550,24 @@ class MinimalityReport:
         return not self.violations and self.witness_ok
 
 
-def verify_minimality(n: int, max_edges: Optional[int] = None) -> MinimalityReport:
+def verify_minimality(n: int) -> MinimalityReport:
     """Check that no graph below the known edge budget has ac-number exactly n.
 
     Edge counts are counts of smoothed edges (degree-2 vertices suppressed,
-    circle = one loop).  ``max_edges`` truncates the sweep for a partial
-    (faster) report; the full claim needs the default budget-1 sweep.
+    circle = one loop).  The sweep is ``search`` over 1..budget-1 edges with
+    the profile ``=n``: its matches are the violations, and its ``progress``
+    hook counts the classes examined per edge count.
     """
     from . import corpus
 
     if n not in MINIMAL_EDGE_BUDGET:
         raise GraphError("minimality is tracked for ac-numbers 2..6")
     budget = MINIMAL_EDGE_BUDGET[n]
-    top = budget - 1 if max_edges is None else min(max_edges, budget - 1)
-    sizes = []
-    violations = []
-    for k in range(1, top + 1):
-        count = 0
-        for g in reduced_multigraphs(k):
-            count += 1
-            prof = ac_number(g, cap=n + 1)
-            if prof.number == n:
-                violations.append(canonical_form(g).hex())
-        sizes.append((k, count))
+    sizes: Counter[int] = Counter()
+    task = SearchTask(1, budget - 1, f"={n}")
+    violations = tuple(rec.canon for rec in search(
+        task, progress=lambda rec: sizes.update((rec.edges,))))
     name, builder = corpus.MINIMAL_WITNESSES[n]
-    wg = builder()
-    wprof = ac_number(wg, cap=n + 1)
-    return MinimalityReport(n, budget, tuple(sizes), tuple(violations),
+    wprof = ac_number(builder(), cap=n + 1)
+    return MinimalityReport(n, budget, tuple(sizes.items()), violations,
                             name, wprof.number == n)

@@ -143,18 +143,12 @@ def necessary_conditions(g: Multigraph) -> ConditionReport:
     return ConditionReport(count, maxdeg, tuple(fired))
 
 
-def cross_check(g: Multigraph, check_eight: bool = False) -> bool:
+def cross_check(g: Multigraph) -> bool:
     """Agreement of the structural verdict with brute force at level 7.
 
-    With ``check_eight``, a structurally coverable graph is additionally
-    brute-forced at level 8 (finite levels beyond 7 add nothing for graphs).
+    Level 7 settles every finite level for graphs, so no higher level is
+    brute-forced here.
     """
     structural = is_7ac_theorem(g)
     brute, _ = is_n_ac(g, 7)
-    if structural != brute:
-        return False
-    if check_eight and structural:
-        eight, _ = is_n_ac(g, 8)
-        if not eight:
-            return False
-    return True
+    return structural == brute

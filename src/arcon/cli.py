@@ -3,11 +3,14 @@
 Line-oriented key=value output by default (one record per line,
 machine-parsable); ``--json`` switches every record to one JSON object per
 line with the same keys.  Exit codes: 0 success or true, 1 expectation
-failure or false, 2 usage or parse error.
+failure or false, 2 usage error or bad input: ``main``'s ``invoke`` turns a
+file, parse, input or engine-bound error from any command into ``error: ...``
+on stderr.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from time import monotonic
@@ -16,41 +19,19 @@ from typing import Optional
 import click
 
 from . import corpus
-from .arcsearch import ac_number, refine_check
-from .census import (
-    SearchTask,
-    canonical_form,
-    is_planar,
-    reduced_multigraphs,
-)
+from .arcsearch import ac_number, covering_arc, refine_check
+from .census import SearchTask, canonical_form, is_planar, reduced_multigraphs
 from .census import search as profile_search
-from .classify import (
-    HomeoClass,
-    cross_check,
-    homeo_class,
-    necessary_conditions,
-    reduced_graph,
-)
-from .arcsearch import covering_arc
-from .multigraph import (
-    GraphError,
-    Multigraph,
-    ParseError,
-    format_graph_text,
-    parse_graph_text,
-)
+from .classify import HomeoClass, cross_check, homeo_class, necessary_conditions, reduced_graph
+from .multigraph import GraphError, Multigraph, format_graph_text, parse_graph_text
 from .obstructions import seven_point_obstruction
 from .placements import Placement, realize
 from .symmetry import are_homeomorphic
 
 
 def _load(path: str) -> Multigraph:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_graph_text(fh.read())
-    except (ParseError, GraphError, OSError, UnicodeDecodeError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_graph_text(fh.read())
 
 
 def _fmt_value(v) -> str:
@@ -75,7 +56,20 @@ def _fmt_placement(p: Placement) -> str:
     return f"marks={marks};counts={counts}"
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group, whose ``invoke`` is the CLI's one error boundary."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (GraphError, OSError, UnicodeDecodeError) as exc:
+            if isinstance(exc, BrokenPipeError):
+                raise  # a closed output pipe, not bad input: click exits 1 quietly
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Arc-connectivity analysis of finite topological graphs."""
 
@@ -89,15 +83,7 @@ def acnum(file: str, cap: int, witness: bool, as_json: bool) -> None:
     """Arc-connectivity profile of the graph in FILE."""
     if not 2 <= cap <= 8:
         raise click.UsageError("--cap must be in 2..8")
-    g = _load(file)
-    if not g.is_connected():
-        click.echo("error: graph is not connected", err=True)
-        sys.exit(2)
-    try:
-        prof = ac_number(g, cap=cap)
-    except GraphError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    prof = ac_number(_load(file), cap=cap)
     rec: dict = {"ac": prof.label, "omega": prof.omega}
     for n, ok in prof.verdicts:
         rec[f"n{n}"] = ok
@@ -113,9 +99,6 @@ def acnum(file: str, cap: int, witness: bool, as_json: bool) -> None:
 def classify_cmd(file: str, as_json: bool) -> None:
     """Structural classification of the graph in FILE."""
     g = _load(file)
-    if not g.is_connected():
-        click.echo("error: graph is not connected", err=True)
-        sys.exit(2)
     cls = homeo_class(g)
     report = necessary_conditions(g)
     red = reduced_graph(g)
@@ -138,12 +121,7 @@ def classify_cmd(file: str, as_json: bool) -> None:
 @click.option("--json", "as_json", is_flag=True, help="JSON output.")
 def homeo(file1: str, file2: str, as_json: bool) -> None:
     """Are the two graphs homeomorphic?  Exit 0 when yes, 1 when no."""
-    g1, g2 = _load(file1), _load(file2)
-    try:
-        same = are_homeomorphic(g1, g2)
-    except GraphError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    same = are_homeomorphic(_load(file1), _load(file2))
     _emit({"homeomorphic": same}, as_json)
     sys.exit(0 if same else 1)
 
@@ -156,25 +134,19 @@ def homeo(file1: str, file2: str, as_json: bool) -> None:
 @click.option("--json", "as_json", is_flag=True, help="JSON output.")
 def enumerate_cmd(edges: int, planar_only: bool, out: Optional[str], as_json: bool) -> None:
     """List the census of homeomorphism classes with the given edge count."""
-    try:
-        lines = []
-        count = 0
-        for g in reduced_multigraphs(edges):
-            planar = is_planar(g)
-            if planar_only and not planar:
-                continue
-            count += 1
-            rec = {"canon": canonical_form(g).hex(), "edges": edges, "planar": planar}
-            lines.append(rec)
-            _emit(rec, as_json)
-        _emit({"count": count}, as_json)
-        if out:
-            with open(out, "w", encoding="utf-8") as fh:
-                for rec in lines:
-                    fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
-    except GraphError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    lines = []
+    for g in reduced_multigraphs(edges):
+        planar = is_planar(g)
+        if planar_only and not planar:
+            continue
+        rec = {"canon": canonical_form(g).hex(), "edges": edges, "planar": planar}
+        lines.append(rec)
+        _emit(rec, as_json)
+    _emit({"count": len(lines)}, as_json)
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            for rec in lines:
+                fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 class _SearchProgress:
@@ -216,18 +188,13 @@ class _SearchProgress:
 def search_cmd(edges_min: int, edges_max: int, planar: bool, profile_expr: str,
                checkpoint: Optional[str], jobs: int, as_json: bool) -> None:
     """Sweep the census for graphs matching an arc-connectivity profile."""
-    try:
-        task = SearchTask(edges_min, edges_max, profile_expr, planar, checkpoint, jobs)
-        progress = _SearchProgress()
-        for rec in profile_search(task, progress=progress):
-            progress.matches += 1
-            _emit({"canon": rec.canon, "edges": rec.edges, "planar": rec.planar,
-                   "ac": rec.ac, "omega": rec.omega}, as_json)
-        progress.report()
-        _emit({"matches": progress.matches}, as_json)
-    except (GraphError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    task = SearchTask(edges_min, edges_max, profile_expr, planar, checkpoint, jobs)
+    progress = _SearchProgress()
+    for rec in profile_search(task, progress=progress):
+        progress.matches += 1
+        _emit(dataclasses.asdict(rec), as_json)
+    progress.report()
+    _emit({"matches": progress.matches}, as_json)
 
 
 @main.command("verify-paper")

@@ -42,13 +42,21 @@ prints one line per fingerprint, ``name items sha256``:
 * ``witnesses``: the ``covering_arc(*realize(g, p))`` path (vertices and
   edges, or ``-``) on five seeded random placements ``p`` of every corpus
   graph and every census class up to 6 edges: the witness a caller sees.
-  It reads only public names, so it runs on older checkouts too.
+  It reads only public names, so it runs on older checkouts too;
+* ``cli``: the exit code and stdout (not stderr) of ``arcon acnum --witness
+  --json`` and ``arcon classify --json`` on every corpus graph, ``arcon
+  homeo`` on consecutive corpus pairs, ``arcon enumerate --edges K --json``
+  for K = 1..4 and ``arcon search --edges-min 1 --edges-max 5 --profile =3
+  --json``, and the exit code of ``acnum``, ``classify`` and ``homeo`` on a
+  malformed, a non-UTF-8 and a disconnected file, run in process through
+  ``click.testing.CliRunner``.  It too reads only public names.
 
 Marks are written sorted, so the digests do not depend on the hash seed.
 Run it on two checkouts: equal digests mean equal verdicts, counterexamples,
 scan order, symmetry data, planarity verdicts, census labelings, spoked
 counterexample streams, large automorphism groups, smoothed forms, covering
-paths, scanned representatives and covering-arc witnesses on these inputs.
+paths, scanned representatives, covering-arc witnesses and CLI output on
+these inputs.
 A change that keeps the verdicts but picks other counterexamples shows as
 equal ``verdicts`` and different ``profiles``.
 The full run takes under a minute on a 2-core host.  The file is not a
@@ -60,14 +68,18 @@ from __future__ import annotations
 import hashlib
 import random
 import sys
+import tempfile
 from itertools import islice
 from pathlib import Path
+
+from click.testing import CliRunner
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from arcon import (  # noqa: E402
     Placement, ac_number, arcsearch, canonical_form, corpus, covering_arc, enumerate_placements,
-    is_planar, realize)
+    format_graph_text, is_planar, realize)
+from arcon.cli import main as cli_main  # noqa: E402
 from arcon.arcsearch import _uncovered  # noqa: E402
 from arcon.census import reduced_multigraphs  # noqa: E402
 from arcon.multigraph import BoundExceeded, Multigraph, idkey, smooth  # noqa: E402
@@ -225,6 +237,41 @@ def main() -> None:
             w = covering_arc(*realize(g, p))
             d.add(label, placement_text(p), "-" if w is None else (w.vertices, w.edges))
     print(d.line(), flush=True)
+
+    print(cli_digest().line(), flush=True)
+
+
+def cli_digest() -> Digest:
+    """The ``cli`` line: exit codes and stdout of the CLI on fixed inputs."""
+    d = Digest("cli")
+    runner = CliRunner()
+
+    def run(*args, out=True):
+        res = runner.invoke(cli_main, list(args))
+        d.add(args[0], res.exit_code, res.stdout if out else None)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        files = []
+        for ce in corpus.CORPUS:
+            path = Path(tmp, ce.name + ".graph")
+            path.write_text(format_graph_text(ce.builder()), encoding="utf-8")
+            files.append(str(path))
+            run("acnum", str(path), "--witness", "--json")
+            run("classify", str(path), "--json")
+        for a, b in zip(files, files[1:]):
+            run("homeo", a, b)
+        for k in range(1, 5):
+            run("enumerate", "--edges", str(k), "--json")
+        run("search", "--edges-min", "1", "--edges-max", "5", "--profile", "=3", "--json")
+        bad = {"malformed": b"a b c d\n", "non-utf8": "a b\nb \xe9\n".encode("latin-1"),
+               "disconnected": b"a a\nb b\n"}
+        for kind, data in bad.items():
+            path = Path(tmp, kind + ".graph")
+            path.write_bytes(data)
+            run("acnum", str(path), out=False)
+            run("classify", str(path), out=False)
+            run("homeo", str(path), files[0], out=False)
+    return d
 
 
 def subdivided(g):

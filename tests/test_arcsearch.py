@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from arcon import (
+    BoundExceeded,
     GraphError,
     Multigraph,
     ac_number,
@@ -83,6 +84,11 @@ class TestCoveringArc:
     def test_empty_marked_rejected(self):
         with pytest.raises(GraphError, match="nonempty"):
             covering_arc(corpus.arc(), ())
+
+    def test_path_deeper_than_the_recursion_limit_is_a_bound(self):
+        g = build(range(1200), [(i, i + 1) for i in range(1199)])
+        with pytest.raises(BoundExceeded, match="recursion limit"):
+            covering_arc(g, {0, 1199})
 
     def test_builds_no_index(self, monkeypatch):
         built, real = [], GraphIndex.__init__
@@ -695,7 +701,11 @@ class TestRefine:
         assert refine_check(corpus.entry(name).builder(), n)
 
     def test_circle_double_refinement(self):
-        assert refine_check(corpus.circle(), 5, extra=2)
+        g = corpus.circle()
+        twice = g
+        for e in g.edges:
+            twice, _ = twice.subdivide(e.eid, 2)
+        assert is_n_ac(g, 5)[0] == is_n_ac(twice, 5)[0]
 
     def test_k33_level_six(self):
         assert refine_check(corpus.k33(), 6)
@@ -715,19 +725,15 @@ class TestRefine:
         calls = spy_is_n_ac(monkeypatch)
         assert refine_check(g, 3)
         assert refine_check(g, 5)
-        assert refine_check(g, 3, extra=2)
-        assert [n for _, n in calls] == [3, 3, 5, 5, 3, 3]
+        assert [n for _, n in calls] == [3, 3, 5, 5]
         refined = calls[1][0]
         assert calls[3][0] is refined
-        assert len(calls[5][0].edges) == 3 * len(g.edges)
         monkeypatch.undo()
-        fresh = g
+        fresh, twice = g, g
         for e in g.edges:
             fresh, _ = fresh.subdivide(e.eid, 1)
+            twice, _ = twice.subdivide(e.eid, 2)
         assert fresh == refined and fresh is not refined
         for n in (3, 5):
             assert is_n_ac(refined, n) == is_n_ac(fresh, n)
-
-    def test_bad_extra(self):
-        with pytest.raises(GraphError):
-            refine_check(corpus.arc(), 2, extra=0)
+            assert is_n_ac(g, n)[0] == is_n_ac(twice, n)[0]

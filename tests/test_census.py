@@ -412,11 +412,6 @@ class TestMinimality:
         rep = verify_minimality(3)
         assert rep.ok and rep.budget == 4
 
-    def test_partial_sweep_parameter(self):
-        rep = verify_minimality(6, max_edges=3)
-        assert rep.ok
-        assert max(k for k, _ in rep.census_sizes) == 3
-
     def test_rejects_out_of_range(self):
         with pytest.raises(GraphError):
             verify_minimality(7)

@@ -1,3 +1,4 @@
+import errno
 import json
 
 import pytest
@@ -74,6 +75,19 @@ class TestAcnum:
         res = runner.invoke(main, ["acnum", str(p)])
         assert res.exit_code == 2
 
+    @pytest.mark.slow
+    def test_long_covering_path_exits_2(self, runner, tmp_path):
+        # a 500-rung ladder is smooth, and its level-4 scan asks for a
+        # covering path through all 1,000 vertices
+        p = tmp_path / "ladder.graph"
+        rungs = [f"a{i} b{i}\n" for i in range(500)]
+        rails = [f"{r}{i} {r}{i + 1}\n" for r in "ab" for i in range(499)]
+        p.write_text("".join(rungs + rails))
+        res = runner.invoke(main, ["acnum", str(p)])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "error: covering path deeper than the recursion limit" in res.output
+
     def test_engine_bound_exits_2(self, runner, tmp_path, monkeypatch):
         # K3,3 has no endpoint and no cut vertex, so level 4 scans; its 72
         # automorphisms exceed the bound, its twin classes (3! * 3! = 36) do not
@@ -146,6 +160,46 @@ class TestEnumerate:
     def test_bound_exit_2(self, runner):
         res = runner.invoke(main, ["enumerate", "--edges", "99"])
         assert res.exit_code == 2
+
+    def test_out_file_in_missing_directory_exit_2(self, runner, tmp_path):
+        out = tmp_path / "missing" / "census.jsonl"
+        res = runner.invoke(main, ["enumerate", "--edges", "2", "--out", str(out)])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "error:" in res.stderr and not out.parent.exists()
+
+
+def test_closed_output_pipe_is_no_input_error(runner, monkeypatch):
+    # ``arcon enumerate ... | head -1``: click ends a broken pipe with exit 1
+    def closed(record, as_json):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    monkeypatch.setattr("arcon.cli._emit", closed)
+    res = runner.invoke(main, ["enumerate", "--edges", "2"])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "error" not in res.stderr
+
+
+BAD_INPUTS = {
+    "malformed": b"a b c d\n",
+    "non-utf8": "a b\nb \xe9\n".encode("latin-1"),
+    "disconnected": b"a a\nb b\n",
+}
+
+
+@pytest.mark.parametrize("command", ["acnum", "classify", "homeo"])
+@pytest.mark.parametrize("kind", sorted(BAD_INPUTS))
+def test_bad_input_exits_2(runner, tmp_path, command, kind):
+    bad = tmp_path / "bad.graph"
+    bad.write_bytes(BAD_INPUTS[kind])
+    args = [command, str(bad)]
+    if command == "homeo":
+        args.append(write_graph(tmp_path, "arc.graph", corpus.arc()))
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr.startswith("error: ") and res.stdout == ""
 
 
 class TestSearch:
