@@ -47,7 +47,7 @@ from .multigraph import (
     smooth,
     terminal_edges,
 )
-from .obstructions import seven_point_obstruction as obstruction_7
+from .obstructions import obstruction_7
 from .placements import Placement, enumerate_placements, realize
 from .symmetry import are_homeomorphic, canonical_form
 

@@ -261,10 +261,10 @@ def _uncovered(gi: GraphIndex, n: int) -> Iterator[tuple[int, int]]:
 def is_n_ac(g: Multigraph, n: int) -> tuple[bool, Optional[Placement]]:
     """Is every n-point placement coverable by one arc?
 
-    First tries a short list of constructed obstruction placements
-    (``probe_placements``), each certified by the exhaustive per-placement
-    search; they usually find a counterexample without scanning.  Otherwise
-    scans support-orbit representatives in lex order (``_uncovered``) and
+    First tries the two certain obstructions of ``probe_placements``, each
+    certified by the exhaustive per-placement search: the block-cut tree
+    at n >= 3 and the end-count placement at n >= 4.  Otherwise scans
+    support-orbit representatives in lex order (``_uncovered``) and
     returns the first uncovered one, the lex-least failing placement.
     """
     if n < 1:

@@ -4,7 +4,8 @@ The brute-force search in :mod:`arcon.arcsearch` answers n-arc questions from
 first principles; this module answers them from structure: pruning terminal
 edges, recognizing the six graph classes that are arc-coverable at every
 finite size (arc, circle, figure eight, lollipop, dumbbell, theta), and the
-branch-point conditions that rule the property out.  Tests hold the two
+conditions that rule the property out: the block-cut tree at level 3 and
+the end-count lemma above it (``necessary_conditions``).  Tests hold the two
 routes against each other.
 """
 
@@ -16,7 +17,7 @@ from typing import NamedTuple, Optional
 
 from .arcsearch import is_n_ac
 from .multigraph import Edge, GraphError, Multigraph, smooth
-from .obstructions import RULE_3CUT, RULE_3ENDS, RULE_3LEAF, leaf_block_obstruction
+from .obstructions import end_count_obstruction, leaf_block_obstruction
 
 
 class HomeoClass(enum.Enum):
@@ -93,33 +94,25 @@ def is_7ac_theorem(g: Multigraph) -> bool:
     return homeo_class(g) is not HomeoClass.OTHER
 
 
-RULE_DEG5 = "deg>=5"
-RULE_3BRANCH = "3+branch"
-RULE_2DEG4 = "2branch-deg>=4"
-
-# rule name -> the level at which the graph cannot be n-arc connected
-RULE_BREAKS_AT = {RULE_DEG5: 5, RULE_3BRANCH: 7, RULE_2DEG4: 7,
-                  RULE_3ENDS: 3, RULE_3CUT: 3, RULE_3LEAF: 3}
-
-
 @dataclass(frozen=True)
 class ConditionReport:
-    """Branch-point statistics and the non-coverability rules they trigger.
+    """Branch-point statistics and the obstructions that refute levels.
 
-    Each fired rule is sound: ``3endpoints``, ``3way-cut`` and
-    ``3leaf-blocks`` refute 3-arc connectivity, ``deg>=5`` refutes 5-arc
-    connectivity, ``3+branch`` and ``2branch-deg>=4`` refute 7-arc
-    connectivity.  The level-3 rules are also complete: one fires exactly
-    when the block-cut tree has three leaves, ``3leaf-blocks`` only when
-    neither of the other two does.
+    ``fired`` names the level-3 rules, ``3endpoints``, ``3way-cut`` and
+    ``3leaf-blocks``: one fires exactly when the block-cut tree has three
+    leaves, ``3leaf-blocks`` only when neither of the others does.
+    ``end_count`` is the point count of ``end_count_obstruction``, which
+    refutes every level from it on, or None on the six shapes.
     """
 
     branch_count: int
     max_branch_degree: int
     fired: tuple[str, ...]
+    end_count: Optional[int]
 
     def refutes(self, n: int) -> bool:
-        return any(RULE_BREAKS_AT[r] <= n for r in self.fired)
+        return (bool(self.fired) and n >= 3) or (self.end_count is not None
+                                                  and self.end_count <= n)
 
 
 def necessary_conditions(g: Multigraph) -> ConditionReport:
@@ -127,20 +120,10 @@ def necessary_conditions(g: Multigraph) -> ConditionReport:
         raise GraphError("necessary_conditions expects a connected graph")
     s = smooth(g)
     degs = [s.degree(v) for v in s.vertices if s.degree(v) >= 3]
-    count = len(degs)
-    maxdeg = max(degs, default=0)
-    fired = []
-    if maxdeg >= 5:
-        fired.append(RULE_DEG5)
-    if count >= 3:
-        fired.append(RULE_3BRANCH)
-    if count == 2 and min(degs) >= 4:
-        fired.append(RULE_2DEG4)
-    # the level-3 rules are the engine's own block decomposition
     obs = leaf_block_obstruction(s)
-    if obs is not None:
-        fired.extend(obs.rules)
-    return ConditionReport(count, maxdeg, tuple(fired))
+    ends = end_count_obstruction(s)
+    return ConditionReport(len(degs), max(degs, default=0), obs.rules if obs else (),
+                           None if ends is None else ends.n)
 
 
 def cross_check(g: Multigraph) -> bool:

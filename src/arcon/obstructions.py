@@ -1,23 +1,24 @@
 """Constructive placements that defeat covering arcs.
 
-An arc has two endpoints.  Level 3 is a theorem: a graph is 3-arc connected
+An arc has two ends.  Level 3 is a theorem: a graph is 3-arc connected
 exactly when its block-cut tree has at most two leaves, and three points
 inside three leaf blocks need three arc ends (``leaf_block_obstruction``;
 three endpoints of the graph and a vertex in three blocks are its special
-cases).  Around a branch point, points planted just inside several of its
-edge-ends force any covering arc to spend an endpoint locally; three branch
-points in a row need more endpoints than an arc has.  These constructions
-produce concrete placements; callers certify them with the exhaustive
-covering-arc search, so a construction that ever failed to obstruct would be
-caught, not trusted.
+cases).  Above level 3 the end-count lemma builds one placement: points
+inside edges that leave more loaded edge-ends at a vertex than an arc can
+pass through there need an arc end each, and three such needs are more
+than an arc has (``end_count_obstruction``).  Callers certify each
+placement with the exhaustive covering-arc search, so a construction that
+ever failed to obstruct would be caught, not trusted.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import combinations
 from typing import Iterable, NamedTuple
 
-from .multigraph import Edge, GraphError, Id, Multigraph, smooth
+from .multigraph import Edge, GraphError, Id, Multigraph, idkey, smooth
 from .placements import Placement
 from .symmetry import GraphIndex, graph_index, neighbour_masks
 
@@ -162,57 +163,107 @@ def _one_per_block(g: Multigraph, gi: GraphIndex, edges: Iterable[Edge],
     return Placement.of(g, (), {eid: 1 for eid in picks})
 
 
-def _ends(g: Multigraph, v: Id) -> list[Id]:
-    """The ids of the edges at ``v`` in edge order, a loop listed twice."""
-    return [e.eid for e in g.incident(v) for _ in range(1 + e.is_loop)]
+def end_count_obstruction(g: Multigraph) -> Placement | None:
+    """A placement that no arc covers by the end-count lemma, or None.
 
+    Put one point inside each edge of a set L.  For a vertex v let k_v be
+    the number of loaded edge-ends at v, a loaded loop counting twice.  The
+    demand of L is the sum of max(k_v - 2, 0), plus 1 for each vertex of
+    degree 1 whose edge is loaded.  If the demand is 3 or more, no arc
+    covers the points:
 
-def kod_core(g: Multigraph, v: Id, k: int) -> Placement | None:
-    """One interior point just inside each of ``k`` edge-ends at ``v``.
+    * an arc meets an open edge in sub-arcs, and a sub-arc that holds no end
+      of the arc is the whole edge, so it uses both edge-ends; a loop is
+      never whole;
+    * the arc uses at most two edge-ends at a vertex, and it uses a degree-1
+      vertex's edge-end only by ending there;
+    * so each loaded edge-end left unused, and each loaded degree-1 vertex,
+      needs an arc end in its own sub-arc (a sub-arc that holds both arc
+      ends is the whole arc, inside one edge);
+    * the arc has two ends.
 
-    The edge-ends are taken in edge order, a loop's two ends one after the
-    other.  Returns None when the vertex has fewer than ``k`` edge-ends.
+    Returns the placement of a set L of demand 3 or more with the fewest
+    edges, chosen on ``smooth(g)``, or None when there is none (exactly on
+    the six shapes that are n-arc connected for every n).  Smoothing keeps
+    the idkey-least edge id of each chain, so the placement is valid on
+    ``g``; it marks no vertex.  The loaded edge ids, or None, are kept in
+    ``g``'s cache.
+
+    The demand is met by a set S of at most three vertices whose shares
+    sum to 3: a degree-1 vertex takes share 1 and needs its edge loaded,
+    any other vertex needs share + 2 loaded ends, at most its degree.  S is
+    a vertex v and at most two vertices from v's neighbours and the degree-1
+    vertices, or, when there are three degree-1 vertices or more, the first
+    three of them (three edges, the least any L needs).  For each S and
+    shares, ``_load`` meets the needs, and an S is skipped once half its
+    needed ends, rounded up, reach the best count so far, since an edge
+    gives at most two ends.  The count equals a minimum over every edge
+    subset on each census class up to 10 edges.
     """
-    if g.degree(v) < k:
-        return None
-    return Placement.of(g, (), Counter(_ends(g, v)[:k]))
+    if "end_count" not in g._cache:
+        g._cache["end_count"] = _fewest_loads(smooth(g))
+    eids = g._cache["end_count"]
+    return None if eids is None else Placement.of(g, (), dict.fromkeys(eids, 1))
 
 
-def seven_point_obstruction(g: Multigraph) -> Placement:
-    """A 7-point placement no arc can cover, for graphs with >= 3 branch points.
+# the shares of the demand 3 over one, two or three vertices
+_SHARES = {1: ((3,),), 2: ((1, 2), (2, 1)), 3: ((1, 1, 1),)}
 
-    Takes branch points q1, q2, q3 with branch-free connections q1-q2 and
-    q2-q3, puts one point inside each connection, and plants 2/1/2 points on
-    other edge-ends at q1/q2/q3.  Any covering arc would need an endpoint
-    near each of the three branch points, one more endpoint than an arc has.
-    The choice is made on ``smooth(g)``, where a branch-free connection is a
-    single edge; smoothing keeps the branch points and names each chain by
-    its idkey-least edge, so the placement is valid on ``g``.
+
+def _fewest_loads(s: Multigraph) -> tuple[Id, ...] | None:
+    """The loaded edge ids of ``end_count_obstruction`` on the smooth ``s``."""
+    deg, inc = s.degrees, s.incidence
+    leaves = [v for v in s.vertices if deg[v] == 1]
+    if len(leaves) >= 3:
+        return tuple(sorted((inc[v][0].eid for v in leaves[:3]), key=idkey))
+    best: list[Id] | None = None
+    for v in s.vertices:
+        near = [u for u in dict.fromkeys([e.other(v) for e in inc[v]] + leaves) if u != v]
+        groups = [(v,)] + [(v, x) for x in near] + [(v, *xy) for xy in combinations(near, 2)]
+        for members in groups:
+            for shares in _SHARES[len(members)]:
+                need = {m: share + 2 * (deg[m] > 1) for m, share in zip(members, shares)}
+                if any(need[m] > deg[m] for m in members) or (
+                        best is not None and (sum(need.values()) + 1) // 2 >= len(best)):
+                    continue
+                edges = sorted({e.eid: e for m in members for e in inc[m]}.values(),
+                               key=lambda e: idkey(e.eid))
+                loaded = _load(need, edges)
+                if best is None or len(loaded) < len(best):
+                    best = loaded
+    return None if best is None else tuple(sorted(best, key=idkey))
+
+
+def _load(need: dict[Id, int], edges: list[Edge]) -> list[Id]:
+    """Edge ids that give each vertex of ``need`` that many loaded ends.
+
+    ``edges`` are the edges at those vertices, in edge order.  Taken in
+    edge order: first edges between two vertices that still need ends, then
+    loops, then any other edge; ``need`` is used up.
     """
-    if not g.is_connected():
-        raise GraphError("obstruction construction expects a connected graph")
-    s = smooth(g)
-    deg = s.degrees
-    branch = [v for v in s.vertices if deg[v] >= 3]
-    if len(branch) < 3:
-        raise GraphError("need at least 3 branch points")
-    for q2 in branch:
-        links = [e for e in s.incident(q2) if not e.is_loop and deg[e.other(q2)] >= 3]
-        e3 = next((e for e in links if e.other(q2) != links[0].other(q2)), None)
-        if e3 is not None:
-            break
-    else:  # unreachable for connected graphs with >= 3 branch points
-        raise GraphError("no two branch-free connections from one branch point")
-    e1 = links[0]  # the connection to q1; e3 the one to q3
-    spare = _ends(s, q2)
-    spare.remove(e1.eid)
-    spare.remove(e3.eid)
-    counts = Counter((e1.eid, e3.eid, spare[0]))
-    for e in (e1, e3):  # two points at each far end, off the connection
-        spare = _ends(s, e.other(q2))
-        spare.remove(e.eid)
-        counts.update(spare[:2])
-    return Placement.of(g, (), counts)
+    loaded = []
+    for e in edges:
+        if not e.is_loop and need.get(e.a, 0) > 0 and need.get(e.b, 0) > 0:
+            loaded.append(e.eid)
+            need[e.a] -= 1
+            need[e.b] -= 1
+    for e in edges:
+        if e.is_loop and need[e.a] > 0:
+            loaded.append(e.eid)
+            need[e.a] -= 2
+    for e in edges:
+        if e.eid not in loaded and (need.get(e.a, 0) > 0 or need.get(e.b, 0) > 0):
+            loaded.append(e.eid)
+            need[e.a if need.get(e.a, 0) > 0 else e.b] -= 1
+    return loaded
+
+
+def obstruction_7(g: Multigraph) -> Placement:
+    """``end_count_obstruction(g)`` padded to 7 points; ``GraphError`` if none fits."""
+    core = end_count_obstruction(g)
+    if core is None:
+        raise GraphError("no end-count obstruction: the graph is one of the six shapes")
+    return padded(g, core, 7)
 
 
 def padded(g: Multigraph, core: Placement, n: int) -> Placement:
@@ -232,53 +283,19 @@ def padded(g: Multigraph, core: Placement, n: int) -> Placement:
 
 
 def probe_placements(g: Multigraph, n: int):
-    """Deterministic candidates likely (or certain) to be uncoverable.
+    """The certain obstructions of ``is_n_ac``, padded to ``n`` points.
 
-    Yields n-point placements only; callers verify each with the exhaustive
-    per-placement search, so speculative candidates cost one search at most.
-    For n >= 3 the leaf-block obstruction comes first; it always obstructs
-    when it exists.  The speculative fans run for n = 4 and 5 only: at n = 4
-    the 3-fan and the fan of size ``min(deg, 4)``, at n = 5 only the fan of
-    size ``min(deg, 5)``, when that is at least 4.  At n = 3 a 3-fan at v
-    obstructs only when its edge-ends enter three blocks at v, and then the
-    leaf-block obstruction has already been found.  Over the census up to 9
-    edges the 3-fan hit none of its 267 tries at n = 5, and the fans none of
-    their 56 tries at n >= 6.
+    For n >= 3 the leaf-block placement, which exists exactly when ``g`` is
+    not 3-arc connected; for n >= 4 the end-count placement, when it has at
+    most ``n`` points.  Both always obstruct, and callers certify each with
+    the exhaustive per-placement search all the same.  No speculative
+    candidate is tried: a level neither decides goes to the scan.
     """
-    seen = set()
-    branch = [v for v in g.vertices if g.degree(v) >= 3]
-
-    def emit(core: Placement | None):
-        if core is None or core.n > n:
-            return None
-        p = padded(g, core, n)
-        key = (p.marks, p.counts)
-        if key in seen:
-            return None
-        seen.add(key)
-        return p
-
     if n >= 3:
         obs = leaf_block_obstruction(g)
-        p = emit(obs and obs.placement)
-        if p is not None:
-            yield p
-    if n >= 7 and len(branch) >= 3:
-        p = emit(seven_point_obstruction(g))
-        if p is not None:
-            yield p
-    if n >= 5:
-        for v in branch:
-            if g.degree(v) >= 5:
-                p = emit(kod_core(g, v, 5))
-                if p is not None:
-                    yield p
-                break
-    if n not in (4, 5):
-        return
-    for v in branch[:6]:
-        sizes = {min(g.degree(v), 4), 3} if n == 4 else {min(g.degree(v), 5)} - {3}
-        for k in sorted(sizes, reverse=True):
-            p = emit(kod_core(g, v, k))
-            if p is not None:
-                yield p
+        if obs is not None:
+            yield padded(g, obs.placement, n)
+    if n >= 4:
+        core = end_count_obstruction(g)
+        if core is not None and core.n <= n:
+            yield padded(g, core, n)

@@ -396,6 +396,24 @@ def naive_is_n_ac(g, n: int):
     return True, None
 
 
+def fewest_end_loads(g):
+    """The fewest edges of ``g`` whose demand is 3 or more, or None.
+
+    Tries every edge subset, smallest first.  The demand of a set of loaded
+    edges is the sum over vertices of max(k - 2, 0), k the loaded edge-ends
+    there (a loop twice), plus 1 per degree-1 vertex whose edge is loaded.
+    """
+    for size in range(1, len(g.edges) + 1):
+        for loaded in itertools.combinations(g.edges, size):
+            k = dict.fromkeys(g.vertices, 0)
+            for e in loaded:
+                k[e.a] += 1
+                k[e.b] += 1
+            if sum(k[v] if g.degree(v) == 1 else max(k[v] - 2, 0) for v in k) >= 3:
+                return size
+    return None
+
+
 def raw_ac_label(g, cap: int = 7) -> str:
     """ac label from ``is_n_ac`` at every level 2..cap on ``g`` itself, unsmoothed."""
     for n in range(2, cap + 1):

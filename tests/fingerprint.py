@@ -8,6 +8,8 @@ prints one line per fingerprint, ``name items sha256``:
   to 9 edges;
 * ``profiles``: ``ac_number`` (verdicts, counterexample and its level) on
   the same classes;
+* ``end-count``: the ``end_count_obstruction`` placement, or ``-``, of
+  every census class up to 9 edges (``absent`` on checkouts without it);
 * ``first-uncovered``: the first item of ``_uncovered`` on every census
   class up to 7 edges, n = 3..7;
 * ``enumerate``: the ``enumerate_placements`` stream on the census up to 6
@@ -85,6 +87,11 @@ from arcon.census import reduced_multigraphs  # noqa: E402
 from arcon.multigraph import BoundExceeded, Multigraph, idkey, smooth  # noqa: E402
 from arcon.symmetry import graph_index  # noqa: E402
 
+try:
+    from arcon.obstructions import end_count_obstruction  # noqa: E402
+except ImportError:  # a checkout from before the end-count lemma
+    end_count_obstruction = None
+
 
 def placement_text(p) -> str:
     if p is None:
@@ -118,6 +125,15 @@ def main() -> None:
             d.add(k, prof.verdicts, placement_text(prof.counterexample), prof.counterexample_n)
     print(dv.line(), flush=True)
     print(d.line(), flush=True)
+
+    if end_count_obstruction is None:
+        print("end-count absent", flush=True)
+    else:
+        d = Digest("end-count")
+        for k, graphs in census.items():
+            for g in graphs:
+                d.add(k, placement_text(end_count_obstruction(g)))
+        print(d.line(), flush=True)
 
     d = Digest("first-uncovered")
     for k in range(1, 8):

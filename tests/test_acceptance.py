@@ -9,6 +9,7 @@ import random
 import pytest
 
 from arcon import (
+    GraphError,
     ac_number,
     are_homeomorphic,
     canonical_form,
@@ -27,7 +28,6 @@ from arcon import (
 )
 from arcon import corpus
 from arcon.census import SearchTask, reduced_multigraphs, search
-from arcon.classify import RULE_BREAKS_AT
 from arcon.placements import realize
 
 from conftest import raw_ac_label
@@ -86,19 +86,23 @@ def test_criterion_3_condition_soundness(census7_brute):
     violations = []
     for k, g, brute7 in census7_brute:
         rep = necessary_conditions(g)
-        for rule in rep.fired:
-            level = RULE_BREAKS_AT[rule]
+        levels = [(rule, 3) for rule in rep.fired]
+        if rep.end_count is not None:
+            levels.append(("end_count", rep.end_count))
+        for rule, level in levels:
             verdict = brute7 if level == 7 else is_n_ac(g, level)[0]
             if verdict:
                 violations.append((rule, canonical_form(g).hex()))
-    report("criterion 3: fired rules never contradict brute force",
+    report("criterion 3: fired rules and end counts never contradict brute force",
            not violations, "0 violations required")
 
 
 def test_criterion_4_obstruction_vs_engine(census7_brute):
     bad, total = [], 0
     for k, g, _ in census7_brute:
-        if len([v for v in g.vertices if g.degree(v) >= 3]) < 3:
+        if is_7ac_theorem(g):
+            with pytest.raises(GraphError):
+                obstruction_7(g)
             continue
         total += 1
         p = obstruction_7(g)
@@ -106,7 +110,7 @@ def test_criterion_4_obstruction_vs_engine(census7_brute):
         if covering_arc(sub, marked) is not None:
             bad.append(canonical_form(g).hex())
     report("criterion 4: constructed 7-point obstructions are uncoverable",
-           not bad, f"{total} graphs with >= 3 branch points")
+           not bad, f"{total} graphs outside the six shapes")
 
 
 def test_criterion_5_minimality():

@@ -5,6 +5,7 @@ import pytest
 from arcon import (
     GraphError,
     HomeoClass,
+    ac_number,
     branch_points,
     build,
     covering_arc,
@@ -19,18 +20,12 @@ from arcon import (
     smooth,
 )
 from arcon import corpus
-from arcon.classify import (
-    RULE_2DEG4,
-    RULE_3BRANCH,
-    RULE_3CUT,
-    RULE_3ENDS,
-    RULE_3LEAF,
-    RULE_DEG5,
-)
-from arcon.obstructions import kod_core
-from arcon.placements import Placement, realize
+from arcon.arcsearch import _covered
+from arcon.classify import OMEGA_CLASSES
+from arcon.obstructions import RULE_3CUT, RULE_3ENDS, RULE_3LEAF, end_count_obstruction
+from arcon.placements import realize
 
-from conftest import randomly_subdivided
+from conftest import fewest_end_loads, randomly_subdivided
 
 
 class TestReducedGraph:
@@ -107,30 +102,32 @@ class TestHomeoClass:
 class TestNecessaryConditions:
     def test_five_star(self):
         rep = necessary_conditions(corpus.star(5))
-        assert RULE_DEG5 in rep.fired
-        assert rep.refutes(5)
+        assert rep.end_count == 3
+        assert rep.refutes(3)
 
     def test_k33(self):
         rep = necessary_conditions(corpus.k33())
-        assert RULE_3BRANCH in rep.fired
+        assert rep.fired == () and rep.end_count == 7
         assert rep.branch_count == 6
+        assert rep.refutes(7) and not rep.refutes(6)
 
     def test_figure_eight_clean(self):
         rep = necessary_conditions(corpus.figure_eight())
-        assert rep.fired == ()
+        assert rep.fired == () and rep.end_count is None
         assert rep.branch_count == 1 and rep.max_branch_degree == 4
 
     def test_two_deg4_rule(self):
         g = build("ab", [("a", "b"), ("a", "b"), ("a", "a"), ("b", "b")])
         rep = necessary_conditions(g)
-        assert RULE_2DEG4 in rep.fired
+        assert rep.end_count == 4
+        assert rep.refutes(4) and not rep.refutes(3)
 
     def test_cut_rule_on_whiskered_figure_eight(self):
         # two loops and a whisker at one vertex: three components of g - v,
         # but only one endpoint
         g = build("ab", [("a", "a"), ("a", "a"), ("a", "b")])
         rep = necessary_conditions(g)
-        assert rep.fired == (RULE_DEG5, RULE_3CUT)
+        assert rep.fired == (RULE_3CUT,) and rep.end_count == 3
         assert rep.refutes(3)
 
     def test_endpoint_rule_on_whiskered_k33(self):
@@ -140,7 +137,7 @@ class TestNecessaryConditions:
         g = build(us + ws + ["t1", "t2", "t3"],
                   [(u, w) for u in us for w in ws] + [("u1", "t1"), ("u2", "t2"), ("w1", "t3")])
         rep = necessary_conditions(g)
-        assert rep.fired == (RULE_3BRANCH, RULE_3ENDS)
+        assert rep.fired == (RULE_3ENDS,) and rep.end_count == 3
         assert rep.refutes(3)
 
     def test_leaf_block_rule_on_looped_triangle(self):
@@ -149,7 +146,7 @@ class TestNecessaryConditions:
         g = build("abc", [("a", "b"), ("b", "c"), ("c", "a"),
                           ("a", "a"), ("b", "b"), ("c", "c")])
         rep = necessary_conditions(g)
-        assert rep.fired == (RULE_3BRANCH, RULE_3LEAF)
+        assert rep.fired == (RULE_3LEAF,) and rep.end_count == 4
         assert rep.refutes(3) and not is_n_ac(g, 3)[0]
 
     def test_lollipop_and_figure_eight_clean(self):
@@ -159,7 +156,7 @@ class TestNecessaryConditions:
     def test_computed_on_smoothed_form(self):
         g, _ = corpus.star(5).subdivide("e0", 2)
         rep = necessary_conditions(g)
-        assert rep.max_branch_degree == 5 and RULE_DEG5 in rep.fired
+        assert rep.max_branch_degree == 5 and rep.end_count == 3
 
 
 class TestObstruction7:
@@ -196,26 +193,41 @@ class TestObstruction7:
         sub, marked = realize(g, p)
         assert covering_arc(sub, marked) is None
 
-    def test_requires_three_branch_points(self):
-        with pytest.raises(GraphError, match="3 branch points"):
-            obstruction_7(corpus.dumbbell())
+    def test_raises_on_the_six_shapes(self):
+        for name in ("arc", "circle", "figure-eight", "lollipop", "dumbbell", "theta"):
+            with pytest.raises(GraphError, match="six shapes"):
+                obstruction_7(corpus.entry(name).builder())
 
 
-class TestKodCore:
-    def test_edge_ends_in_edge_order(self):
-        # at v, in edge order: an edge to a, a loop, two parallel edges to b
-        g = build("vab", [("e0", "v", "a"), ("e1", "v", "v"), ("e2", "b", "v"),
-                          ("e3", "v", "b"), ("e4", "a", "b")])
-        expected = [
-            {"e0": 1},
-            {"e0": 1, "e1": 1},
-            {"e0": 1, "e1": 2},  # the loop's two ends one after the other
-            {"e0": 1, "e1": 2, "e2": 1},
-            {"e0": 1, "e1": 2, "e2": 1, "e3": 1},
-        ]
-        for k, counts in enumerate(expected, start=1):
-            assert kod_core(g, "v", k) == Placement.of(g, (), counts)
-        assert g.degree("v") == 5 and kod_core(g, "v", 6) is None
+class TestEndCountObstruction:
+    def test_fewest_points_through_seven_edges(self, census_to_six):
+        for g in census_to_six + list(reduced_multigraphs(7)):
+            p = end_count_obstruction(g)
+            assert (None if p is None else p.n) == fewest_end_loads(g), g.edges
+
+    def test_none_exactly_on_the_six_shapes(self, census_to_six):
+        graphs = census_to_six + list(reduced_multigraphs(7)) + list(reduced_multigraphs(8))
+        for g in graphs:
+            p = end_count_obstruction(g)
+            if homeo_class(g) in OMEGA_CLASSES:
+                assert p is None, g.edges
+                continue
+            assert not p.marks and {c for _, c in p.counts} == {1}
+            assert not _covered(g, p), g.edges
+            assert p.n > ac_number(g).number, g.edges
+
+    def test_same_placement_on_subdivisions(self, census_to_six):
+        rng = random.Random(11)
+        for g in census_to_six:
+            h = randomly_subdivided(g, rng, 2, 2)
+            assert end_count_obstruction(h) == end_count_obstruction(smooth(h)), g.edges
+
+    def test_loaded_edges_are_cached(self):
+        g = corpus.k33()
+        p = end_count_obstruction(g)
+        assert g._cache["end_count"] == tuple(e for e, _ in p.counts)
+        theta = corpus.theta()
+        assert end_count_obstruction(theta) is None and theta._cache["end_count"] is None
 
 
 class TestCrossCheck:

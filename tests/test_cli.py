@@ -105,27 +105,27 @@ class TestClassify:
         res = runner.invoke(main, ["classify", path])
         rec = kv(res.output.strip())
         assert rec["class"] == "lollipop" and rec["omega"] == "true"
-        assert rec["rules"] == "[]"
+        assert rec["rules"] == "[]" and "end_count" not in rec
 
     def test_k33(self, runner, tmp_path):
         path = write_graph(tmp_path, "k.graph", corpus.k33())
         res = runner.invoke(main, ["classify", path])
         rec = kv(res.output.strip())
         assert rec["class"] == "other" and rec["omega"] == "false"
-        assert "3+branch" in rec["rules"]
+        assert rec["rules"] == "[]" and rec["end_count"] == "7"
 
     def test_five_star_rule(self, runner, tmp_path):
         path = write_graph(tmp_path, "s.graph", corpus.star(5))
         res = runner.invoke(main, ["classify", path])
-        assert "deg>=5" in kv(res.output.strip())["rules"]
-
+        assert kv(res.output.strip())["end_count"] == "3"
 
     def test_leaf_block_rule(self, runner, tmp_path):
         g = build("abc", [("a", "b"), ("b", "c"), ("c", "a"),
                           ("a", "a"), ("b", "b"), ("c", "c")])
         path = write_graph(tmp_path, "t.graph", g)
         res = runner.invoke(main, ["classify", path])
-        assert kv(res.output.strip())["rules"] == "[3+branch,3leaf-blocks]"
+        rec = kv(res.output.strip())
+        assert rec["rules"] == "[3leaf-blocks]" and rec["end_count"] == "4"
 
 
 class TestHomeo:
@@ -167,6 +167,8 @@ class TestEnumerate:
         assert res.exit_code == 2
         assert isinstance(res.exception, SystemExit)
         assert "error:" in res.stderr and not out.parent.exists()
+        # the file is opened before the census is built
+        assert "canon=" not in res.stdout and "count=" not in res.stdout
 
 
 def test_closed_output_pipe_is_no_input_error(runner, monkeypatch):
