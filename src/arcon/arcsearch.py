@@ -233,7 +233,7 @@ def _uncovered(gi: GraphIndex, n: int) -> Iterator[tuple[int, int]]:
     slots, class offset to class offset.  Coverage is a property of the
     orbit, so the uncovered representatives and their order stay the same.
     """
-    autos = gi.symmetry().autos
+    autos = gi.autos()
     allv, alls = [a[0] for a in autos], [a[1] for a in autos]
     top = gi.n - 1
     witnesses: list[tuple[int, int]] = []
@@ -329,7 +329,9 @@ def ac_number(g: Multigraph, cap: int = 7) -> AcProfile:
     Three leaf blocks L1, L2, L3, attached at cut vertices c1, c2, c3, force
     three arc ends: an arc through a point inside each ``Li - ci`` leaves
     ``Li`` through ``ci``, which it crosses at most once, so the piece of
-    the arc beyond ``ci`` ends inside ``Li - ci``.  The failing placement is
+    the arc beyond ``ci`` ends inside ``Li - ci``.  The failing placement
+    marks a vertex of ``Li`` other than ``ci``, or puts a point inside a
+    loop ``Li``, so each of its points lies in its ``Li - ci``; it is
     certified by the exhaustive path search all the same.
 
     When the tree is a path of blocks B1 - B2 - ... - Bk, any three points
@@ -366,8 +368,8 @@ def ac_number(g: Multigraph, cap: int = 7) -> AcProfile:
         if n > 3:
             ok, c = is_n_ac(s, n)
         else:
-            obs = leaf_block_obstruction(s)
-            ok, c = obs is None, obs.placement if obs else None
+            c = leaf_block_obstruction(s)
+            ok = c is None
             if not ok and _covered(s, c):
                 raise GraphError("internal: level-3 leaf-block placement is covered")
         verdicts.append((n, ok))

@@ -11,6 +11,7 @@ resumable checkpoint, and verifies minimal-edge-count claims.
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
@@ -464,13 +465,14 @@ def search(task: SearchTask, stop_after: Optional[int] = None,
     Emits one record per processed graph whose profile matches the task, in
     census order, so re-runs and resumed runs produce the same stream.
     Graphs are profiled as the census yields them (``--jobs`` above 1 feeds
-    the pool ``SEARCH_CHUNK`` graphs at a time).  The checkpoint file is
-    append-only: a header line with the task parameters, then one JSON record
-    per processed graph; on resume, codes present in the file are not
-    recomputed (a torn final line is dropped and its graph recomputed;
-    corruption earlier in the file raises ``GraphError``).  Records are keyed
-    by canonical code, which does not depend on the labeling the census
-    happens to yield, so any checkpoint of the same task resumes.
+    a pool of at most ``os.cpu_count()`` workers ``SEARCH_CHUNK`` graphs at
+    a time).  The checkpoint file is append-only: a header line with the
+    task parameters, then one JSON record per processed graph; on resume,
+    codes present in the file are not recomputed (a torn final line is
+    dropped and its graph recomputed; corruption earlier in the file raises
+    ``GraphError``).  Records are keyed by canonical code, which does not
+    depend on the labeling the census happens to yield, so any checkpoint
+    of the same task resumes.
     ``stop_after`` aborts after that many newly processed graphs, as a kill
     would (the kill-and-resume tests use it).  ``progress``, when given, is
     called once per processed record, resumed or fresh, after the record
@@ -479,8 +481,6 @@ def search(task: SearchTask, stop_after: Optional[int] = None,
     done: dict[str, SearchRecord] = {}
     out = None
     if task.checkpoint:
-        import os
-
         header = _checkpoint_header(task)
         if os.path.exists(task.checkpoint):
             done = _load_checkpoint(task.checkpoint, header)
@@ -509,7 +509,8 @@ def search(task: SearchTask, stop_after: Optional[int] = None,
         if task.jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = ProcessPoolExecutor(max_workers=task.jobs)
+            # the pool forks all its workers at once: no more than there are cores
+            pool = ProcessPoolExecutor(max_workers=min(task.jobs, os.cpu_count() or 1))
         for rec, fresh in _profiled(items(), pool):
             if fresh:
                 if out is not None:

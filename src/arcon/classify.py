@@ -98,21 +98,21 @@ def is_7ac_theorem(g: Multigraph) -> bool:
 class ConditionReport:
     """Branch-point statistics and the obstructions that refute levels.
 
-    ``fired`` names the level-3 rules, ``3endpoints``, ``3way-cut`` and
-    ``3leaf-blocks``: one fires exactly when the block-cut tree has three
-    leaves, ``3leaf-blocks`` only when neither of the others does.
-    ``end_count`` is the point count of ``end_count_obstruction``, which
-    refutes every level from it on, or None on the six shapes.
+    ``three_leaf_blocks`` is true when the block-cut tree has three leaves
+    or more (``leaf_block_obstruction``), which refutes level 3 and every
+    level above it.  ``end_count`` is the point count of
+    ``end_count_obstruction``, which refutes every level from it on, or
+    None on the six shapes.
     """
 
     branch_count: int
     max_branch_degree: int
-    fired: tuple[str, ...]
+    three_leaf_blocks: bool
     end_count: Optional[int]
 
     def refutes(self, n: int) -> bool:
-        return (bool(self.fired) and n >= 3) or (self.end_count is not None
-                                                  and self.end_count <= n)
+        return (self.three_leaf_blocks and n >= 3) or (self.end_count is not None
+                                                       and self.end_count <= n)
 
 
 def necessary_conditions(g: Multigraph) -> ConditionReport:
@@ -120,9 +120,9 @@ def necessary_conditions(g: Multigraph) -> ConditionReport:
         raise GraphError("necessary_conditions expects a connected graph")
     s = smooth(g)
     degs = [s.degree(v) for v in s.vertices if s.degree(v) >= 3]
-    obs = leaf_block_obstruction(s)
     ends = end_count_obstruction(s)
-    return ConditionReport(len(degs), max(degs, default=0), obs.rules if obs else (),
+    return ConditionReport(len(degs), max(degs, default=0),
+                           leaf_block_obstruction(s) is not None,
                            None if ends is None else ends.n)
 
 

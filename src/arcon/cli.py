@@ -106,7 +106,7 @@ def classify_cmd(file: str, as_json: bool) -> None:
     rec = {
         "class": cls.value,
         "omega": cls is not HomeoClass.OTHER,
-        "rules": "[" + ",".join(report.fired) + "]",
+        "three_leaf_blocks": report.three_leaf_blocks,
         "branch_points": report.branch_count,
         "max_branch_degree": report.max_branch_degree,
         "reduced_class": homeo_class(red.graph).value,

@@ -341,17 +341,24 @@ def parse_graph_text(text: str) -> Multigraph:
 
 
 def format_graph_text(g: Multigraph) -> str:
-    """Serialize to the line format; parse(format(g)) is isomorphic to g."""
+    """Serialize to the line format; parse(format(g)) is isomorphic to g.
+
+    Raises ``GraphError`` naming a vertex id the format cannot carry: an
+    empty name, one with ``#`` or whitespace, a name another id shares
+    (such as ``1`` and ``"1"``), or an isolated vertex named ``v``.
+    """
+    deg = g.degrees
+    names: dict[str, Id] = {}
+    for v in g.vertices:
+        name = str(v)
+        if (name.split() != [name] or "#" in name or names.setdefault(name, v) != v
+                or name == "v" and not deg[v]):
+            raise GraphError(f"vertex id {v!r} cannot be written in the line format")
     lines = []
-    touched = set()
     for e in g.edges:
         a, b = str(e.a), str(e.b)
         if a == "v" and b != "v":  # avoid emitting a vertex declaration
             a, b = b, a
         lines.append(f"{a} {b}")
-        touched.add(e.a)
-        touched.add(e.b)
-    for v in g.vertices:
-        if v not in touched:
-            lines.append(f"v {v}")
+    lines += [f"v {v}" for v in g.vertices if not deg[v]]
     return "\n".join(lines) + "\n"

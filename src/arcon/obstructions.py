@@ -2,43 +2,24 @@
 
 An arc has two ends.  Level 3 is a theorem: a graph is 3-arc connected
 exactly when its block-cut tree has at most two leaves, and three points
-inside three leaf blocks need three arc ends (``leaf_block_obstruction``;
-three endpoints of the graph and a vertex in three blocks are its special
-cases).  Above level 3 the end-count lemma builds one placement: points
-inside edges that leave more loaded edge-ends at a vertex than an arc can
-pass through there need an arc end each, and three such needs are more
-than an arc has (``end_count_obstruction``).  Callers certify each
-placement with the exhaustive covering-arc search, so a construction that
-ever failed to obstruct would be caught, not trusted.
+inside three leaf blocks, away from their cut vertices, need three arc
+ends (``leaf_block_obstruction``).  Above level 3 the end-count lemma
+builds one placement: points inside edges that leave more loaded
+edge-ends at a vertex than an arc can pass through there need an arc end
+each, and three such needs are more than an arc has
+(``end_count_obstruction``).  Callers certify each placement with the
+exhaustive covering-arc search, so a construction that ever failed to
+obstruct would be caught, not trusted.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
-from typing import Iterable, NamedTuple
 
 from .multigraph import Edge, GraphError, Id, Multigraph, idkey, smooth
-from .placements import Placement
-from .symmetry import GraphIndex, graph_index, neighbour_masks
-
-
-RULE_3ENDS = "3endpoints"
-RULE_3CUT = "3way-cut"
-RULE_3LEAF = "3leaf-blocks"
-
-
-class LeafObstruction(NamedTuple):
-    """Three leaf blocks of the block-cut tree, and a placement they defeat.
-
-    ``rules`` names the special cases that hold, ``3endpoints`` (three
-    degree-1 vertices) and ``3way-cut`` (a vertex in three blocks), or is
-    ``("3leaf-blocks",)`` when neither does; ``placement`` is built by the
-    first of them.
-    """
-
-    rules: tuple[str, ...]
-    placement: Placement
+from .placements import Placement, _bits
+from .symmetry import graph_index, neighbour_masks
 
 
 def _blocks(nmask: list[int]) -> list[int]:
@@ -82,85 +63,45 @@ def _blocks(nmask: list[int]) -> list[int]:
     return blocks
 
 
-def leaf_block_obstruction(g: Multigraph) -> LeafObstruction | None:
+def leaf_block_obstruction(g: Multigraph) -> Placement | None:
     """None when the block-cut tree of connected ``g`` has at most two leaves.
 
-    Otherwise three points no arc covers (see ``ac_number`` for the proof),
-    with the rules that hold.  The answer is kept in ``g``'s cache, so
-    ``ac_number``'s level 3 and every later ``probe_placements`` call on
-    the same graph object share one block decomposition.  Those callers
-    and ``necessary_conditions`` ask on the smoothed graph, and ``smooth``
-    keeps nothing on a raw input, so separate callers on one raw input each
-    smooth it and decompose their own copy.  A loop is a
-    block of its own, and a parallel class lies inside one block.  The
-    placement is the first that applies:
+    Otherwise three points no arc covers, each in its own leaf block and
+    off that block's cut vertex (see ``ac_number`` for the proof).  A loop
+    is a block of its own, and a parallel class lies inside one block.
+    Each leaf block of the simple graph (loops dropped, parallel classes
+    merged), a block with exactly one cut vertex, offers its least vertex
+    other than that cut vertex; the placement marks the three least of
+    these, and when there are fewer than three it puts one interior point
+    on each loop, in edge order, until there are three points.
 
-    * ``3endpoints``: marks at the three idkey-least degree-1 vertices;
-    * ``3way-cut``: one point on the idkey-least edge at ``v`` of each of
-      its first three blocks, in the order of those edges (edge order at
-      ``v``), where ``v`` is the idkey-least vertex in three blocks or more
-      (removing it leaves as many pieces, a loop counting as one);
-    * ``3leaf-blocks``: one point on the idkey-least edge of each of the
-      first three leaf blocks, in the order of those edges.
+    The answer is kept in ``g``'s cache, so ``ac_number``'s level 3 and
+    every later ``probe_placements`` call on the same graph object share
+    one block decomposition.  Those callers and ``necessary_conditions``
+    ask on the smoothed graph, and ``smooth`` keeps nothing on a raw input,
+    so separate callers on one raw input each smooth it and decompose their
+    own copy.
     """
     if "leaf_blocks" not in g._cache:
         g._cache["leaf_blocks"] = _leaf_blocks(g)
     return g._cache["leaf_blocks"]
 
 
-def _leaf_blocks(g: Multigraph) -> LeafObstruction | None:
+def _leaf_blocks(g: Multigraph) -> Placement | None:
     gi = graph_index(g)
-    n = gi.n
     blocks = _blocks(neighbour_masks(gi))
-    loops = gi.loops
-    nb = loops[:]  # blocks at each vertex
+    nb = gi.loops[:]  # blocks at each vertex
     for m in blocks:
-        while m:
-            b = m & -m
-            m ^= b
-            nb[b.bit_length() - 1] += 1
-    cut = sum(1 << v for v in range(n) if nb[v] >= 2)
-    leaves = [m for m in blocks if (m & cut).bit_count() == 1]
-    # a loop is a leaf unless it is the only block
-    if len(leaves) + sum(loops) < 3:
+        for v in _bits(m):
+            nb[v] += 1
+    cut = sum(1 << v for v in range(gi.n) if nb[v] >= 2)
+    # a leaf block's vertices off its cut vertex lie in no other block
+    picks = sorted(_bits(m & ~cut)[0] for m in blocks if (m & cut).bit_count() == 1)
+    if len(picks) + sum(gi.loops) < 3:
         return None
-    rules: list[str] = []
-    placement = None
-    ends = [gi.vids[v] for v in range(n) if gi.deg[v] == 1]
-    if len(ends) >= 3:
-        rules.append(RULE_3ENDS)
-        placement = Placement.of(g, ends[:3])
-    hub = next((v for v in range(n) if nb[v] >= 3), None)
-    if hub is not None:
-        rules.append(RULE_3CUT)
-        placement = placement or _one_per_block(
-            g, gi, g.incident(gi.vids[hub]), [m for m in blocks if m >> hub & 1])
-    if placement is None:
-        rules.append(RULE_3LEAF)
-        placement = _one_per_block(g, gi, g.edges, leaves)
-    return LeafObstruction(tuple(rules), placement)
-
-
-def _one_per_block(g: Multigraph, gi: GraphIndex, edges: Iterable[Edge],
-                   blocks: list[int]) -> Placement:
-    """One point on the first edge of ``edges`` in each of three blocks.
-
-    A loop is a block of its own; another edge counts only when one of
-    ``blocks`` (vertex masks) holds both its ends.
-    """
-    picks: list[Id] = []
-    taken = set()
-    for e in edges:
-        if not e.is_loop:
-            pair = 1 << gi.vpos[e.a] | 1 << gi.vpos[e.b]
-            m = next((m for m in blocks if pair & m == pair), None)
-            if m is None or m in taken:
-                continue
-            taken.add(m)
-        picks.append(e.eid)
-        if len(picks) == 3:
-            break
-    return Placement.of(g, (), {eid: 1 for eid in picks})
+    marks = [gi.vids[v] for v in picks[:3]]
+    loops = [e.eid for e in g.edges if e.is_loop][:3 - len(marks)]
+    return Placement.of(g, marks, dict.fromkeys(loops, 1))
 
 
 def end_count_obstruction(g: Multigraph) -> Placement | None:
@@ -292,9 +233,9 @@ def probe_placements(g: Multigraph, n: int):
     candidate is tried: a level neither decides goes to the scan.
     """
     if n >= 3:
-        obs = leaf_block_obstruction(g)
-        if obs is not None:
-            yield padded(g, obs.placement, n)
+        core = leaf_block_obstruction(g)
+        if core is not None:
+            yield padded(g, core, n)
     if n >= 4:
         core = end_count_obstruction(g)
         if core is not None and core.n <= n:

@@ -241,7 +241,7 @@ def iter_placements_indexed(gi: GraphIndex, n: int,
     premise the placement quotient rests on.  The list only grows, and
     every entry in it is the shadow of a real arc.
     """
-    autos = gi.symmetry().autos
+    autos = gi.autos()
     ends = {end - 1 for (_, _, _, end) in gi.classes}
     index = _WitnessIndex(witnesses, gi.n, gi.nslots)
     # the state every node shares: (n, nverts, nslots, autos, ends, index)

@@ -4,16 +4,17 @@ Two related jobs live here:
 
 * canonical codes (``canonical_form``): a byte string equal for two graphs
   exactly when they are isomorphic as multigraphs with loops,
-* placement symmetry (:class:`PlacementSymmetry`): the vertex automorphisms
+* placement symmetry (``GraphIndex.autos``): the vertex automorphisms
   with their action on edge slots, used to enumerate placements one per
   orbit.
 
 Both work on the loop counts and multiplicity matrix of a graph
-(``_matrix``); placement symmetry reads them from the integer-indexed view
-(:class:`GraphIndex`) that holds them.  The canonical code is the minimum
-relabeled edge list over all labelings consistent with iterated degree
-refinement; individualization handles ties and mutually interchangeable
-(twin) vertices are branched only once.
+(``_matrix``) and refine the same degree and loop colors
+(``_degree_colors``); placement symmetry reads the matrix from the
+integer-indexed view (:class:`GraphIndex`) that holds it.  The canonical
+code is the minimum relabeled edge list over all labelings consistent with
+iterated degree refinement; individualization handles ties and mutually
+interchangeable (twin) vertices are branched only once.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class GraphIndex:
     __slots__ = (
         "n", "vids", "vpos", "loops", "mult", "deg",
         "nslots", "slot_pairs", "slot_eids", "classes", "class_of_pair",
-        "_colors", "_symmetry",
+        "_autos",
     )
 
     def __init__(self, g: Multigraph):
@@ -75,21 +76,27 @@ class GraphIndex:
         self.class_of_pair[p0] = len(classes) - 1
         self.classes = tuple(classes)
         self.deg = [self.loops[i] * 2 + sum(self.mult[i]) for i in range(n)]
-        self._colors: list[int] | None = None
-        self._symmetry: PlacementSymmetry | None = None
+        self._autos: list[tuple[tuple[int, ...], tuple[int, ...]]] | None = None
 
-    # -- refinement ---------------------------------------------------------
+    def autos(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """The automorphism action on placement shadows, built once.
 
-    def refined_colors(self) -> list[int]:
-        if self._colors is None:
-            init = _rank([(self.deg[v], self.loops[v]) for v in range(self.n)])
-            self._colors = _refine(self.n, self.loops, _adjacency(self.mult), init)
-        return self._colors
-
-    def symmetry(self) -> "PlacementSymmetry":
-        if self._symmetry is None:
-            self._symmetry = PlacementSymmetry(self)
-        return self._symmetry
+        ``(vbits, sbits)`` for every non-identity vertex automorphism, so a
+        trivial group has no entries.  ``vbits[v]`` is the image of vertex
+        ``v`` as bit ``n-1-image``, the bit order in which the lex-least
+        mark set has the greatest mask.  A support is a mask with slot
+        ``s`` as bit ``nslots-1-s``, and ``sbits[b]`` is the image of the
+        slot at bit ``b``.  An image mask is the OR of its members'
+        entries.  Parallel-edge swaps are left out: supports are
+        class-suffix instead.  Raises ``BoundExceeded`` when the group is
+        larger than ``SKELETON_AUTO_LIMIT``.
+        """
+        if self._autos is None:
+            n = self.n
+            vautos = _vertex_autos(n, self.loops, self.mult, SKELETON_AUTO_LIMIT)
+            self._autos = [(tuple(1 << (n - 1 - w) for w in vperm), _slot_bits(self, vperm))
+                           for vperm in vautos if vperm != tuple(range(n))]
+        return self._autos
 
 
 def _matrix(g: Multigraph) -> tuple[dict[Id, int], list[int], list[list[int]]]:
@@ -138,6 +145,11 @@ def _rank(keys: Sequence) -> list[int]:
 def _adjacency(mult: Sequence[Sequence[int]]) -> list[list[tuple[int, int]]]:
     """``(u, multiplicity)`` for each neighbour ``u`` of each vertex."""
     return [[(u, m) for u, m in enumerate(row) if m] for row in mult]
+
+
+def _degree_colors(n: int, loops: Sequence[int], mult: Sequence[Sequence[int]]) -> list[int]:
+    """The colors refinement starts from: degree and loop count."""
+    return _rank([(sum(mult[v]) + 2 * loops[v], loops[v]) for v in range(n)])
 
 
 def _refine(n: int, loops: Sequence[int], adj: Sequence[Sequence[tuple[int, int]]],
@@ -204,8 +216,7 @@ def _canonical_items(n: int, loops, mult):
     best: list[tuple[int, int, int]] | None = None
     adj = _adjacency(mult)
     # depth first, without a recursive closure (a reference cycle)
-    stack = [_refine(n, loops, adj, _rank([(sum(mult[v]) + 2 * loops[v], loops[v])
-                                           for v in range(n)]))]
+    stack = [_refine(n, loops, adj, _degree_colors(n, loops, mult))]
     nodes = 0
     while stack:
         colors = stack.pop()
@@ -267,8 +278,7 @@ def are_homeomorphic(g1: Multigraph, g2: Multigraph) -> bool:
 # -- vertex automorphisms -----------------------------------------------------
 
 
-def _vertex_autos(n: int, loops, mult, colors: Sequence[int],
-                  limit: int) -> list[tuple[int, ...]]:
+def _vertex_autos(n: int, loops, mult, limit: int) -> list[tuple[int, ...]]:
     """All vertex permutations preserving loops and multiplicities.
 
     Individualization-refinement with orbit pruning (McKay & Piperno).  The
@@ -284,7 +294,7 @@ def _vertex_autos(n: int, loops, mult, colors: Sequence[int],
     its base images; the list is sorted by them.
     """
     adj = _adjacency(mult)
-    doms, base, cells = [_refine(n, loops, adj, list(colors))], [], []
+    doms, base, cells = [_refine(n, loops, adj, _degree_colors(n, loops, mult))], [], []
     while (cell := _first_cell(doms[-1])) is not None:
         base.append(cell[0])
         cells.append(cell)
@@ -346,31 +356,6 @@ def _coset_products(trans, n: int) -> list[tuple[int, ...]]:
     for orbit in trans:
         group = [tuple(map(u.__getitem__, h)) for u in orbit.values() for h in group]
     return group
-
-
-# -- placement symmetry --------------------------------------------------------
-
-
-class PlacementSymmetry:
-    """Compiled automorphism action on placement shadows.
-
-    ``autos`` lists ``(vbits, sbits)`` for every non-identity vertex
-    automorphism, so a trivial group has no entries.  ``vbits[v]`` is the
-    image of vertex ``v`` as bit ``n-1-image``, the bit order in which the
-    lex-least mark set has the greatest mask.  A support is a mask with slot
-    ``s`` as bit ``nslots-1-s``, and ``sbits[b]`` is the image of the slot
-    at bit ``b``.  An image mask is the OR of its members' entries.
-    Parallel-edge swaps are left out: supports are class-suffix instead.
-    """
-
-    __slots__ = ("autos",)
-
-    def __init__(self, gi: GraphIndex):
-        n = gi.n
-        vautos = _vertex_autos(n, gi.loops, gi.mult, gi.refined_colors(),
-                               SKELETON_AUTO_LIMIT)
-        self.autos = [(tuple(1 << (n - 1 - w) for w in vperm), _slot_bits(gi, vperm))
-                      for vperm in vautos if vperm != tuple(range(n))]
 
 
 def _slot_bits(gi: GraphIndex, vperm: Sequence[int]) -> tuple[int, ...]:

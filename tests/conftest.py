@@ -36,7 +36,7 @@ def automorphisms(g, limit: int = AUTOMORPHISM_PAIR_LIMIT):
     Raises :class:`BoundExceeded` when that count exceeds ``limit``.
     """
     gi = graph_index(g)
-    vautos = _vertex_autos(gi.n, gi.loops, gi.mult, gi.refined_colors(), limit)
+    vautos = _vertex_autos(gi.n, gi.loops, gi.mult, limit)
     class_sizes = [e - s for (_, _, s, e) in gi.classes]
     total = len(vautos)
     for sz in class_sizes:

@@ -15,7 +15,7 @@ prints one line per fingerprint, ``name items sha256``:
 * ``enumerate``: the ``enumerate_placements`` stream on the census up to 6
   edges at n = 1..4, and on K3,3, ``double_circle(4)`` and ``star(6)`` at
   n = 1..3;
-* ``symmetry``: ``canonical_form`` and the ``PlacementSymmetry.autos`` list,
+* ``symmetry``: ``canonical_form`` and the ``GraphIndex.autos()`` list,
   order included, of every census class up to 9 edges (``bound`` where the
   automorphism bound is hit);
 * ``planar``: the ``is_planar`` verdicts on every census class up to 10
@@ -27,7 +27,7 @@ prints one line per fingerprint, ``name items sha256``:
   ``double_circle(4)`` and ``double_circle(5)``, each as given and with
   every edge subdivided once, n = 2..7 (the subdivided ``double_circle(5)``
   only up to n = 5): the large groups the census hardly exercises;
-* ``groups``: the ``PlacementSymmetry.autos`` list, order included, of
+* ``groups``: the ``GraphIndex.autos()`` list, order included, of
   K3,3, ``double_circle(4)``, ``double_circle(5)``, ``star(6)`` and
   ``star(7)``, each as given and with every edge subdivided once, and of
   ``star(8)``;
@@ -156,7 +156,7 @@ def main() -> None:
     for k, graphs in census.items():
         for g in graphs:
             try:
-                autos = graph_index(g).symmetry().autos
+                autos = graph_index(g).autos()
             except BoundExceeded:
                 autos = "bound"
             d.add(k, canonical_form(g), autos)
@@ -184,9 +184,9 @@ def main() -> None:
     for name, g in (("k33", corpus.k33()), ("double_circle(4)", corpus.double_circle(4)),
                     ("double_circle(5)", corpus.double_circle(5)),
                     ("star(6)", corpus.star(6)), ("star(7)", corpus.star(7))):
-        d.add(name, graph_index(g).symmetry().autos)
-        d.add(name + " refined", graph_index(subdivided(g)).symmetry().autos)
-    d.add("star(8)", graph_index(corpus.star(8)).symmetry().autos)
+        d.add(name, graph_index(g).autos())
+        d.add(name + " refined", graph_index(subdivided(g)).autos())
+    d.add("star(8)", graph_index(corpus.star(8)).autos())
     print(d.line(), flush=True)
 
     d = Digest("smoothed")

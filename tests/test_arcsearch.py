@@ -1,8 +1,8 @@
 import random
 from collections import Counter
 from itertools import islice
-from types import SimpleNamespace
 
+import networkx as nx
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -20,7 +20,7 @@ from arcon import (
     smooth,
 )
 from arcon import arcsearch, corpus, obstructions, placements
-from arcon.obstructions import RULE_3CUT, RULE_3ENDS, RULE_3LEAF, leaf_block_obstruction
+from arcon.obstructions import leaf_block_obstruction
 from arcon.placements import Placement, _to_placement, realize
 from arcon.symmetry import GraphIndex, graph_index
 
@@ -241,7 +241,7 @@ class TestIsNAc:
         skips = 0
         for g in census_to_six + looped_or_parallel():
             gi = GraphIndex(g)
-            gi._symmetry = SimpleNamespace(autos=[])
+            gi._autos = []
             for n in range(3, 8):
                 emitted, finished = [], []
 
@@ -489,7 +489,7 @@ class TestAcNumber:
         # level 3 and the probes of every higher level share one decomposition
         assert prof.label == "6" and len(runs) == 1
         rep = necessary_conditions(g)
-        assert rep.fired == () and rep.end_count == 7 and len(runs) == 1
+        assert not rep.three_leaf_blocks and rep.end_count == 7 and len(runs) == 1
 
     def test_counterexample_on_subdivided_graph(self):
         rng = random.Random(8)
@@ -570,32 +570,23 @@ class TestAcNumber:
         assert not any("edge_map" in g._cache for g in classes)
 
 
-def theorem_applies(g) -> bool:
-    """Three degree-1 vertices, or a vertex whose removal leaves three pieces.
+def leaf_block_marks(g, p) -> bool:
+    """Is each mark of ``p`` off the cut vertices, in a leaf block of its own?
 
-    Pieces are counted on the graph with every edge subdivided once, so a
-    loop at the vertex is a piece of its own and parallel edges join one.
+    An oracle on networkx: the simple graph of ``g`` with each loop as a
+    pendant edge of its own, so a vertex with a loop is a cut vertex and
+    the loop a leaf block.  The loaded edges of ``p`` must be loops, one
+    point each.
     """
-    if sum(1 for v in g.vertices if g.degree(v) == 1) >= 3:
-        return True
-    fine = g
-    for e in g.edges:
-        fine, _ = fine.subdivide(e.eid, 1)
-    for v in g.vertices:
-        left = set(fine.vertices) - {v}
-        pieces = 0
-        while left:
-            pieces += 1
-            stack = [left.pop()]
-            while stack:
-                for e in fine.incident(stack.pop()):
-                    for w in (e.a, e.b):
-                        if w in left:
-                            left.remove(w)
-                            stack.append(w)
-        if pieces >= 3:
-            return True
-    return False
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    h.add_edges_from((e.a, ("loop", e.eid)) if e.is_loop else (e.a, e.b) for e in g.edges)
+    cuts = set(nx.articulation_points(h))
+    blocks = [b for b in nx.biconnected_components(h) if len(b & cuts) == 1]
+    home = [[b for b in blocks if v in b] for v in p.marks]
+    return (not p.marks & cuts and all(len(bs) == 1 for bs in home)
+            and len({id(bs[0]) for bs in home}) == len(home)
+            and all(g.edge(eid).is_loop and c == 1 for eid, c in p.counts))
 
 
 class TestTheoremProbes:
@@ -603,22 +594,18 @@ class TestTheoremProbes:
             self, census_to_six, monkeypatch):
         from arcon import reduced_multigraphs, symmetry
 
-        def no_symmetry(gi):
+        def no_symmetry(*args):
             raise AssertionError("placement symmetry built")
 
-        def special(g):
-            obs = leaf_block_obstruction(g)
-            return obs is not None and obs.rules[0] != RULE_3LEAF
-
-        monkeypatch.setattr(symmetry, "PlacementSymmetry", no_symmetry)
+        monkeypatch.setattr(symmetry, "_vertex_autos", no_symmetry)
         rng = random.Random(11)
         checked = passed = 0
         for g in census_to_six + list(reduced_multigraphs(7)):
-            assert special(g) == theorem_applies(g)
             # degree-2 vertices of an unsmoothed input change nothing
-            assert special(randomly_subdivided(g, rng, 2, 2)) == special(g)
+            fails = leaf_block_obstruction(g) is not None
+            assert (leaf_block_obstruction(randomly_subdivided(g, rng, 2, 2)) is not None) == fails
             prof = ac_number(g, cap=3)  # passing or failing, no symmetry built
-            if leaf_block_obstruction(g) is None:
+            if not fails:
                 assert prof.verdict(3) and prof.counterexample is None
                 passed += 1
                 continue
@@ -629,7 +616,7 @@ class TestTheoremProbes:
         assert checked > 100 and passed > 100
 
     def test_leaf_blocks_decide_level_three(self):
-        """The block-cut tree theorem against the scan, with its labels."""
+        """The block-cut tree theorem against the scan, its placement against an oracle."""
         from arcon import reduced_multigraphs
 
         census = [g for k in range(1, 9) for g in reduced_multigraphs(k)]
@@ -638,21 +625,16 @@ class TestTheoremProbes:
         inputs += [relabeled(randomly_subdivided(g, rng, 2, 2), rng) for g in inputs]
         tally = Counter()
         for i, g in enumerate(inputs):
-            obs = leaf_block_obstruction(g)
-            assert (obs is None) == is_n_ac(g, 3)[0]
+            p = leaf_block_obstruction(g)
+            assert (p is None) == is_n_ac(g, 3)[0]
             if i < len(census):
-                tally["pass" if obs is None else
-                      "leaf" if obs.rules == (RULE_3LEAF,) else "special"] += 1
-            if obs is None:
+                tally["pass" if p is None else "fail"] += 1
+            if p is None:
                 continue
-            assert obs.placement.n == 3
-            assert covering_arc(*realize(g, obs.placement)) is None
-            ends = sum(1 for v in g.vertices if g.degree(v) == 1)
-            assert (RULE_3ENDS in obs.rules) == (ends >= 3)
-            assert (RULE_3ENDS in obs.rules or RULE_3CUT in obs.rules) == theorem_applies(g)
-            assert (RULE_3LEAF in obs.rules) == (obs.rules == (RULE_3LEAF,))
-        # 369 pass and 1,459 fail, 54 of them by neither special case
-        assert tally == {"pass": 369, "special": 1459 - 54, "leaf": 54}
+            assert p.n == 3
+            assert leaf_block_marks(g, p)
+            assert covering_arc(*realize(g, p)) is None
+        assert len(inputs) == 3682 and tally == {"pass": 369, "fail": 1459}
 
     def test_many_twins_answered_by_theorems(self):
         petals = [f"a{i}" for i in range(9)]

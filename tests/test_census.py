@@ -151,7 +151,7 @@ def test_census_path_leaves_no_cyclic_garbage():
                 is_planar(g)
                 canonical_form(g)
                 ac_number(g, cap=3)
-                graph_index(g).symmetry()
+                graph_index(g).autos()
                 smooth(g)
         smooth(k33)
         del g, k33
@@ -350,6 +350,32 @@ class TestSearch:
         serial = [r.to_json() for r in search(SearchTask(1, 3, "=2"))]
         parallel = [r.to_json() for r in search(SearchTask(1, 3, "=2", jobs=2))]
         assert serial == parallel
+
+    @pytest.mark.parametrize("cores, workers", [(3, 3), (None, 1)])
+    def test_jobs_pool_capped_at_cpu_count(self, monkeypatch, cores, workers):
+        # the pool forks all its workers at the first submit, so --jobs
+        # 100000 must not ask for 100,000 processes; a stand-in pool records
+        # its size and maps in this process, so no real pool is started
+        import concurrent.futures
+        import os
+
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        serial = [r.to_json() for r in search(SearchTask(1, 4, "=2"))]
+        assert [r.to_json() for r in search(SearchTask(1, 4, "=2", jobs=100_000))] == serial
+        assert sizes == [workers]
 
     def test_jobs_identical_streams(self, tmp_path):
         streams = {}

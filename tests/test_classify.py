@@ -22,7 +22,7 @@ from arcon import (
 from arcon import corpus
 from arcon.arcsearch import _covered
 from arcon.classify import OMEGA_CLASSES
-from arcon.obstructions import RULE_3CUT, RULE_3ENDS, RULE_3LEAF, end_count_obstruction
+from arcon.obstructions import end_count_obstruction
 from arcon.placements import realize
 
 from conftest import fewest_end_loads, randomly_subdivided
@@ -107,13 +107,13 @@ class TestNecessaryConditions:
 
     def test_k33(self):
         rep = necessary_conditions(corpus.k33())
-        assert rep.fired == () and rep.end_count == 7
+        assert not rep.three_leaf_blocks and rep.end_count == 7
         assert rep.branch_count == 6
         assert rep.refutes(7) and not rep.refutes(6)
 
     def test_figure_eight_clean(self):
         rep = necessary_conditions(corpus.figure_eight())
-        assert rep.fired == () and rep.end_count is None
+        assert not rep.three_leaf_blocks and rep.end_count is None
         assert rep.branch_count == 1 and rep.max_branch_degree == 4
 
     def test_two_deg4_rule(self):
@@ -127,7 +127,7 @@ class TestNecessaryConditions:
         # but only one endpoint
         g = build("ab", [("a", "a"), ("a", "a"), ("a", "b")])
         rep = necessary_conditions(g)
-        assert rep.fired == (RULE_3CUT,) and rep.end_count == 3
+        assert rep.three_leaf_blocks and rep.end_count == 3
         assert rep.refutes(3)
 
     def test_endpoint_rule_on_whiskered_k33(self):
@@ -137,7 +137,7 @@ class TestNecessaryConditions:
         g = build(us + ws + ["t1", "t2", "t3"],
                   [(u, w) for u in us for w in ws] + [("u1", "t1"), ("u2", "t2"), ("w1", "t3")])
         rep = necessary_conditions(g)
-        assert rep.fired == (RULE_3ENDS,) and rep.end_count == 3
+        assert rep.three_leaf_blocks and rep.end_count == 3
         assert rep.refutes(3)
 
     def test_leaf_block_rule_on_looped_triangle(self):
@@ -146,12 +146,12 @@ class TestNecessaryConditions:
         g = build("abc", [("a", "b"), ("b", "c"), ("c", "a"),
                           ("a", "a"), ("b", "b"), ("c", "c")])
         rep = necessary_conditions(g)
-        assert rep.fired == (RULE_3LEAF,) and rep.end_count == 4
+        assert rep.three_leaf_blocks and rep.end_count == 4
         assert rep.refutes(3) and not is_n_ac(g, 3)[0]
 
     def test_lollipop_and_figure_eight_clean(self):
-        assert necessary_conditions(corpus.lollipop()).fired == ()
-        assert necessary_conditions(corpus.figure_eight()).fired == ()
+        assert not necessary_conditions(corpus.lollipop()).three_leaf_blocks
+        assert not necessary_conditions(corpus.figure_eight()).three_leaf_blocks
 
     def test_computed_on_smoothed_form(self):
         g, _ = corpus.star(5).subdivide("e0", 2)

@@ -1,5 +1,7 @@
 import errno
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -105,14 +107,14 @@ class TestClassify:
         res = runner.invoke(main, ["classify", path])
         rec = kv(res.output.strip())
         assert rec["class"] == "lollipop" and rec["omega"] == "true"
-        assert rec["rules"] == "[]" and "end_count" not in rec
+        assert rec["three_leaf_blocks"] == "false" and "end_count" not in rec
 
     def test_k33(self, runner, tmp_path):
         path = write_graph(tmp_path, "k.graph", corpus.k33())
         res = runner.invoke(main, ["classify", path])
         rec = kv(res.output.strip())
         assert rec["class"] == "other" and rec["omega"] == "false"
-        assert rec["rules"] == "[]" and rec["end_count"] == "7"
+        assert rec["three_leaf_blocks"] == "false" and rec["end_count"] == "7"
 
     def test_five_star_rule(self, runner, tmp_path):
         path = write_graph(tmp_path, "s.graph", corpus.star(5))
@@ -125,7 +127,7 @@ class TestClassify:
         path = write_graph(tmp_path, "t.graph", g)
         res = runner.invoke(main, ["classify", path])
         rec = kv(res.output.strip())
-        assert rec["rules"] == "[3leaf-blocks]" and rec["end_count"] == "4"
+        assert rec["three_leaf_blocks"] == "true" and rec["end_count"] == "4"
 
 
 class TestHomeo:
@@ -324,3 +326,25 @@ class TestVerifyPaper:
     def test_unknown_entry_usage_error(self, runner):
         res = runner.invoke(main, ["verify-paper", "--only", "nope"])
         assert res.exit_code == 2
+
+
+def test_readme_example(runner, tmp_path, monkeypatch):
+    # each "$ arcon ..." line of the README's Example block prints the lines
+    # shown under it, on the triod file its printf line writes
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("Example:\n\n```\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    runs = []
+    for line in block.splitlines():
+        if line.startswith("$ printf "):
+            _, body, _, name = shlex.split(line[2:])
+            Path(name).write_text(body.replace("\\n", "\n"), encoding="utf-8")
+        elif line.startswith("$ arcon "):
+            runs.append((shlex.split(line[2:])[1:], []))
+        else:
+            runs[-1][1].append(line)
+    assert [args[0] for args, _ in runs] == ["acnum", "classify"]
+    for args, shown in runs:
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+        assert res.stdout.splitlines() == shown

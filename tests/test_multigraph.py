@@ -352,6 +352,34 @@ class TestTextFormat:
             back = parse_graph_text(format_graph_text(g))
             assert are_homeomorphic(back, g)
 
+    def test_isolated_vertex_named_v_refused(self):
+        # "v v" would read back as a loop at v
+        g = Multigraph(["a", "b", "v"], [Edge("e0", "a", "b")])
+        with pytest.raises(GraphError, match="'v'"):
+            format_graph_text(g)
+        h = Multigraph(["a", "b", "w"], [Edge("e0", "a", "b")])
+        assert parse_graph_text(format_graph_text(h)).vertices == ("a", "b", "w")
+
+    def test_id_with_hash_or_whitespace_refused(self):
+        # "x#1" would read back as "x", folding two leaves of the star into a digon
+        for leaves in (["x#1", "x#2", "y"], ["x 1", "x2", "y"], ["", "x2", "y"]):
+            g = build(["c"] + leaves, [("c", leaf) for leaf in leaves])
+            with pytest.raises(GraphError, match=repr(leaves[0])):
+                format_graph_text(g)
+
+    def test_subdivided_chain_id_refused(self):
+        # subdividing edge "e0#1" makes the vertex "e0#1.1"
+        g, _ = corpus.arc().subdivide("e0", 1)
+        g, fresh = g.subdivide("e0#1", 1)
+        assert fresh == ("e0#1.1",)
+        with pytest.raises(GraphError, match="e0#1.1"):
+            format_graph_text(g)
+
+    def test_ids_sharing_a_name_refused(self):
+        g = build([1, "1", "a"], [(1, "a"), ("1", "a")])
+        with pytest.raises(GraphError, match="cannot be written"):
+            format_graph_text(g)
+
     @given(graphs_connected)
     def test_round_trip_random(self, g):
         back = parse_graph_text(format_graph_text(g))

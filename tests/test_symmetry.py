@@ -119,7 +119,7 @@ def test_twin_block_symmetry_matches_explicit_group():
     # twin-heavy simple graphs: the compiled group (its non-identity
     # automorphisms plus the identity) is the whole explicit group
     for g, size in ((corpus.star(6), 720), (corpus.k33(), 72)):
-        assert len(graph_index(g).symmetry().autos) + 1 == size
+        assert len(graph_index(g).autos()) + 1 == size
         assert len(automorphisms(g, limit=10**6)) == size
 
 
@@ -134,7 +134,7 @@ def test_twin_classes_bound_the_group_before_listing(monkeypatch):
     petals = [f"a{i}" for i in range(9)]
     g = build(["c"] + petals, [e for a in petals for e in (("c", a), ("c", a), (a, a))])
     with pytest.raises(BoundExceeded, match="automorphism group"):
-        graph_index(g).symmetry()
+        graph_index(g).autos()
     assert calls == []
 
 
@@ -167,7 +167,7 @@ def test_vertex_autos_match_brute_force():
                  if all(loops[p[v]] == loops[v] for v in range(n))
                  and all(mult[p[u]][p[v]] == mult[u][v]
                          for u in range(n) for v in range(u + 1, n))}
-        autos = _vertex_autos(n, loops, mult, gi.refined_colors(), 10**6)
+        autos = _vertex_autos(n, loops, mult, 10**6)
         assert len(autos) == len(set(autos))
         assert set(autos) == brute
 
@@ -180,14 +180,16 @@ def test_vertex_autos_bound_the_order_before_building_the_group(monkeypatch):
     gi = graph_index(corpus.star(8))
     start = time.perf_counter()
     with pytest.raises(BoundExceeded, match="automorphism group"):
-        _vertex_autos(gi.n, gi.loops, gi.mult, gi.refined_colors(), 1000)
+        _vertex_autos(gi.n, gi.loops, gi.mult, 1000)
     assert time.perf_counter() - start < 0.5
     assert calls == []
 
 
 def _base(gi):
     """The domain side's pinned vertices: first vertex of the first non-singleton class."""
-    adj, colors, base = symmetry._adjacency(gi.mult), gi.refined_colors(), []
+    adj, base = symmetry._adjacency(gi.mult), []
+    colors = symmetry._refine(gi.n, gi.loops, adj,
+                              symmetry._degree_colors(gi.n, gi.loops, gi.mult))
     while len(set(colors)) < gi.n:
         b = colors.index(min(c for c in colors if colors.count(c) > 1))
         base.append(b)
@@ -216,7 +218,7 @@ def test_vertex_autos_match_networkx(name, subdivided):
     simple.add_edges_from((i, j) for (i, j, _, _) in gi.classes)
     oracle = {tuple(m[v] for v in range(gi.n))
               for m in GraphMatcher(simple, simple).isomorphisms_iter()}
-    autos = _vertex_autos(gi.n, gi.loops, gi.mult, gi.refined_colors(), 10**6)
+    autos = _vertex_autos(gi.n, gi.loops, gi.mult, 10**6)
     assert set(autos) == oracle
     keys = [[p[b] for b in _base(gi)] for p in autos]
     assert len(set(map(tuple, keys))) == len(autos)
