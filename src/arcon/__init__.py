@@ -48,7 +48,7 @@ from .multigraph import (
     terminal_edges,
 )
 from .obstructions import obstruction_7
-from .placements import Placement, enumerate_placements, realize
+from .placements import Placement, realize
 from .symmetry import are_homeomorphic, canonical_form
 
 __version__ = "0.1.0"
@@ -58,7 +58,7 @@ __all__ = [
     "GraphError", "HomeoClass", "MinimalityReport", "Multigraph", "ParseError",
     "Placement", "ReducedGraph", "SearchRecord", "SearchTask", "ac_number",
     "are_homeomorphic", "branch_points", "build",
-    "canonical_form", "covering_arc", "cross_check", "enumerate_placements",
+    "canonical_form", "covering_arc", "cross_check",
     "format_graph_text", "graph_endpoints", "homeo_class", "is_7ac_theorem",
     "is_n_ac", "is_planar", "necessary_conditions", "obstruction_7",
     "parse_graph_text", "realize", "reduced_graph", "reduced_multigraphs",

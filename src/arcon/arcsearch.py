@@ -7,13 +7,14 @@ vertex?  ``covering_arc`` answers it by backtracking with two prunes: the
 unvisited marked vertices must lie in one component, and an arc has two
 ends, so at most one unvisited marked vertex may be left with a single way
 in.  ``is_n_ac`` quantifies over one placement per automorphism orbit of
-(marked vertices, loaded edges).
+sets of min(n, m) loaded edges, m the number of edges: by the theorem in
+``iter_placements_indexed``, no other placement can fail first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
@@ -217,45 +218,35 @@ def _covered(g: Multigraph, p: Placement) -> bool:
     return _find_covering_path(*_edge_masks(g, p.marks, p.count_map())) is not None
 
 
-def _uncovered(gi: GraphIndex, n: int) -> Iterator[tuple[int, int]]:
-    """The orbit representatives no arc covers, in lex order.
+def _uncovered(gi: GraphIndex, n: int) -> Iterator[int]:
+    """The supports no arc covers, one per orbit, in ascending order.
 
-    Keeps the shadow of every covering arc found (see ``_path_shadow``) in
-    the list the scan reads (``iter_placements_indexed``'s ``witnesses``):
-    a placement one of them covers costs neither the canonicity compare nor
-    a search, and any other representative is decided by the path search.
+    Keeps the slot mask of every covering arc found (see ``_path_shadow``)
+    in the list the scan reads (``iter_placements_indexed``'s
+    ``witnesses``): a support one of them holds costs neither the canonicity
+    compare nor a search, and any other representative is decided by the
+    path search.
 
-    With each shadow ``(v, s)`` found for the marks ``mm`` go its distinct
-    images ``(g(v), g(s))`` under the automorphisms ``g`` that fix ``mm``,
-    so a witness covers its whole orbit under the stabilizer, and the
+    With each mask ``s`` found go its distinct images ``g(s)`` under the
+    automorphisms ``g``, so a witness covers its whole orbit, and the
     non-representatives of a covered orbit never reach the compare.  An
-    image is a shadow too: ``g`` maps the arc to an arc and slots onto
+    image is a witness too: ``g`` maps the arc to an arc and slots onto
     slots, class offset to class offset.  Coverage is a property of the
     orbit, so the uncovered representatives and their order stay the same.
     """
-    autos = gi.autos()
-    allv, alls = [a[0] for a in autos], [a[1] for a in autos]
-    top = gi.n - 1
-    witnesses: list[tuple[int, int]] = []
-    fixed, vbs, sbs = -1, [], []
-    for mm, sm in iter_placements_indexed(gi, n, witnesses):
-        path = _find_covering_path(*_realize_masks(gi.n, gi.slot_pairs, mm, sm))
+    sbs = [sbits for _, sbits in gi.autos()]
+    witnesses: list[int] = []
+    for sm in iter_placements_indexed(gi, n, witnesses):
+        path = _find_covering_path(*_realize_masks(gi.n, gi.slot_pairs, 0, sm))
         if path is None:
-            yield mm, sm
+            yield sm
             continue
-        vm, s = _path_shadow(gi, sm, path)
-        witnesses.append((vm, s))
-        if autos and mm != fixed:
-            fixed = mm
-            marks = _bits(mm)
-            fix = list(map(sum(1 << (top - v) for v in marks).__eq__, _images(allv, marks)))
-            vbs, sbs = list(compress(allv, fix)), list(compress(alls, fix))
-        if vbs:
-            verts, slots = _bits(vm), _bits(s)
-            # vertex images are keyed as the scan keys mark sets, v at bit top - v
-            images = dict.fromkeys(zip(_images(vbs, verts), _images(sbs, slots)))
-            images.pop((sum(1 << (top - v) for v in verts), s), None)
-            witnesses.extend((sum(1 << (top - w) for w in _bits(kv)), ks) for kv, ks in images)
+        s = _path_shadow(gi, sm, path)
+        witnesses.append(s)
+        if sbs:
+            images = dict.fromkeys(_images(sbs, _bits(s)))
+            images.pop(s, None)
+            witnesses.extend(images)
 
 
 def is_n_ac(g: Multigraph, n: int) -> tuple[bool, Optional[Placement]]:
@@ -263,9 +254,9 @@ def is_n_ac(g: Multigraph, n: int) -> tuple[bool, Optional[Placement]]:
 
     First tries the two certain obstructions of ``probe_placements``, each
     certified by the exhaustive per-placement search: the block-cut tree
-    at n >= 3 and the end-count placement at n >= 4.  Otherwise scans
-    support-orbit representatives in lex order (``_uncovered``) and
-    returns the first uncovered one, the lex-least failing placement.
+    at n >= 3 and the end-count placement at n >= 4.  Otherwise scans one
+    set of min(n, m) edges per orbit in lex order (``_uncovered``) and
+    returns the first uncovered one, the lex-least failing edge set.
     """
     if n < 1:
         raise GraphError("n must be >= 1")
@@ -275,8 +266,8 @@ def is_n_ac(g: Multigraph, n: int) -> tuple[bool, Optional[Placement]]:
         if not _covered(g, cand):
             return False, cand
     gi = graph_index(g)
-    for mm, sm in _uncovered(gi, n):
-        return False, _to_placement(gi, n, mm, sm)
+    for sm in _uncovered(gi, n):
+        return False, _to_placement(gi, n, sm)
     return True, None
 
 
@@ -388,9 +379,12 @@ def refine_check(g: Multigraph, n: int) -> bool:
     """Recompute is_n_ac on a refined subdivision and compare verdicts.
 
     Subdividing every edge once changes the presentation but not the space,
-    so the verdicts must agree; this validates the placement quotient
-    without assuming it, since the refined graph offers strictly finer point
-    positions (old interior spots become markable vertices).  The refined
+    so the verdicts must agree.  Both sides scan edge sets only, so this
+    checks the orbit scan, the witnesses and the probes on two
+    presentations, not the edge-set theorem itself: the refined graph's
+    scan puts no point on the vertices it adds.  The oracle that tries every
+    mark set and count vector, independent of the quotient, is
+    ``naive_is_n_ac`` in the tests.  The refined
     copy is kept in ``g``'s cache under ``"refined"``, so its index and
     placement symmetry are built once for all the levels asked about ``g``:
     the later levels reuse that symmetry, which costs more to build than

@@ -84,7 +84,9 @@ class GraphIndex:
         ``(vbits, sbits)`` for every non-identity vertex automorphism, so a
         trivial group has no entries.  ``vbits[v]`` is the image of vertex
         ``v`` as bit ``n-1-image``, the bit order in which the lex-least
-        mark set has the greatest mask.  A support is a mask with slot
+        mark set has the greatest mask; the scan reads only ``sbits``, and
+        the mark-set walk of the tests' enumeration oracle reads
+        ``vbits``.  A support is a mask with slot
         ``s`` as bit ``nslots-1-s``, and ``sbits[b]`` is the image of the
         slot at bit ``b``.  An image mask is the OR of its members'
         entries.  Parallel-edge swaps are left out: supports are

@@ -18,7 +18,7 @@ from hypothesis import settings
 from arcon import build, canonical_form, is_n_ac
 from arcon.arcsearch import _find_covering_path
 from arcon.multigraph import BoundExceeded, Edge, GraphError, Id, Multigraph, idkey
-from arcon.placements import Placement, _WitnessIndex
+from arcon.placements import Placement
 from arcon.symmetry import _vertex_autos, graph_index
 
 settings.register_profile("ci", deadline=None, max_examples=40)
@@ -225,39 +225,82 @@ def reference_covering_path(nmask, marked):
     return None
 
 
-def reference_supports(total: int, nslots: int, ends, mm: int = 0, index=None):
-    """The support walk that tests every level's tail on entry.
+def reference_supports(total: int, nslots: int, ends) -> Iterator[int]:
+    """Loaded-slot masks of the supports with ``total`` points, lex ascending.
 
-    A copy of the walk before levels were checked ahead of descent: each
-    level is entered, and every loop turn compares the witness count with
-    its view's before the tail test.  It yields the same stream as
-    ``_supports`` for any consumer that appends only between yields.
+    A support S stands for ``v(S)``: one point on each slot of S but the
+    last, which takes the rest, and masks come in lex order of those count
+    vectors.  ``ends`` holds the last slot of each parallel class; the
+    loaded slots of a class form a suffix of it.  The support walk of the
+    mark-and-count quotient, which ``enumerate_placements`` runs for every
+    mark set.
     """
-    if index is None:
-        index = _WitnessIndex((), 0, nslots)
     if total == 0:
-        if not index.holding(mm, 0):
-            yield 0
-        return
-    yield from _reference_support_level(
-        (nslots - 1, ends, mm, index, index.witnesses, index.slot, index.tail),
-        0, total, False, 0, index.holding(mm, 0), index.count)
+        yield 0
+    else:
+        yield from _reference_support_level(nslots - 1, ends, 0, total, False, 0)
 
 
-def _reference_support_level(st, lo, rem, forced, sm, hs, known):
-    top, ends, mm, index, witnesses, slot, tail = st
+def _reference_support_level(top, ends, lo, rem, forced, sm):
     for f in (lo,) if forced else range(top, lo - 1, -1):
-        if len(witnesses) != known:
-            hs, known = index.holding(mm, sm), index.count
-        if hs & tail[lo]:
-            return
         if rem > 1:
-            yield from _reference_support_level(st, f + 1, rem - 1, f not in ends,
-                                                sm | 1 << (top - f), hs & slot[f], known)
-            if len(witnesses) != known:
-                hs, known = index.holding(mm, sm), index.count
-        if f in ends and not hs & slot[f]:
+            yield from _reference_support_level(top, ends, f + 1, rem - 1, f not in ends,
+                                                sm | 1 << (top - f))
+        if f in ends:
             yield sm | 1 << (top - f)
+
+
+def enumerate_placements(g, n: int) -> Iterator[Placement]:
+    """One placement per automorphism orbit of (marked vertices, loaded edges).
+
+    The full quotient the scan walked before it asked about edge sets only:
+    mark sets depth first, each sorted tuple before its extensions by larger
+    vertices (the lex order of the tuples), and for each mark set that no
+    automorphism maps to a lex-smaller one, the supports of the remaining
+    points (``reference_supports``) that are least under the mark set's
+    stabilizer.  Vertex ``v`` is at bit ``N-1-v`` of a mark-set key, so the
+    lex-least of a set of mark sets of one size has the greatest key.  A
+    mark set some image beats is dropped with its extensions: if
+    g(P) <lex P and x > max P, then g(P ∪ {x}) <lex P ∪ {x}.  Each
+    placement is ``v(S)`` with its marks, so the stream is in lex order of
+    (sorted marked vertices, count vector).
+    """
+    if n < 1:
+        raise GraphError("placement size must be >= 1")
+    if not g.is_connected():
+        raise GraphError("placement enumeration expects a connected graph")
+    gi = graph_index(g)
+    autos = gi.autos()
+    ends = {end - 1 for (_, _, _, end) in gi.classes}
+    for mm, sm in _mark_node(gi, n, autos, ends, 0, 0, 0, 0, [0] * len(autos)):
+        top = gi.nslots - 1
+        loaded = [s for s in range(gi.nslots) if sm >> (top - s) & 1]
+        counts = {gi.slot_eids[s]: 1 for s in loaded}
+        if loaded:
+            counts[gi.slot_eids[loaded[-1]]] = n - mm.bit_count() - len(loaded) + 1
+        yield Placement(frozenset(gi.vids[v] for v in range(gi.n) if mm >> v & 1),
+                        tuple(sorted(counts.items(), key=lambda t: idkey(t[0]))))
+
+
+def _mark_node(gi, n, autos, ends, lo, k, key, mm, imgs):
+    """The shadows with the ``k`` marks ``mm`` or their extensions from ``lo`` on.
+
+    ``imgs[i]``: the key of the mark set's image under ``autos[i]``, none
+    above ``key``.
+    """
+    stab = [sbits for (_, sbits), img in zip(autos, imgs) if img == key]
+    for sm in reference_supports(n - k, gi.nslots, ends):
+        bits = [b for b in range(gi.nslots) if sm >> b & 1]
+        if all(sum(sbits[b] for b in bits) >= sm for sbits in stab):
+            yield mm, sm
+    if k == n:
+        return
+    top = gi.n - 1
+    for v in range(lo, gi.n):
+        ckey = key | 1 << (top - v)
+        cimgs = [img | vbits[v] for (vbits, _), img in zip(autos, imgs)]
+        if all(img <= ckey for img in cimgs):
+            yield from _mark_node(gi, n, autos, ends, v + 1, k + 1, ckey, mm | 1 << v, cimgs)
 
 
 def compositions(total: int, nslots: int, prev_slot) -> Iterator[tuple[int, ...]]:
@@ -464,3 +507,24 @@ def census_to_six(small_census):
 
     return [g for k in sorted(small_census) for g in small_census[k]] + \
         list(reduced_multigraphs(6))
+
+
+@pytest.fixture(scope="session")
+def census_to_seven(census_to_six):
+    """Every census class with at most 7 edges, in census order."""
+    from arcon.census import reduced_multigraphs
+
+    return census_to_six + list(reduced_multigraphs(7))
+
+
+@pytest.fixture(scope="session")
+def oracle_verdicts(census_to_seven):
+    """``naive_is_n_ac`` verdicts at n = 2..7, by graph, on the census up to 7 edges and the corpus.
+
+    The mark-and-count oracle is the slow side of the scan checks, so its
+    verdicts are computed once for every test that compares against them.
+    """
+    from arcon import corpus
+
+    graphs = census_to_seven + [ce.builder() for ce in corpus.CORPUS]
+    return {g: {n: naive_is_n_ac(g, n)[0] for n in range(2, 8)} for g in graphs}

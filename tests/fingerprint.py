@@ -12,9 +12,10 @@ prints one line per fingerprint, ``name items sha256``:
   every census class up to 9 edges (``absent`` on checkouts without it);
 * ``first-uncovered``: the first item of ``_uncovered`` on every census
   class up to 7 edges, n = 3..7;
-* ``enumerate``: the ``enumerate_placements`` stream on the census up to 6
-  edges at n = 1..4, and on K3,3, ``double_circle(4)`` and ``star(6)`` at
-  n = 1..3;
+* ``enumerate``: the stream of the mark-and-count orbit enumerator
+  ``enumerate_placements``, the oracle in ``tests/conftest.py``, on the
+  census up to 6 edges at n = 1..4, and on K3,3, ``double_circle(4)`` and
+  ``star(6)`` at n = 1..3;
 * ``symmetry``: ``canonical_form`` and the ``GraphIndex.autos()`` list,
   order included, of every census class up to 9 edges (``bound`` where the
   automorphism bound is hit);
@@ -36,11 +37,12 @@ prints one line per fingerprint, ``name items sha256``:
 * ``paths``: the input and the returned path of every
   ``_find_covering_path`` call that ``ac_number`` makes on the census up
   to 8 edges;
-* ``scan``: every ``(mm, sm)`` that ``iter_placements_indexed`` yields to
+* ``scan``: every item that ``iter_placements_indexed`` yields to
   ``_uncovered`` on K3,3 and ``double_circle(4)``, each as given and with
   every edge subdivided once, n = 2..6 (the subdivided
   ``double_circle(4)`` only up to n = 5): the stream the witness list
-  prunes, which the verdicts alone do not show;
+  prunes, which the verdicts alone do not show.  Items are loaded-slot
+  masks;
 * ``witnesses``: the ``covering_arc(*realize(g, p))`` path (vertices and
   edges, or ``-``) on five seeded random placements ``p`` of every corpus
   graph and every census class up to 6 edges: the witness a caller sees.
@@ -77,15 +79,17 @@ from pathlib import Path
 from click.testing import CliRunner
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from arcon import (  # noqa: E402
-    Placement, ac_number, arcsearch, canonical_form, corpus, covering_arc, enumerate_placements,
-    format_graph_text, is_planar, realize)
+    Placement, ac_number, arcsearch, canonical_form, corpus, covering_arc, format_graph_text,
+    is_planar, realize)
 from arcon.cli import main as cli_main  # noqa: E402
 from arcon.arcsearch import _uncovered  # noqa: E402
 from arcon.census import reduced_multigraphs  # noqa: E402
 from arcon.multigraph import BoundExceeded, Multigraph, idkey, smooth  # noqa: E402
 from arcon.symmetry import graph_index  # noqa: E402
+from conftest import enumerate_placements  # noqa: E402
 
 try:
     from arcon.obstructions import end_count_obstruction  # noqa: E402
@@ -222,9 +226,9 @@ def main() -> None:
     scan = arcsearch.iter_placements_indexed
 
     def scanned(gi, n, witnesses=()):
-        for mm, sm in scan(gi, n, witnesses):
-            d.add(label, n, mm, sm)
-            yield mm, sm
+        for x in scan(gi, n, witnesses):
+            d.add(label, n, x)
+            yield x
 
     arcsearch.iter_placements_indexed = scanned
     try:

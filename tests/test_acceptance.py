@@ -30,7 +30,7 @@ from arcon import corpus
 from arcon.census import SearchTask, reduced_multigraphs, search
 from arcon.placements import realize
 
-from conftest import raw_ac_label
+from conftest import enumerate_placements, raw_ac_label
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -208,8 +208,6 @@ class TestCriterion6Properties:
         for k, g in census7:
             if k > 4:
                 continue
-            from arcon.placements import enumerate_placements
-
             for p in enumerate_placements(g, 3):
                 sub, marked = realize(g, p)
                 w = covering_arc(sub, marked)

@@ -206,8 +206,7 @@ class TestIsNAc:
     def test_triod_counterexample_is_lex_least(self):
         # scanning in lex order, earlier placements are coverable
         gi = graph_index(corpus.triod())
-        mm, sm = next(arcsearch._uncovered(gi, 3))
-        assert mm == 0 and sm == 0b111
+        assert next(arcsearch._uncovered(gi, 3)) == 0b111
 
     def test_k33(self):
         ok, _ = is_n_ac(corpus.k33(), 6)
@@ -219,24 +218,57 @@ class TestIsNAc:
         ok, _ = is_n_ac(corpus.theta(), 7)
         assert ok
 
-    def test_policies_agree(self, census_to_six):
-        # the support scan finds the lex-least failing placement of the full
-        # count-vector stream; is_n_ac, probes first, gives the same verdict
+    def test_policies_agree(self, census_to_six, oracle_verdicts):
+        # the edge-set scan and is_n_ac, probes first, give the verdict of
+        # the oracle over every mark set and count vector; the scan's first
+        # failure is an uncovered placement with no marks, one point on each
+        # of min(n, m) edges and the rest on the last
         for g in census_to_six + [ce.builder() for ce in corpus.CORPUS]:
             gi = graph_index(g)
             for n in range(3, 8):
+                want = oracle_verdicts[g][n]
+                assert is_n_ac(g, n)[0] == want
                 first = next(arcsearch._uncovered(gi, n), None)
-                lex = (True, None) if first is None else (False, _to_placement(gi, n, *first))
-                assert lex == naive_is_n_ac(g, n)
-                assert is_n_ac(g, n)[0] == lex[0]
+                assert (first is None) == want, (g, n)
+                if first is not None:
+                    p = _to_placement(gi, n, first)
+                    assert not p.marks and p.n == n
+                    assert len(p.counts) == min(n, len(g.edges))
+                    assert not arcsearch._covered(g, p), (g, n, p)
+
+    def test_edge_sets_agree_with_the_oracle(self, census_to_seven, oracle_verdicts):
+        # the edge-set theorem against the oracle over every mark set and
+        # count vector, n > m included: the census up to 7 edges and the
+        # corpus, n = 2..7, same verdict, and every counterexample uncovered
+        over = 0
+        for g in census_to_seven + [ce.builder() for ce in corpus.CORPUS]:
+            for n in range(2, 8):
+                ok, cex = is_n_ac(g, n)
+                assert ok == oracle_verdicts[g][n], (g, n)
+                assert ok or not arcsearch._covered(g, cex), (g, n, cex)
+                over += n > len(g.edges)
+        assert over == 323
+
+    @pytest.mark.slow
+    def test_edge_sets_agree_with_the_oracle_subdivided(self, census_to_seven):
+        # the same on one seeded random subdivision of every census class
+        # up to 7 edges: unsmoothed input, where degree-2 vertices can be
+        # marked but the scan puts no point on them
+        rng = random.Random(5)
+        for g in census_to_seven:
+            h = randomly_subdivided(g, rng, 1, 2)
+            for n in range(2, 8):
+                ok, cex = is_n_ac(h, n)
+                assert ok == naive_is_n_ac(h, n)[0], (h, n)
+                assert ok or not arcsearch._covered(h, cex), (h, n, cex)
 
     def test_witness_hits_are_covered(self, monkeypatch, census_to_six):
         # a support the walk skips as covered must be coverable on its own
-        # realization.  The group is emptied, so every support of every mark
-        # set is in the witness-free stream, including those the symmetry
-        # would hide; the scan runs on past the first failure (up to ten),
-        # so placements with marked vertices at failing levels are checked
-        # too, and loops and parallel edges stress the slot shadows
+        # realization.  The group is emptied, so every support is in the
+        # witness-free stream, including those the symmetry would hide; the
+        # scan runs on past the first failure (up to ten), so supports at
+        # failing levels are checked too, and loops and parallel edges
+        # stress the slot masks
         real = arcsearch.iter_placements_indexed
         skips = 0
         for g in census_to_six + looped_or_parallel():
@@ -259,17 +291,16 @@ class TestIsNAc:
                     stream = stream[:stream.index(emitted[-1]) + 1]
                 kept = set(emitted)
                 assert emitted == [x for x in stream if x in kept]
-                for mm, sm in stream:
-                    if (mm, sm) not in kept:
+                for sm in stream:
+                    if sm not in kept:
                         skips += 1
-                        sub, marked = realize(g, _to_placement(gi, n, mm, sm))
-                        assert covering_arc(sub, marked) is not None, (g, n, mm, sm)
+                        sub, marked = realize(g, _to_placement(gi, n, sm))
+                        assert covering_arc(sub, marked) is not None, (g, n, sm)
         assert skips > 0
 
     def test_witness_shadows_are_coverable(self, monkeypatch, census_to_six):
-        # every path shadow the scan stores must be an arc: the placement
-        # with a mark on each of its vertices and one point on each of its
-        # slots is coverable
+        # every path slot mask the scan stores must be an arc: the placement
+        # with one point on each of its slots is coverable
         real = arcsearch._path_shadow
         shadows = 0
         for g in census_to_six + looped_or_parallel():
@@ -278,13 +309,12 @@ class TestIsNAc:
 
             def checked(*a):
                 nonlocal shadows
-                vmask, slots = real(*a)
+                slots = real(*a)
                 shadows += 1
                 p = Placement.of(
-                    g, [gi.vids[v] for v in range(gi.n) if vmask >> v & 1],
-                    {gi.slot_eids[s]: 1 for s in range(gi.nslots) if slots >> (top - s) & 1})
-                assert covering_arc(*realize(g, p)) is not None, (g, n, vmask, slots)
-                return vmask, slots
+                    g, (), {gi.slot_eids[s]: 1 for s in range(gi.nslots) if slots >> (top - s) & 1})
+                assert covering_arc(*realize(g, p)) is not None, (g, n, slots)
+                return slots
 
             monkeypatch.setattr(arcsearch, "_path_shadow", checked)
             for n in range(2, 8):
@@ -293,10 +323,10 @@ class TestIsNAc:
         assert shadows > 0
 
     def test_image_shadows_are_arcs(self, monkeypatch, census_to_six):
-        # every entry the scan appends, the stabilizer images included, must
-        # be an arc: the placement with a mark on each of its vertices and
-        # one point on each of its slots is coverable.  The groups are the
-        # real ones, and the scan runs on past the first failure (up to ten)
+        # every entry the scan appends, the orbit images included, must be
+        # an arc: the placement with one point on each of its slots is
+        # coverable.  The groups are the real ones, and the scan runs on past
+        # the first failure (up to ten)
         real_iter, real_shadow = arcsearch.iter_placements_indexed, arcsearch._path_shadow
         lists, found = [], []
 
@@ -321,17 +351,16 @@ class TestIsNAc:
                     pass
             entries = {x for ws in lists for x in ws}
             images += len(entries - set(found))
-            for vmask, slots in entries:
+            for slots in entries:
                 p = Placement.of(
-                    g, [gi.vids[v] for v in range(gi.n) if vmask >> v & 1],
-                    {gi.slot_eids[s]: 1 for s in range(gi.nslots) if slots >> (top - s) & 1})
-                assert covering_arc(*realize(g, p)) is not None, (g, vmask, slots)
+                    g, (), {gi.slot_eids[s]: 1 for s in range(gi.nslots) if slots >> (top - s) & 1})
+                assert covering_arc(*realize(g, p)) is not None, (g, slots)
         assert images > 0
 
     def test_compare_sees_only_representatives(self, monkeypatch):
-        # a witness covers its whole orbit under the mark set's stabilizer,
-        # so at a passing level the supports that reach the stabilizer
-        # compare are exactly the representatives the scan yields
+        # a witness covers its whole orbit, so at a passing level the
+        # supports that reach the canonicity compare are exactly the
+        # representatives the scan yields
         real_supports, real_iter = placements._supports, arcsearch.iter_placements_indexed
         compared, reps = [], []
 
@@ -354,31 +383,31 @@ class TestIsNAc:
                 compared.clear()
                 reps.clear()
                 assert next(arcsearch._uncovered(gi, n), None) is None
-                assert compared == [sm for _, sm in reps], (g, n, len(compared), len(reps))
+                assert compared == reps, (g, n, len(compared), len(reps))
 
     def test_witness_list_only_grows(self, monkeypatch):
         # the scan never forgets a witness: no representative that reaches
-        # the path search, and no new shadow, is held by an earlier shadow
+        # the path search, and no new slot mask, is held by an earlier one
         # of the same scan
         real_iter, real_shadow = arcsearch.iter_placements_indexed, arcsearch._path_shadow
-        shadows: list[tuple[int, int]] = []
+        shadows: list[int] = []
         held = []
 
-        def holds(mm, sm):
-            return any(not (mm & ~v or sm & ~s) for v, s in shadows)
+        def holds(sm):
+            return any(not sm & ~s for s in shadows)
 
         def reps(*a):
-            for mm, sm in real_iter(*a):
-                if holds(mm, sm):
-                    held.append(("rep", mm, sm))
-                yield mm, sm
+            for sm in real_iter(*a):
+                if holds(sm):
+                    held.append(("rep", sm))
+                yield sm
 
         def shadow(*a):
-            vmask, slots = real_shadow(*a)
-            if holds(vmask, slots):
-                held.append(("shadow", vmask, slots))
-            shadows.append((vmask, slots))
-            return vmask, slots
+            slots = real_shadow(*a)
+            if holds(slots):
+                held.append(("shadow", slots))
+            shadows.append(slots)
+            return slots
 
         monkeypatch.setattr(arcsearch, "iter_placements_indexed", reps)
         monkeypatch.setattr(arcsearch, "_path_shadow", shadow)

@@ -14,13 +14,13 @@ from arcon.placements import (
     _WitnessIndex,
     _realize_masks,
     _supports,
-    enumerate_placements,
     iter_placements_indexed,
     realize,
 )
 from arcon.symmetry import graph_index
 
-from conftest import automorphisms, compositions, naive_orbit_count, reference_supports, refined
+from conftest import (automorphisms, compositions, enumerate_placements, naive_orbit_count,
+                      reference_supports, refined)
 
 
 def double_star():
@@ -136,18 +136,17 @@ def test_covered_filter_drops_exactly_the_accepted_shadows(small_census):
     graphs += [g for g in (ce.builder() for ce in corpus.CORPUS) if len(g.edges) <= 9]
     for g in graphs:
         gi = graph_index(g)
-        lists = [[((1 << gi.n) - 2, (1 << (gi.nslots - 1)) - 1)],
-                 [(rng.getrandbits(gi.n), rng.getrandbits(gi.nslots)) for _ in range(3)]]
+        lists = [[(1 << (gi.nslots - 1)) - 1],
+                 [rng.getrandbits(gi.nslots) for _ in range(3)]]
         for n in (1, 2, 3, 4):
             stream = list(iter_placements_indexed(gi, n))
             for witnesses in lists:
                 assert list(iter_placements_indexed(gi, n, witnesses)) == [
-                    (mm, sm) for mm, sm in stream
-                    if not any(mm & ~v == 0 and sm & ~s == 0 for v, s in witnesses)]
+                    sm for sm in stream if not any(sm & ~s == 0 for s in witnesses)]
 
 
 def test_index_stays_fresh_across_yields(small_census):
-    # the consumer appends a seeded random shadow after every yield, so the
+    # the consumer appends a seeded random slot mask after every yield, so the
     # walk must emit the witness-free stream minus each support that an
     # entry appended before its turn holds: no more and no fewer.  A leaf
     # after a deeper yield, and a level after a child's, read a grown list
@@ -163,8 +162,7 @@ def test_index_stays_fresh_across_yields(small_census):
             def shadows():
                 r = random.Random(seed)
                 while True:
-                    yield (r.getrandbits(gi.n) | r.getrandbits(gi.n),
-                           r.getrandbits(gi.nslots) | r.getrandbits(gi.nslots))
+                    yield r.getrandbits(gi.nslots) | r.getrandbits(gi.nslots)
 
             witnesses, got, draw = [], [], shadows()
             for x in iter_placements_indexed(gi, n, witnesses):
@@ -172,9 +170,9 @@ def test_index_stays_fresh_across_yields(small_census):
                 witnesses.append(next(draw))
             stream = list(iter_placements_indexed(gi, n))
             want, appended, draw = [], [], shadows()
-            for mm, sm in stream:
-                if not any(mm & ~v == 0 and sm & ~s == 0 for v, s in appended):
-                    want.append((mm, sm))
+            for sm in stream:
+                if not any(sm & ~s == 0 for s in appended):
+                    want.append(sm)
                     appended.append(next(draw))
             assert got == want, (g, n)
             skipped += len(stream) - len(want)
@@ -182,9 +180,10 @@ def test_index_stays_fresh_across_yields(small_census):
 
 
 def test_mark_sets_are_the_lex_least_subsets():
-    # the walk drops every extension of a rejected mark set; the mark sets
-    # it keeps must be, in order, the subsets that no automorphism maps to
-    # a greater key (vertex v at bit N-1-v), i.e. to a lex-smaller tuple
+    # the enumeration oracle's mark walk drops every extension of a rejected
+    # mark set; the mark sets it keeps must be, in order, the subsets that
+    # no automorphism maps to a greater key (vertex v at bit N-1-v), i.e.
+    # to a lex-smaller tuple
     for g, size in ((refined(corpus.k33()), 72), (refined(corpus.double_circle(4)), 48)):
         gi = graph_index(g)
         N = gi.n
@@ -196,12 +195,12 @@ def test_mark_sets_are_the_lex_least_subsets():
 
         for n in (1, 2, 3, 4):
             got = []
-            for mm, _ in iter_placements_indexed(gi, n):
-                if not got or got[-1] != mm:
-                    got.append(mm)
+            for p in enumerate_placements(g, n):
+                marks = tuple(sorted(gi.vpos[v] for v in p.marks))
+                if not got or got[-1] != marks:
+                    got.append(marks)
             subsets = sorted(c for k in range(n + 1) for c in itertools.combinations(range(N), k))
-            want = [sum(1 << v for v in c) for c in subsets
-                    if all(key(p[v] for v in c) <= key(c) for p in vmaps)]
+            want = [c for c in subsets if all(key(p[v] for v in c) <= key(c) for p in vmaps)]
             assert got == want
 
 
@@ -211,47 +210,88 @@ def v_form(cvec) -> bool:
     return all(c == 1 for c in loaded[:-1])
 
 
+def class_slots(class_sizes):
+    """Per slot the last slot of its class, and per slot the previous slot of its class or -1."""
+    end, prev = [], []
+    for size in class_sizes:
+        start = len(prev)
+        prev += [-1] + list(range(start, start + size - 1))
+        end += [start + size - 1] * size
+    return end, prev
+
+
 @given(st.lists(st.integers(1, 3), min_size=1, max_size=6), st.integers(0, 7))
 def test_supports_are_the_v_form_compositions(class_sizes, total):
-    ends, prev = set(), []
-    for size in class_sizes:
-        prev += [-1] + list(range(len(prev), len(prev) + size - 1))
-        ends.add(len(prev) - 1)
-    got = list(_supports(total, len(prev), ends, 0, _WitnessIndex((), 0, len(prev))))
+    # the oracle's walk yields v(S) for every support; the scan's walk
+    # yields the supports of exactly `total` slots, each slot one point
+    end, prev = class_slots(class_sizes)
+    got = list(reference_supports(total, len(prev), set(end)))
     want = [c for c in compositions(total, len(prev), prev) if v_form(c)]
     # slot s is bit nslots-1-s
     assert got == [int("".join("1" if c else "0" for c in cvec), 2) for cvec in want]
+    if total:  # the scan asks for min(n, m) >= 1 slots
+        got = list(_supports(total, end, _WitnessIndex((), len(end))))
+        want = [c for c in compositions(total, len(prev), prev) if max(c) <= 1]
+        assert total > len(end) or want
+        assert got == [int("".join(map(str, cvec)), 2) for cvec in want]
 
 
 @settings(max_examples=300)
-@given(st.lists(st.integers(1, 3), min_size=1, max_size=6), st.integers(0, 6),
-       st.integers(1, 5), st.integers(0, 4), st.data())
-def test_walk_matches_reference_walk(class_sizes, total, nverts, nstart, data):
-    # same class sizes, total, marks and starting witnesses for both walks,
-    # and a consumer that appends the same seeded shadows after yields;
-    # shadows are dense, and most hold the marks, so levels get pruned
-    ends, nslots = set(), 0
-    for size in class_sizes:
-        nslots += size
-        ends.add(nslots - 1)
-    mm = data.draw(st.integers(0, (1 << nverts) - 1))
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=6), st.integers(1, 6),
+       st.integers(0, 4), st.data())
+def test_walk_matches_reference_walk(class_sizes, k, nstart, data):
+    # the walk against a filter of every class-suffix k-slot support in
+    # ascending order: same starting witnesses, and a consumer that appends
+    # the same seeded slot masks after yields.  Masks are dense, so levels
+    # get pruned
+    end, _ = class_slots(class_sizes)
+    nslots = len(end)
+    k = min(k, nslots)
     seed = data.draw(st.integers(0, 2**32 - 1))
+
+    supports = sorted(sum(1 << (nslots - 1 - s) for s in c)
+                      for c in itertools.combinations(range(nslots), k)
+                      if all(s + 1 in c for s in c if s != end[s]))
+
+    def reference(witnesses):
+        for sm in supports:
+            if not any(sm & ~w == 0 for w in witnesses):
+                yield sm
 
     def stream(walk):
         r = random.Random(seed)
-
-        def shadow():
-            vm = r.getrandbits(nverts) | (mm if r.random() < 0.8 else 0)
-            return vm, r.getrandbits(nslots) | r.getrandbits(nslots)
-
-        witnesses = [shadow() for _ in range(nstart)]
+        witnesses = [r.getrandbits(nslots) | r.getrandbits(nslots) for _ in range(nstart)]
         out = []
-        for sm in walk(total, nslots, ends, mm, _WitnessIndex(witnesses, nverts, nslots)):
+        for sm in walk(witnesses):
             out.append(sm)
-            witnesses.extend(shadow() for _ in range(r.choice((0, 0, 1, 2))))
+            witnesses.extend(r.getrandbits(nslots) | r.getrandbits(nslots)
+                             for _ in range(r.choice((0, 0, 1, 2))))
         return out
 
-    assert stream(_supports) == stream(reference_supports)
+    want = stream(reference)
+    assert stream(lambda ws: _supports(k, end, _WitnessIndex(ws, nslots))) == want
+
+
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=6), st.integers(1, 7))
+def test_every_level_yields_without_witnesses(class_sizes, k):
+    # a level is entered only when the slots after it can finish a support,
+    # so with no witness to prune it, every level yields
+    end, _ = class_slots(class_sizes)
+    real, empty = placements._support_level, []
+
+    def spy(*a):
+        got = 0
+        for sm in real(*a):
+            got += 1
+            yield sm
+        empty.append(not got)
+
+    placements._support_level = spy
+    try:
+        list(_supports(min(k, len(end)), end, _WitnessIndex((), len(end))))
+    finally:
+        placements._support_level = real
+    assert not any(empty)
 
 
 def test_no_level_is_entered_covered(monkeypatch):
@@ -260,7 +300,7 @@ def test_no_level_is_entered_covered(monkeypatch):
     real, entered = placements._support_level, []
 
     def spy(st, lo, rem, forced, sm, hs, known):
-        witnesses, tail = st[4], st[6]
+        witnesses, tail = st[3], st[5]
         entered.append(known == len(witnesses) and hs & tail[lo] != 0)
         yield from real(st, lo, rem, forced, sm, hs, known)
 
@@ -338,8 +378,8 @@ class TestRealize:
 
 
 def test_scans_leave_no_cyclic_garbage():
-    # the mark-set walk and the support levels are module generators that
-    # share one state tuple, so a scan builds no self-referring closure and
+    # the support levels are module generators that share one state
+    # tuple, so a scan builds no self-referring closure and
     # everything it leaves is freed by reference counting
     import gc
 

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
-from arcon import BoundExceeded, are_homeomorphic, build, canonical_form
+from arcon import BoundExceeded, are_homeomorphic, build, canonical_form, is_n_ac
 from arcon import corpus
 from arcon import symmetry
 from arcon.symmetry import GraphIndex, _vertex_autos, graph_index
 
-from conftest import automorphisms, naive_code, relabeled
+from conftest import automorphisms, enumerate_placements, naive_code, relabeled
 from test_multigraph import graphs_any
 
 
@@ -139,13 +139,12 @@ def test_twin_classes_bound_the_group_before_listing(monkeypatch):
 
 
 def test_star_placements_fail_on_the_twin_bound(monkeypatch):
-    # the 9 leaves of star(9) are twins, and 9! exceeds the bound, so
-    # enumeration fails before any automorphism is built
-    from arcon import symmetry
-    from arcon.placements import enumerate_placements
-
+    # the 9 leaves of star(9) are twins, and 9! exceeds the bound, so the
+    # scan and the enumeration oracle fail before any automorphism is built
     calls = []
     monkeypatch.setattr(symmetry, "_coset_products", lambda *a: calls.append(a))
+    with pytest.raises(BoundExceeded, match="automorphism group"):
+        is_n_ac(corpus.star(9), 2)
     with pytest.raises(BoundExceeded, match="automorphism group"):
         next(enumerate_placements(corpus.star(9), 2))
     assert calls == []
