@@ -6,9 +6,12 @@ as vertices, does a simple path with marked endpoints visit every marked
 vertex?  ``covering_arc`` answers it by backtracking with two prunes: the
 unvisited marked vertices must lie in one component, and an arc has two
 ends, so at most one unvisited marked vertex may be left with a single way
-in.  ``is_n_ac`` quantifies over one placement per automorphism orbit of
-sets of min(n, m) loaded edges, m the number of edges: by the theorem in
-``iter_placements_indexed``, no other placement can fail first.
+in.  ``is_n_ac`` answers n <= 3 by theorems, and above that quantifies
+over one placement per automorphism orbit of sets of min(n, m) loaded
+edges, m the number of edges: by the theorem in
+``iter_placements_indexed``, no other placement can fail first.  Its
+searches run on the realization with the unmarked degree-2 vertices
+suppressed (``_search``), which no arc with marked ends can tell apart.
 """
 
 from __future__ import annotations
@@ -213,19 +216,84 @@ def covering_arc(gprime: Multigraph, marked: Iterable[Id]) -> Optional[ArcWitnes
     return witness
 
 
+def _between(via: dict[tuple[int, int], list[int]], x: int, y: int) -> list[int]:
+    """The suppressed vertices a step from ``x`` to ``y`` stands for, in order."""
+    return via.get((x, y), []) if x < y else via.get((y, x), [])[::-1]
+
+
+def _search(nmask: list[int], marked: int, cand: int) -> Optional[list[int]]:
+    """``_find_covering_path`` with the unmarked vertices of ``cand`` suppressed.
+
+    Each vertex of ``cand`` has at most two neighbours in ``nmask``: the
+    callers pass the input's degree-2 vertices, the kind ``smooth`` merges
+    away (a degree-2 vertex with a loop has at most one).  Unmarked, such a
+    vertex is no end of a path with marked ends, and a simple path enters
+    it only to pass from one neighbour to the other.  So it is dropped when
+    it has fewer than two neighbours, or when its two are adjacent already
+    (it offers only another route between them), and otherwise bypassed:
+    an edge joins its two neighbours.  Either way a covering path exists
+    exactly when one did before.  A chain of such vertices is bypassed one
+    vertex at a time, and ``via`` keeps, for each bypass edge ``(x, y)``
+    with ``x < y``, the vertices it stands for from ``x`` to ``y``.  The
+    path found is expanded back, so it is a path of the given ``nmask``
+    with the same marked ends.  ``nmask`` is changed in place.
+    """
+    via: dict[tuple[int, int], list[int]] = {}
+    cand &= ~marked
+    while cand:
+        b = cand & -cand
+        cand ^= b
+        v = b.bit_length() - 1
+        nb = nmask[v]
+        nmask[v] = 0
+        bx = nb & -nb
+        by = nb ^ bx
+        if bx:
+            x = bx.bit_length() - 1
+            nmask[x] ^= b
+        if by:
+            y = by.bit_length() - 1
+            nmask[y] ^= b
+            if not nmask[x] & by:
+                nmask[x] |= by
+                nmask[y] |= bx
+                via[x, y] = _between(via, x, v) + [v] + _between(via, v, y)
+    path = _find_covering_path(nmask, marked)
+    if path is None or not via:
+        return path
+    out = path[:1]
+    for x, y in zip(path, path[1:]):
+        out += _between(via, x, y)
+        out.append(y)
+    return out
+
+
 def _covered(g: Multigraph, p: Placement) -> bool:
-    """Does one arc cover the placement ``p`` of ``g``?  Builds no index."""
-    return _find_covering_path(*_edge_masks(g, p.marks, p.count_map())) is not None
+    """Does one arc cover the placement ``p`` of ``g``?  Builds no index.
+
+    The realization's degree-2 vertices, read from ``g.degrees``, are
+    suppressed (``_search``); a graph with none, as every smooth graph but
+    the circle, pays one membership test.
+    """
+    nmask, marked = _edge_masks(g, p.marks, p.count_map())
+    deg = g.degrees
+    cand = 0
+    if 2 in deg.values():
+        cand = sum(1 << i for i, v in enumerate(g.vertices) if deg[v] == 2)
+    return _search(nmask, marked, cand) is not None
 
 
 def _uncovered(gi: GraphIndex, n: int) -> Iterator[int]:
     """The supports no arc covers, one per orbit, in ascending order.
 
     Keeps the slot mask of every covering arc found (see ``_path_shadow``)
-    in the list the scan reads (``iter_placements_indexed``'s
+    in ``gi.witnesses``, the list the scan reads (``iter_placements_indexed``'s
     ``witnesses``): a support one of them holds costs neither the canonicity
     compare nor a search, and any other representative is decided by the
-    path search.
+    path search on its realization, the graph's degree-2 vertices
+    suppressed (``_search``).  The list outlives the scan: an entry is the
+    mask of a real arc at any number of points, so the next level asked on
+    the same index starts with this level's arcs.
 
     With each mask ``s`` found go its distinct images ``g(s)`` under the
     automorphisms ``g``, so a witness covers its whole orbit, and the
@@ -235,9 +303,10 @@ def _uncovered(gi: GraphIndex, n: int) -> Iterator[int]:
     orbit, so the uncovered representatives and their order stay the same.
     """
     sbs = [sbits for _, sbits in gi.autos()]
-    witnesses: list[int] = []
+    witnesses = gi.witnesses
+    cand = sum(1 << v for v, d in enumerate(gi.deg) if d == 2)
     for sm in iter_placements_indexed(gi, n, witnesses):
-        path = _find_covering_path(*_realize_masks(gi.n, gi.slot_pairs, 0, sm))
+        path = _search(*_realize_masks(gi.n, gi.slot_pairs, 0, sm), cand)
         if path is None:
             yield sm
             continue
@@ -252,9 +321,14 @@ def _uncovered(gi: GraphIndex, n: int) -> Iterator[int]:
 def is_n_ac(g: Multigraph, n: int) -> tuple[bool, Optional[Placement]]:
     """Is every n-point placement coverable by one arc?
 
-    First tries the two certain obstructions of ``probe_placements``, each
-    certified by the exhaustive per-placement search: the block-cut tree
-    at n >= 3 and the end-count placement at n >= 4.  Otherwise scans one
+    Levels up to 3 are answered by the theorems of ``ac_number``: a
+    connected graph is 2-arc connected, and 3-arc connected exactly when
+    its block-cut tree has at most two leaves (``leaf_block_obstruction``
+    is None), so no level up to 3 builds the automorphism group.
+    Otherwise it tries the certain obstructions of ``probe_placements``,
+    each certified by the exhaustive per-placement search: the leaf-block
+    placement at n >= 3, which is the answer of a failing level 3, and the
+    end-count placement at n >= 4.  When neither obstructs, it scans one
     set of min(n, m) edges per orbit in lex order (``_uncovered``) and
     returns the first uncovered one, the lex-least failing edge set.
     """
@@ -262,6 +336,8 @@ def is_n_ac(g: Multigraph, n: int) -> tuple[bool, Optional[Placement]]:
         raise GraphError("n must be >= 1")
     if not g.is_connected():
         raise GraphError("is_n_ac expects a connected graph")
+    if n <= 2 or n == 3 and leaf_block_obstruction(g) is None:
+        return True, None
     for cand in probe_placements(g, n):
         if not _covered(g, cand):
             return False, cand
@@ -379,16 +455,18 @@ def refine_check(g: Multigraph, n: int) -> bool:
     """Recompute is_n_ac on a refined subdivision and compare verdicts.
 
     Subdividing every edge once changes the presentation but not the space,
-    so the verdicts must agree.  Both sides scan edge sets only, so this
-    checks the orbit scan, the witnesses and the probes on two
-    presentations, not the edge-set theorem itself: the refined graph's
-    scan puts no point on the vertices it adds.  The oracle that tries every
-    mark set and count vector, independent of the quotient, is
-    ``naive_is_n_ac`` in the tests.  The refined
-    copy is kept in ``g``'s cache under ``"refined"``, so its index and
-    placement symmetry are built once for all the levels asked about ``g``:
-    the later levels reuse that symmetry, which costs more to build than
-    the copy costs to hold.
+    so the verdicts must agree.  At n <= 3 both sides are the theorem
+    answers of ``is_n_ac`` (connectivity, and the leaf blocks with a
+    certified probe), so the scans are compared from n = 4.  Both sides scan
+    edge sets only, so this checks the orbit scan, the witnesses and the
+    probes on two presentations, not the edge-set theorem itself: the
+    refined graph's scan puts no point on the vertices it adds, and its
+    path search suppresses them.  The oracle that tries every mark set and
+    count vector, independent of the quotient, is ``naive_is_n_ac`` in the
+    tests.  The refined copy is kept in ``g``'s cache under ``"refined"``,
+    so its index, placement symmetry and witness list are built once for
+    all the levels asked about ``g``: the later levels reuse them, which
+    cost more to build than the copy costs to hold.
     """
     refined = g._cache.get("refined")
     if refined is None:

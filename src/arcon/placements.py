@@ -272,7 +272,10 @@ def _realize_masks(nverts: int, slot_pairs: Sequence[tuple[int, int]], mm: int, 
     vertex.  An empty non-loop slot is a direct adjacency and an empty loop
     is left out, since no simple path with marked ends can use it.
     Parallel edges collapse to one adjacency bit, which is harmless for
-    vertex-simple path existence.
+    vertex-simple path existence.  Every vertex of the graph is kept here;
+    the searches of ``arcsearch`` suppress its unmarked degree-2 vertices
+    afterwards (``arcsearch._search``), and expand the path they find back
+    to this realization.
     """
     nmask = [0] * nverts
     marked = mm
@@ -314,11 +317,14 @@ def _path_shadow(gi: GraphIndex, sm: int, path: list[int]) -> int:
     """The base-graph slot mask of a path found in the realization of ``sm``.
 
     The slots the arc the path stands for meets in a nondegenerate
-    interval.  A slot counts when its realized vertex is on the path.  A
-    direct step between base vertices runs along an empty slot of that
-    pair, and since the path stands for an arc along any of them, the last
-    one counts: supports load a suffix of each parallel class, so it is the
-    slot most of them load.
+    interval.  ``path`` is a path of the full realization
+    (``_realize_masks``): a search that bypassed a degree-2 vertex has put
+    it back, so a step through it counts the empty slots on both sides.  A
+    slot counts when its realized vertex is on the path.  A direct step
+    between base vertices runs along an empty slot of that pair, and since
+    the path stands for an arc along any of them, the last one counts:
+    supports load a suffix of each parallel class, so it is the slot most
+    of them load.
     """
     n = gi.n
     top = gi.nslots - 1

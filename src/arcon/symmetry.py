@@ -41,12 +41,18 @@ class GraphIndex:
     ``(i, j, start, end)`` per class, its slots being ``start..end-1``.
     A placement shadow is a marked-vertex mask with vertex ``v`` at bit ``v``
     and a loaded-slot mask with slot ``s`` at bit ``nslots-1-s``.
+
+    ``witnesses`` is the append-only list of slot masks of covering arcs
+    that the scans of this graph have found (``arcsearch._uncovered``).  An
+    entry is the mask of a real arc whatever the number of points, so it
+    serves every level: a scan at level n + 1 starts with the arcs of the
+    levels asked before it, orbit images included.
     """
 
     __slots__ = (
         "n", "vids", "vpos", "loops", "mult", "deg",
         "nslots", "slot_pairs", "slot_eids", "classes", "class_of_pair",
-        "_autos",
+        "_autos", "witnesses",
     )
 
     def __init__(self, g: Multigraph):
@@ -77,6 +83,7 @@ class GraphIndex:
         self.classes = tuple(classes)
         self.deg = [self.loops[i] * 2 + sum(self.mult[i]) for i in range(n)]
         self._autos: list[tuple[tuple[int, ...], tuple[int, ...]]] | None = None
+        self.witnesses: list[int] = []
 
     def autos(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """The automorphism action on placement shadows, built once.

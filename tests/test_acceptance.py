@@ -28,7 +28,9 @@ from arcon import (
 )
 from arcon import corpus
 from arcon.census import SearchTask, reduced_multigraphs, search
+from arcon.arcsearch import _uncovered
 from arcon.placements import realize
+from arcon.symmetry import graph_index
 
 from conftest import enumerate_placements, raw_ac_label
 
@@ -131,8 +133,8 @@ class TestCriterion6Properties:
         for k, g in census7:
             if k > 6:
                 continue
-            # ac_number takes level 2 from connectivity; the raw engine must agree
-            assert is_n_ac(g, 2)[0], canonical_form(g).hex()
+            # ac_number and is_n_ac take level 2 from connectivity; the scan must agree
+            assert next(_uncovered(graph_index(g), 2), None) is None, canonical_form(g).hex()
             if k > 5:
                 continue
             prev = True
@@ -141,9 +143,9 @@ class TestCriterion6Properties:
                 assert prev or not cur
                 prev = cur
         for ce in corpus.CORPUS:
-            assert is_n_ac(ce.builder(), 2)[0], ce.name
+            assert next(_uncovered(graph_index(ce.builder()), 2), None) is None, ce.name
         report("criterion 6a: n-ac monotone in n", True,
-               "census <= 5 edges; raw level 2 on census <= 6 edges and corpus")
+               "census <= 5 edges; level-2 scan on census <= 6 edges and corpus")
 
     def test_subdivision_invariance(self):
         rng = random.Random(2024)

@@ -21,7 +21,7 @@ from arcon import (
 )
 from arcon import arcsearch, corpus, obstructions, placements
 from arcon.obstructions import leaf_block_obstruction
-from arcon.placements import Placement, _to_placement, realize
+from arcon.placements import Placement, _bits, _edge_masks, _to_placement, realize
 from arcon.symmetry import GraphIndex, graph_index
 
 from conftest import (
@@ -192,6 +192,69 @@ class TestCoveringPathSearch:
         assert arcsearch._find_covering_path(nmask, 0b111) is None
         assert reference_covering_path(nmask, 0b111) is None
         assert starts == [0]
+
+
+class TestSuppressedSearch:
+    """Bypassing unmarked vertices of at most two neighbours keeps the answer."""
+
+    @staticmethod
+    def check(search, nmask, marked, cand):
+        """``search`` on a copy of ``nmask`` finds a path exactly when the
+        unreduced search does, and its path is a simple path of ``nmask``
+        with marked ends through every mark."""
+        path = search(nmask[:], marked, cand)
+        assert (path is None) == (arcsearch._find_covering_path(nmask, marked) is None)
+        if path is not None:
+            assert len(set(path)) == len(path), path
+            assert all(nmask[x] >> y & 1 for x, y in zip(path, path[1:])), path
+            assert marked >> path[0] & 1 and marked >> path[-1] & 1, path
+            assert sum(1 << v for v in path) & marked == marked, path
+        return path
+
+    def test_random_graphs(self):
+        # every vertex with at most two neighbours is a candidate; _search
+        # leaves the marked ones in place
+        rng = random.Random(11)
+        found = bypassed = 0
+        for _ in range(3000):
+            nv = rng.randint(1, 10)
+            p = rng.uniform(0.1, 0.5)
+            nmask = [0] * nv
+            for x in range(nv):
+                for y in range(x + 1, nv):
+                    if rng.random() < p:
+                        nmask[x] |= 1 << y
+                        nmask[y] |= 1 << x
+            marked = rng.randint(1, (1 << nv) - 1)
+            cand = sum(1 << v for v in range(nv) if nmask[v].bit_count() <= 2)
+            path = self.check(arcsearch._search, nmask, marked, cand)
+            found += path is not None
+            bypassed += path is not None and bool(set(path) - set(_bits(marked)))
+        assert found > 500 and bypassed > 100
+
+    def test_realizations_of_subdivided_census(self, monkeypatch, census_to_seven):
+        # every search that _covered and _uncovered make on a seeded
+        # subdivision of each census class up to 7 edges, the realization
+        # with the degree-2 vertices as candidates: is_n_ac's probes at
+        # n = 3..7, and the scan run on past its first failure (up to three)
+        real = arcsearch._search
+        calls = Counter()
+
+        def checked(nmask, marked, cand):
+            path = self.check(real, nmask, marked, cand)
+            calls["found" if path else "none"] += 1
+            calls["reduced"] += bool(cand & ~marked)
+            return path
+
+        monkeypatch.setattr(arcsearch, "_search", checked)
+        rng = random.Random(29)
+        for g in census_to_seven:
+            h = randomly_subdivided(g, rng, 2, 2)
+            for n in range(3, 8):
+                is_n_ac(h, n)
+                for _ in islice(arcsearch._uncovered(graph_index(h), n), 3):
+                    pass
+        assert calls["found"] > 1000 and calls["none"] > 100 and calls["reduced"] > 1000
 
 
 class TestIsNAc:
@@ -418,6 +481,53 @@ class TestIsNAc:
                 for _ in arcsearch._uncovered(gi, n):
                     pass
                 assert not held, (g, n, held[:3])
+
+    def test_witnesses_outlive_their_level(self, monkeypatch, census_to_seven):
+        # one graph object asked n = 4..7 in turn, its scans sharing the
+        # index's witness list, answers as fresh copies asked one level
+        # each, and every mask in the list is an arc: one point on each of
+        # its slots is covered (by the unreduced search)
+        real_iter = arcsearch.iter_placements_indexed
+        starts = []
+
+        def scan(gi, n, witnesses):
+            starts.append((gi, len(witnesses)))
+            return real_iter(gi, n, witnesses)
+
+        monkeypatch.setattr(arcsearch, "iter_placements_indexed", scan)
+        rng = random.Random(31)
+        graphs = census_to_seven + [ce.builder() for ce in corpus.CORPUS]
+        graphs += [randomly_subdivided(g, rng, 1, 2) for g in census_to_seven]
+        carried = 0
+        for g in graphs:
+            one = Multigraph(g.vertices, g.edges)
+            for n in range(4, 8):
+                assert is_n_ac(one, n) == is_n_ac(Multigraph(g.vertices, g.edges), n), (g, n)
+            gi = graph_index(one)
+            carried += sum(1 for x, known in starts if x is gi and known)
+            starts.clear()
+            top = gi.nslots - 1
+            for s in gi.witnesses:
+                counts = {gi.slot_eids[x]: 1 for x in range(gi.nslots) if s >> (top - x) & 1}
+                nmask, marked = _edge_masks(one, (), counts)
+                assert arcsearch._find_covering_path(nmask, marked) is not None, (g, s)
+        assert carried > 50
+
+    def test_levels_to_three_build_no_group(self, monkeypatch):
+        # connectivity answers n <= 2 and the leaf blocks answer n = 3
+        from arcon import symmetry
+
+        def no_symmetry(*args):
+            raise AssertionError("placement symmetry built")
+
+        monkeypatch.setattr(symmetry, "_vertex_autos", no_symmetry)
+        for g in (refined(corpus.k33()), corpus.double_circle(5)):
+            for n in (1, 2, 3):
+                assert is_n_ac(g, n) == (True, None)
+        star = corpus.star(9)
+        assert is_n_ac(star, 2) == (True, None)
+        ok, cex = is_n_ac(star, 3)
+        assert not ok and not arcsearch._covered(star, cex)
 
     def test_probe_counterexample_is_genuine(self):
         _, cex = is_n_ac(corpus.k33(), 7)
@@ -655,7 +765,11 @@ class TestTheoremProbes:
         tally = Counter()
         for i, g in enumerate(inputs):
             p = leaf_block_obstruction(g)
-            assert (p is None) == is_n_ac(g, 3)[0]
+            # is_n_ac answers a passing level 3 by this theorem: ask the scan
+            if p is None:
+                assert next(arcsearch._uncovered(graph_index(g), 3), None) is None
+            else:
+                assert not is_n_ac(g, 3)[0]
             if i < len(census):
                 tally["pass" if p is None else "fail"] += 1
             if p is None:

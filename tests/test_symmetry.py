@@ -140,13 +140,19 @@ def test_twin_classes_bound_the_group_before_listing(monkeypatch):
 
 def test_star_placements_fail_on_the_twin_bound(monkeypatch):
     # the 9 leaves of star(9) are twins, and 9! exceeds the bound, so the
-    # scan and the enumeration oracle fail before any automorphism is built
+    # enumeration oracle fails before any automorphism is built; is_n_ac
+    # answers level 2 by connectivity and needs no group.  K3,8 has
+    # 3!·8! = 241,920 automorphisms, and neither probe decides its level 4
+    # (the end-count placement has 5 points), so that scan hits the bound
     calls = []
     monkeypatch.setattr(symmetry, "_coset_products", lambda *a: calls.append(a))
-    with pytest.raises(BoundExceeded, match="automorphism group"):
-        is_n_ac(corpus.star(9), 2)
+    assert is_n_ac(corpus.star(9), 2) == (True, None)
     with pytest.raises(BoundExceeded, match="automorphism group"):
         next(enumerate_placements(corpus.star(9), 2))
+    left, right = ["a0", "a1", "a2"], [f"b{i}" for i in range(8)]
+    k38 = build(left + right, [(a, b) for a in left for b in right])
+    with pytest.raises(BoundExceeded, match="automorphism group"):
+        is_n_ac(k38, 4)
     assert calls == []
 
 
