@@ -10,8 +10,9 @@ in.  ``is_n_ac`` answers n <= 3 by theorems, and above that quantifies
 over one placement per automorphism orbit of sets of min(n, m) loaded
 edges, m the number of edges: by the theorem in
 ``iter_placements_indexed``, no other placement can fail first.  Its
-searches run on the realization with the unmarked degree-2 vertices
-suppressed (``_search``), which no arc with marked ends can tell apart.
+searches run on the realization with the unmarked vertices of at most two
+neighbours suppressed (``_search``), which no arc with marked ends can tell
+apart.
 """
 
 from __future__ import annotations
@@ -221,30 +222,37 @@ def _between(via: dict[tuple[int, int], list[int]], x: int, y: int) -> list[int]
     return via.get((x, y), []) if x < y else via.get((y, x), [])[::-1]
 
 
-def _search(nmask: list[int], marked: int, cand: int) -> Optional[list[int]]:
-    """``_find_covering_path`` with the unmarked vertices of ``cand`` suppressed.
+def _search(nmask: list[int], marked: int) -> Optional[list[int]]:
+    """``_find_covering_path`` with the unmarked vertices of at most two
+    neighbours suppressed.
 
-    Each vertex of ``cand`` has at most two neighbours in ``nmask``: the
-    callers pass the input's degree-2 vertices, the kind ``smooth`` merges
-    away (a degree-2 vertex with a loop has at most one).  Unmarked, such a
-    vertex is no end of a path with marked ends, and a simple path enters
-    it only to pass from one neighbour to the other.  So it is dropped when
-    it has fewer than two neighbours, or when its two are adjacent already
-    (it offers only another route between them), and otherwise bypassed:
-    an edge joins its two neighbours.  Either way a covering path exists
-    exactly when one did before.  A chain of such vertices is bypassed one
-    vertex at a time, and ``via`` keeps, for each bypass edge ``(x, y)``
-    with ``x < y``, the vertices it stands for from ``x`` to ``y``.  The
-    path found is expanded back, so it is a path of the given ``nmask``
-    with the same marked ends.  ``nmask`` is changed in place.
+    Such a vertex is no end of a path with marked ends, and a simple path
+    enters it only to pass from one neighbour to the other.  So it is
+    dropped when it has fewer than two neighbours, or when its two are
+    adjacent already (it offers only another route between them), and
+    otherwise bypassed: an edge joins its two neighbours.  Either way a
+    covering path exists exactly when one did before.  The vertices are
+    taken in ascending order, each with the neighbours it has once the
+    smaller ones are suppressed.  A suppression never raises the number
+    of neighbours a vertex has, so every unmarked vertex of at most two
+    neighbours in the given ``nmask`` is suppressed: the input's degree-2
+    vertices and, in a realization, any vertex whose edges reach at most
+    two others, in parallel classes or through loaded slots.  A chain of
+    such vertices is bypassed one vertex at a time, and ``via`` keeps, for
+    each bypass edge ``(x, y)`` with ``x < y``, the vertices it stands for
+    from ``x`` to ``y``.  The path found is expanded back, so it is a path
+    of the given ``nmask`` with the same marked ends.  ``nmask`` is
+    changed in place.
     """
     via: dict[tuple[int, int], list[int]] = {}
-    cand &= ~marked
-    while cand:
-        b = cand & -cand
-        cand ^= b
+    rest = (1 << len(nmask)) - 1 & ~marked
+    while rest:
+        b = rest & -rest
+        rest ^= b
         v = b.bit_length() - 1
         nb = nmask[v]
+        if nb.bit_count() > 2:
+            continue
         nmask[v] = 0
         bx = nb & -nb
         by = nb ^ bx
@@ -269,18 +277,8 @@ def _search(nmask: list[int], marked: int, cand: int) -> Optional[list[int]]:
 
 
 def _covered(g: Multigraph, p: Placement) -> bool:
-    """Does one arc cover the placement ``p`` of ``g``?  Builds no index.
-
-    The realization's degree-2 vertices, read from ``g.degrees``, are
-    suppressed (``_search``); a graph with none, as every smooth graph but
-    the circle, pays one membership test.
-    """
-    nmask, marked = _edge_masks(g, p.marks, p.count_map())
-    deg = g.degrees
-    cand = 0
-    if 2 in deg.values():
-        cand = sum(1 << i for i, v in enumerate(g.vertices) if deg[v] == 2)
-    return _search(nmask, marked, cand) is not None
+    """Does one arc cover the placement ``p`` of ``g``?  Builds no index."""
+    return _search(*_edge_masks(g, p.marks, p.count_map())) is not None
 
 
 def _uncovered(gi: GraphIndex, n: int) -> Iterator[int]:
@@ -290,10 +288,10 @@ def _uncovered(gi: GraphIndex, n: int) -> Iterator[int]:
     in ``gi.witnesses``, the list the scan reads (``iter_placements_indexed``'s
     ``witnesses``): a support one of them holds costs neither the canonicity
     compare nor a search, and any other representative is decided by the
-    path search on its realization, the graph's degree-2 vertices
-    suppressed (``_search``).  The list outlives the scan: an entry is the
-    mask of a real arc at any number of points, so the next level asked on
-    the same index starts with this level's arcs.
+    path search on its realization, its unmarked vertices of at most two
+    neighbours suppressed (``_search``).  The list outlives the scan: an
+    entry is the mask of a real arc at any number of points, so the next
+    level asked on the same index starts with this level's arcs.
 
     With each mask ``s`` found go its distinct images ``g(s)`` under the
     automorphisms ``g``, so a witness covers its whole orbit, and the
@@ -302,11 +300,10 @@ def _uncovered(gi: GraphIndex, n: int) -> Iterator[int]:
     slots, class offset to class offset.  Coverage is a property of the
     orbit, so the uncovered representatives and their order stay the same.
     """
-    sbs = [sbits for _, sbits in gi.autos()]
+    sbs = gi.autos()
     witnesses = gi.witnesses
-    cand = sum(1 << v for v, d in enumerate(gi.deg) if d == 2)
     for sm in iter_placements_indexed(gi, n, witnesses):
-        path = _search(*_realize_masks(gi.n, gi.slot_pairs, 0, sm), cand)
+        path = _search(*_realize_masks(gi.n, gi.slot_pairs, 0, sm))
         if path is None:
             yield sm
             continue

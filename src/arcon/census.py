@@ -20,8 +20,8 @@ from typing import Callable, Iterator, Optional
 from .arcsearch import _reach, ac_number
 from .multigraph import BoundExceeded, GraphError, Multigraph, build
 from .obstructions import _blocks
-from .placements import _bits
-from .symmetry import canonical_form, graph_index, neighbour_masks
+from .placements import _bits, _edge_masks
+from .symmetry import canonical_form
 
 MAX_CENSUS_EDGES = 11
 CHECKPOINT_FORMAT = 1
@@ -296,15 +296,16 @@ def is_planar(g: Multigraph) -> bool:
     """Planarity of the underlying space.
 
     Loops and parallel edges never matter, so the test runs on the simple
-    underlying graph, which is planar exactly when each of its blocks is
-    (``obstructions._blocks``).  A graph or block with at most 8 edges, or a
-    block with at most 4 vertices, is planar, and a block with more than
-    3n - 6 edges is not; path addition (``_block_planar``) decides the
-    others.
+    underlying graph, ``g``'s own adjacency (``_edge_masks``, no
+    :class:`GraphIndex` built), which is planar exactly when each of its
+    blocks is (``obstructions._blocks``).  A graph or block with at most 8
+    edges, or a block with at most 4 vertices, is planar, and a block with
+    more than 3n - 6 edges is not; path addition (``_block_planar``)
+    decides the others.
     """
     if not g.is_connected():
         raise GraphError("is_planar expects a connected graph")
-    nmask = neighbour_masks(graph_index(g))
+    nmask, _ = _edge_masks(g)
     if sum(m.bit_count() for m in nmask) <= 16:
         return True  # at most 8 edges in all
     for block in _blocks(nmask):

@@ -196,7 +196,7 @@ class Multigraph:
         new_edges = [x for x in self._edges if x.eid != eid]
         existing = {x.eid for x in new_edges}
         for i in range(len(chain) - 1):
-            ne = f"{eid}#{i}" if i else eid
+            ne = f"{eid}-{i}" if i else eid
             while ne in existing:
                 ne = str(ne) + "'"
             existing.add(ne)

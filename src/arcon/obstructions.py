@@ -18,8 +18,7 @@ from collections import Counter
 from itertools import combinations
 
 from .multigraph import Edge, GraphError, Id, Multigraph, idkey, smooth
-from .placements import Placement, _bits
-from .symmetry import graph_index, neighbour_masks
+from .placements import Placement, _bits, _edge_masks
 
 
 def _blocks(nmask: list[int]) -> list[int]:
@@ -73,7 +72,9 @@ def leaf_block_obstruction(g: Multigraph) -> Placement | None:
     merged), a block with exactly one cut vertex, offers its least vertex
     other than that cut vertex; the placement marks the three least of
     these, and when there are fewer than three it puts one interior point
-    on each loop, in edge order, until there are three points.
+    on each loop, in edge order, until there are three points.  The simple
+    graph is ``g``'s own adjacency (``_edge_masks``), so no
+    :class:`GraphIndex` is built.
 
     The answer is kept in ``g``'s cache, so ``ac_number``'s level 3 and
     every later ``probe_placements`` call on the same graph object share
@@ -88,20 +89,20 @@ def leaf_block_obstruction(g: Multigraph) -> Placement | None:
 
 
 def _leaf_blocks(g: Multigraph) -> Placement | None:
-    gi = graph_index(g)
-    blocks = _blocks(neighbour_masks(gi))
-    nb = gi.loops[:]  # blocks at each vertex
+    blocks = _blocks(_edge_masks(g)[0])
+    loops = [e for e in g.edges if e.is_loop]
+    looped = Counter(e.a for e in loops)
+    nb = [looped[v] for v in g.vertices]  # blocks at each vertex
     for m in blocks:
         for v in _bits(m):
             nb[v] += 1
-    cut = sum(1 << v for v in range(gi.n) if nb[v] >= 2)
+    cut = sum(1 << v for v, k in enumerate(nb) if k >= 2)
     # a leaf block's vertices off its cut vertex lie in no other block
     picks = sorted(_bits(m & ~cut)[0] for m in blocks if (m & cut).bit_count() == 1)
-    if len(picks) + sum(gi.loops) < 3:
+    if len(picks) + len(loops) < 3:
         return None
-    marks = [gi.vids[v] for v in picks[:3]]
-    loops = [e.eid for e in g.edges if e.is_loop][:3 - len(marks)]
-    return Placement.of(g, marks, dict.fromkeys(loops, 1))
+    marks = [g.vertices[v] for v in picks[:3]]
+    return Placement.of(g, marks, {e.eid: 1 for e in loops[:3 - len(marks)]})
 
 
 def end_count_obstruction(g: Multigraph) -> Placement | None:

@@ -249,7 +249,7 @@ def iter_placements_indexed(gi: GraphIndex, n: int, witnesses: Sequence[int] = (
     only supports on that loop.  The list only grows, and every entry in
     it is the slot mask of a real arc.
     """
-    sbs = [sbits for _, sbits in gi.autos()]
+    sbs = gi.autos()
     end = [e - 1 for (_, _, start, e) in gi.classes for _ in range(start, e)]
     for sm in _supports(min(n, gi.nslots), end, _WitnessIndex(witnesses, gi.nslots)):
         bits = _bits(sm)
@@ -273,9 +273,9 @@ def _realize_masks(nverts: int, slot_pairs: Sequence[tuple[int, int]], mm: int, 
     is left out, since no simple path with marked ends can use it.
     Parallel edges collapse to one adjacency bit, which is harmless for
     vertex-simple path existence.  Every vertex of the graph is kept here;
-    the searches of ``arcsearch`` suppress its unmarked degree-2 vertices
-    afterwards (``arcsearch._search``), and expand the path they find back
-    to this realization.
+    the searches of ``arcsearch`` suppress the unmarked vertices of at most
+    two neighbours afterwards (``arcsearch._search``), and expand the path
+    they find back to this realization.
     """
     nmask = [0] * nverts
     marked = mm
@@ -304,7 +304,8 @@ def _edge_masks(g: Multigraph, marks: Iterable[Id] = (), counts: Mapping[Id, int
     Vertices are numbered by sorted id and slots are ``g``'s edges in edge
     order, so no :class:`GraphIndex` is built; an edge is loaded when its
     count is nonzero.  With no counts this is ``g``'s own adjacency, parallel
-    edges merged and loops left out.
+    edges merged and loops left out: the simple graph that ``is_planar``
+    and the leaf blocks of ``obstructions`` read.
     """
     vpos = {v: i for i, v in enumerate(g.vertices)}
     top = len(g.edges) - 1
@@ -318,8 +319,8 @@ def _path_shadow(gi: GraphIndex, sm: int, path: list[int]) -> int:
 
     The slots the arc the path stands for meets in a nondegenerate
     interval.  ``path`` is a path of the full realization
-    (``_realize_masks``): a search that bypassed a degree-2 vertex has put
-    it back, so a step through it counts the empty slots on both sides.  A
+    (``_realize_masks``): a search that bypassed vertices has put them
+    back (``arcsearch._search``), so each step is read as its own.  A
     slot counts when its realized vertex is on the path.  A direct step
     between base vertices runs along an empty slot of that pair, and since
     the path stands for an arc along any of them, the last one counts:

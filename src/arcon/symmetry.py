@@ -4,17 +4,17 @@ Two related jobs live here:
 
 * canonical codes (``canonical_form``): a byte string equal for two graphs
   exactly when they are isomorphic as multigraphs with loops,
-* placement symmetry (``GraphIndex.autos``): the vertex automorphisms
-  with their action on edge slots, used to enumerate placements one per
+* placement symmetry (``GraphIndex.autos``): the action of the vertex
+  automorphisms on edge slots, with which the scan keeps one support per
   orbit.
 
 Both work on the loop counts and multiplicity matrix of a graph
 (``_matrix``) and refine the same degree and loop colors
 (``_degree_colors``); placement symmetry reads the matrix from the
-integer-indexed view (:class:`GraphIndex`) that holds it.  The canonical
-code is the minimum relabeled edge list over all labelings consistent with
-iterated degree refinement; individualization handles ties and mutually
-interchangeable (twin) vertices are branched only once.
+scan's integer-indexed view (:class:`GraphIndex`) that holds it.  The
+canonical code is the minimum relabeled edge list over all labelings
+consistent with iterated degree refinement; individualization handles ties
+and mutually interchangeable (twin) vertices are branched only once.
 """
 
 from __future__ import annotations
@@ -33,14 +33,16 @@ DEFAULT_MAX_CANON_VERTICES = 12
 
 
 class GraphIndex:
-    """Integer-indexed adjacency view of a multigraph.
+    """Integer-indexed view of a multigraph for the orbit scan of ``is_n_ac``.
 
-    Vertices are numbered by sorted id; edge slots are numbered with parallel
-    classes consecutive (sorted by endpoint pair, then edge id: the sort is
-    stable and ``g.edges`` come in edge-id order).  ``classes`` holds
-    ``(i, j, start, end)`` per class, its slots being ``start..end-1``.
-    A placement shadow is a marked-vertex mask with vertex ``v`` at bit ``v``
-    and a loaded-slot mask with slot ``s`` at bit ``nslots-1-s``.
+    Vertices are numbered by sorted id, as in ``g.vertices``; edge slots are
+    numbered with parallel classes consecutive (sorted by endpoint pair,
+    then edge id: the sort is stable and ``g.edges`` come in edge-id
+    order).  ``classes`` holds ``(i, j, start, end)`` per class, its slots
+    being ``start..end-1``.  A support is a loaded-slot mask with slot ``s``
+    at bit ``nslots-1-s``.  Only the scan builds an index: the whole-graph
+    tests (planarity, the block-cut tree) and the per-placement searches
+    read ``g``'s own adjacency (``placements._edge_masks``).
 
     ``witnesses`` is the append-only list of slot masks of covering arcs
     that the scans of this graph have found (``arcsearch._uncovered``).  An
@@ -50,16 +52,13 @@ class GraphIndex:
     """
 
     __slots__ = (
-        "n", "vids", "vpos", "loops", "mult", "deg",
-        "nslots", "slot_pairs", "slot_eids", "classes", "class_of_pair",
-        "_autos", "witnesses",
+        "n", "loops", "mult", "nslots", "slot_pairs", "slot_eids", "classes",
+        "class_of_pair", "_autos", "witnesses",
     )
 
     def __init__(self, g: Multigraph):
-        self.vids = g.vertices
-        self.n = n = len(self.vids)
-        self.vpos, self.loops, self.mult = _matrix(g)
-        vpos = self.vpos
+        vpos, self.loops, self.mult = _matrix(g)
+        self.n = len(vpos)
         indexed = []
         for e in g.edges:
             i, j = vpos[e.a], vpos[e.b]
@@ -81,30 +80,26 @@ class GraphIndex:
         classes.append((p0[0], p0[1], start, self.nslots))
         self.class_of_pair[p0] = len(classes) - 1
         self.classes = tuple(classes)
-        self.deg = [self.loops[i] * 2 + sum(self.mult[i]) for i in range(n)]
-        self._autos: list[tuple[tuple[int, ...], tuple[int, ...]]] | None = None
+        self._autos: list[tuple[int, ...]] | None = None
         self.witnesses: list[int] = []
 
-    def autos(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """The automorphism action on placement shadows, built once.
+    def autos(self) -> list[tuple[int, ...]]:
+        """The automorphism action on supports, built once.
 
-        ``(vbits, sbits)`` for every non-identity vertex automorphism, so a
-        trivial group has no entries.  ``vbits[v]`` is the image of vertex
-        ``v`` as bit ``n-1-image``, the bit order in which the lex-least
-        mark set has the greatest mask; the scan reads only ``sbits``, and
-        the mark-set walk of the tests' enumeration oracle reads
-        ``vbits``.  A support is a mask with slot
-        ``s`` as bit ``nslots-1-s``, and ``sbits[b]`` is the image of the
-        slot at bit ``b``.  An image mask is the OR of its members'
-        entries.  Parallel-edge swaps are left out: supports are
-        class-suffix instead.  Raises ``BoundExceeded`` when the group is
-        larger than ``SKELETON_AUTO_LIMIT``.
+        One slot table ``sbits`` for every non-identity vertex automorphism,
+        in the order of ``_vertex_autos``, so a trivial group has no
+        entries.  A support is a mask with slot ``s`` as bit
+        ``nslots-1-s``, and ``sbits[b]`` is the image of the slot at bit
+        ``b``; an image mask is the OR of its members' entries.
+        Parallel-edge swaps are left out: supports are class-suffix
+        instead.  Raises ``BoundExceeded`` when the group is larger than
+        ``SKELETON_AUTO_LIMIT``.
         """
         if self._autos is None:
             n = self.n
             vautos = _vertex_autos(n, self.loops, self.mult, SKELETON_AUTO_LIMIT)
-            self._autos = [(tuple(1 << (n - 1 - w) for w in vperm), _slot_bits(self, vperm))
-                           for vperm in vautos if vperm != tuple(range(n))]
+            self._autos = [_slot_bits(self, vperm) for vperm in vautos
+                           if vperm != tuple(range(n))]
         return self._autos
 
 
@@ -130,20 +125,6 @@ def graph_index(g: Multigraph) -> GraphIndex:
         gi = GraphIndex(g)
         g._cache["index"] = gi
     return gi
-
-
-def neighbour_masks(gi: GraphIndex) -> list[int]:
-    """Neighbour masks of the underlying simple graph.
-
-    Bit ``w`` of entry ``v`` is set when an edge joins ``v`` and ``w != v``:
-    loops are dropped and parallel classes merged.
-    """
-    nmask = [0] * gi.n
-    for (i, j, _, _) in gi.classes:
-        if i != j:
-            nmask[i] |= 1 << j
-            nmask[j] |= 1 << i
-    return nmask
 
 
 def _rank(keys: Sequence) -> list[int]:

@@ -19,7 +19,7 @@ from arcon import build, canonical_form, is_n_ac
 from arcon.arcsearch import _find_covering_path
 from arcon.multigraph import BoundExceeded, Edge, GraphError, Id, Multigraph, idkey
 from arcon.placements import Placement
-from arcon.symmetry import _vertex_autos, graph_index
+from arcon.symmetry import SKELETON_AUTO_LIMIT, _vertex_autos, graph_index
 
 settings.register_profile("ci", deadline=None, max_examples=40)
 settings.load_profile("ci")
@@ -46,8 +46,9 @@ def automorphisms(g, limit: int = AUTOMORPHISM_PAIR_LIMIT):
             raise BoundExceeded("automorphism pair count exceeds the configured bound")
     class_slots = [list(range(s, e)) for (_, _, s, e) in gi.classes]
     pairs = []
+    vids = g.vertices
     for va in vautos:
-        vmap = {gi.vids[i]: gi.vids[va[i]] for i in range(gi.n)}
+        vmap = {vids[i]: vids[va[i]] for i in range(gi.n)}
         targets = []
         for (i, j, s, e) in gi.classes:
             ti, tj = va[i], va[j]
@@ -263,14 +264,19 @@ def enumerate_placements(g, n: int) -> Iterator[Placement]:
     mark set some image beats is dropped with its extensions: if
     g(P) <lex P and x > max P, then g(P ∪ {x}) <lex P ∪ {x}.  Each
     placement is ``v(S)`` with its marks, so the stream is in lex order of
-    (sorted marked vertices, count vector).
+    (sorted marked vertices, count vector).  The automorphisms are
+    ``(vbits, sbits)`` pairs: ``sbits`` is the slot table of
+    ``GraphIndex.autos()``, and ``vbits[v]`` the image of vertex ``v`` as
+    the bit of the mark-set key.
     """
     if n < 1:
         raise GraphError("placement size must be >= 1")
     if not g.is_connected():
         raise GraphError("placement enumeration expects a connected graph")
     gi = graph_index(g)
-    autos = gi.autos()
+    vautos = _vertex_autos(gi.n, gi.loops, gi.mult, SKELETON_AUTO_LIMIT)
+    vbits = [tuple(1 << (gi.n - 1 - w) for w in p) for p in vautos if p != tuple(range(gi.n))]
+    autos = list(zip(vbits, gi.autos()))
     ends = {end - 1 for (_, _, _, end) in gi.classes}
     for mm, sm in _mark_node(gi, n, autos, ends, 0, 0, 0, 0, [0] * len(autos)):
         top = gi.nslots - 1
@@ -278,7 +284,7 @@ def enumerate_placements(g, n: int) -> Iterator[Placement]:
         counts = {gi.slot_eids[s]: 1 for s in loaded}
         if loaded:
             counts[gi.slot_eids[loaded[-1]]] = n - mm.bit_count() - len(loaded) + 1
-        yield Placement(frozenset(gi.vids[v] for v in range(gi.n) if mm >> v & 1),
+        yield Placement(frozenset(v for i, v in enumerate(g.vertices) if mm >> i & 1),
                         tuple(sorted(counts.items(), key=lambda t: idkey(t[0]))))
 
 
@@ -351,10 +357,11 @@ def count_vector_stream(g, n: int):
     automorphisms are the distinct vertex maps of ``automorphisms()``.
     """
     gi = graph_index(g)
+    vpos = {v: i for i, v in enumerate(g.vertices)}
     slot_of = {}
     for (i, j, start, _) in gi.classes:
         slot_of[(i, j)] = start
-    vautos = sorted({tuple(gi.vpos[vmap[v]] for v in gi.vids)
+    vautos = sorted({tuple(vpos[vmap[v]] for v in g.vertices)
                      for vmap, _ in automorphisms(g)})
     prev = prev_slots(gi)
     for marks in sorted(
@@ -414,10 +421,11 @@ def count_vector_masks(gi, marks, cvec):
     return nmask, marked
 
 
-def count_vector_placement(gi, marks, cvec) -> Placement:
+def count_vector_placement(g, marks, cvec) -> Placement:
     """The placement of indexed marks and a count vector."""
+    gi = graph_index(g)
     return Placement(
-        frozenset(gi.vids[v] for v in marks),
+        frozenset(g.vertices[v] for v in marks),
         tuple(sorted(((gi.slot_eids[s], c) for s, c in enumerate(cvec) if c),
                      key=lambda t: idkey(t[0]))),
     )
@@ -435,7 +443,7 @@ def naive_is_n_ac(g, n: int):
     gi = graph_index(g)
     for marks, cvec in count_vector_stream(g, n):
         if _find_covering_path(*count_vector_masks(gi, marks, cvec)) is None:
-            return False, count_vector_placement(gi, marks, cvec)
+            return False, count_vector_placement(g, marks, cvec)
     return True, None
 
 

@@ -16,9 +16,9 @@ prints one line per fingerprint, ``name items sha256``:
   ``enumerate_placements``, the oracle in ``tests/conftest.py``, on the
   census up to 6 edges at n = 1..4, and on K3,3, ``double_circle(4)`` and
   ``star(6)`` at n = 1..3;
-* ``symmetry``: ``canonical_form`` and the ``GraphIndex.autos()`` list,
-  order included, of every census class up to 9 edges (``bound`` where the
-  automorphism bound is hit);
+* ``symmetry``: ``canonical_form`` and the ``GraphIndex.autos()`` list of
+  slot tables, order included, of every census class up to 9 edges
+  (``bound`` where the automorphism bound is hit);
 * ``planar``: the ``is_planar`` verdicts on every census class up to 10
   edges;
 * ``census``: the vertices and oriented edges of every class that
@@ -28,7 +28,7 @@ prints one line per fingerprint, ``name items sha256``:
   ``double_circle(4)`` and ``double_circle(5)``, each as given and with
   every edge subdivided once, n = 2..7 (the subdivided ``double_circle(5)``
   only up to n = 5): the large groups the census hardly exercises;
-* ``groups``: the ``GraphIndex.autos()`` list, order included, of
+* ``groups``: the ``GraphIndex.autos()`` slot tables, order included, of
   K3,3, ``double_circle(4)``, ``double_circle(5)``, ``star(6)`` and
   ``star(7)``, each as given and with every edge subdivided once, and of
   ``star(8)``;

@@ -198,11 +198,11 @@ class TestSuppressedSearch:
     """Bypassing unmarked vertices of at most two neighbours keeps the answer."""
 
     @staticmethod
-    def check(search, nmask, marked, cand):
+    def check(search, nmask, marked):
         """``search`` on a copy of ``nmask`` finds a path exactly when the
         unreduced search does, and its path is a simple path of ``nmask``
         with marked ends through every mark."""
-        path = search(nmask[:], marked, cand)
+        path = search(nmask[:], marked)
         assert (path is None) == (arcsearch._find_covering_path(nmask, marked) is None)
         if path is not None:
             assert len(set(path)) == len(path), path
@@ -211,39 +211,48 @@ class TestSuppressedSearch:
             assert sum(1 << v for v in path) & marked == marked, path
         return path
 
+    @staticmethod
+    def wide(g, nmask, marked):
+        """The unmarked vertices of degree 3 or more in ``g`` that have at
+        most two neighbours in the realization ``nmask``."""
+        return [i for i, v in enumerate(g.vertices)
+                if not marked >> i & 1 and g.degree(v) >= 3 and nmask[i].bit_count() <= 2]
+
     def test_random_graphs(self):
-        # every vertex with at most two neighbours is a candidate; _search
-        # leaves the marked ones in place
+        # realizations of random placements on random multigraphs, parallel
+        # classes and loops included, so a vertex of degree 3 or more can
+        # have at most two realization neighbours and be suppressed too
         rng = random.Random(11)
-        found = bypassed = 0
+        found = bypassed = wide = 0
         for _ in range(3000):
-            nv = rng.randint(1, 10)
-            p = rng.uniform(0.1, 0.5)
-            nmask = [0] * nv
-            for x in range(nv):
-                for y in range(x + 1, nv):
-                    if rng.random() < p:
-                        nmask[x] |= 1 << y
-                        nmask[y] |= 1 << x
-            marked = rng.randint(1, (1 << nv) - 1)
-            cand = sum(1 << v for v in range(nv) if nmask[v].bit_count() <= 2)
-            path = self.check(arcsearch._search, nmask, marked, cand)
+            nv = rng.randint(1, 7)
+            pairs = [(rng.randrange(nv), rng.randrange(nv)) for _ in range(rng.randint(1, 9))]
+            g = build(range(nv), pairs)
+            marks = [v for v in g.vertices if rng.random() < 0.3]
+            counts = {e.eid: rng.choice((0, 0, 1, 2)) for e in g.edges}
+            if not marks and not any(counts.values()):
+                counts[g.edges[0].eid] = 1
+            nmask, marked = _edge_masks(g, marks, counts)
+            path = self.check(arcsearch._search, nmask, marked)
             found += path is not None
             bypassed += path is not None and bool(set(path) - set(_bits(marked)))
-        assert found > 500 and bypassed > 100
+            wide += bool(self.wide(g, nmask, marked))
+        assert found > 1000 and bypassed > 500 and wide > 500
 
     def test_realizations_of_subdivided_census(self, monkeypatch, census_to_seven):
         # every search that _covered and _uncovered make on a seeded
-        # subdivision of each census class up to 7 edges, the realization
-        # with the degree-2 vertices as candidates: is_n_ac's probes at
-        # n = 3..7, and the scan run on past its first failure (up to three)
+        # subdivision of each census class up to 7 edges: is_n_ac's probes
+        # at n = 3..7, and the scan run on past its first failure (up to
+        # three)
         real = arcsearch._search
         calls = Counter()
 
-        def checked(nmask, marked, cand):
-            path = self.check(real, nmask, marked, cand)
+        def checked(nmask, marked):
+            path = self.check(real, nmask, marked)
             calls["found" if path else "none"] += 1
-            calls["reduced"] += bool(cand & ~marked)
+            calls["reduced"] += any(not marked >> v & 1 and m.bit_count() <= 2
+                                    for v, m in enumerate(nmask))
+            calls["wide"] += bool(self.wide(h, nmask, marked))
             return path
 
         monkeypatch.setattr(arcsearch, "_search", checked)
@@ -255,6 +264,7 @@ class TestSuppressedSearch:
                 for _ in islice(arcsearch._uncovered(graph_index(h), n), 3):
                     pass
         assert calls["found"] > 1000 and calls["none"] > 100 and calls["reduced"] > 1000
+        assert calls["wide"] > 5000
 
 
 class TestIsNAc:
@@ -661,9 +671,28 @@ class TestAcNumber:
         monkeypatch.setattr(arcsearch, "_find_covering_path", search_spy)
         prof = ac_number(h)
         assert prof.counterexample_n == 3
-        # one index, of the smoothed graph; one search on it and one on the input
-        assert len(built) == 1 and built[0] == s
+        # no index: the leaf blocks read the smoothed graph's own adjacency;
+        # one search on the smoothed graph and one on the input
+        assert built == []
         assert len(searched) == 2
+
+    def test_failing_level_three_builds_no_index(self, monkeypatch, census_to_seven):
+        # the leaf-block placement and its certification read the graph's
+        # own adjacency; fresh copies, so no cached index hides a build
+        built, real = [], GraphIndex.__init__
+
+        def init_spy(self, g):
+            built.append(g)
+            real(self, g)
+
+        monkeypatch.setattr(GraphIndex, "__init__", init_spy)
+        fails = 0
+        for g in census_to_seven:
+            built.clear()
+            if ac_number(Multigraph(g.vertices, g.edges)).counterexample_n == 3:
+                assert built == [], g
+                fails += 1
+        assert fails > 100
 
     def test_raw_certification_raises_when_covered(self, monkeypatch):
         h = randomly_subdivided(corpus.triod(), random.Random(4), 3, 2)

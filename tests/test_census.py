@@ -8,6 +8,7 @@ from hypothesis import given
 from arcon import (
     BoundExceeded,
     GraphError,
+    Multigraph,
     build,
     canonical_form,
     is_planar,
@@ -21,6 +22,7 @@ from arcon.census import (
     reduced_multigraphs,
     search,
 )
+from arcon.symmetry import GraphIndex
 
 from conftest import naive_census_codes
 from test_multigraph import graphs_connected
@@ -185,6 +187,20 @@ class TestPlanarity:
     def test_k5_and_k33_subdivided(self):
         g, _ = corpus.k33().subdivide("e0", 2)
         assert not is_planar(g)
+
+    def test_builds_no_index(self, monkeypatch, census_to_seven):
+        # the simple graph is read from g's own adjacency; fresh copies, so
+        # no index cached by another test hides a build
+        built, real = [], GraphIndex.__init__
+
+        def init_spy(self, g):
+            built.append(g)
+            real(self, g)
+
+        monkeypatch.setattr(GraphIndex, "__init__", init_spy)
+        for g in census_to_seven:
+            is_planar(Multigraph(g.vertices, g.edges))
+        assert built == []
 
     def test_census_agrees_with_networkx(self, small_census):
         for k in (3, 4, 5):

@@ -1,14 +1,20 @@
-"""Every name a module under ``src/arcon`` imports is used there or exported.
+"""Every name a module under ``src/arcon`` imports is used there or exported,
+and every field of ``GraphIndex`` is read there.
 
 A stand-in for a linter's unused-import check, read off the syntax tree: a
 name counts as used when it appears as a name anywhere in the module (an
-annotation included) or is listed in the module's ``__all__``.
+annotation included) or is listed in the module's ``__all__``.  The same
+syntax trees show the index's dead slots: a field counts as read when some
+module loads it as an attribute, ``x.name``, which its own assignment does
+not do.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from arcon.symmetry import GraphIndex
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "arcon"
 MODULES = sorted(SRC.glob("*.py"))
@@ -45,3 +51,22 @@ def test_checker_finds_a_leftover():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def attributes_read(source: str) -> set[str]:
+    """The attribute names ``source`` loads, as in ``x.name`` or ``x.name(...)``."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_reader_skips_assignments():
+    source = ("class C:\n"
+              "    def __init__(self):\n"
+              "        self.a, self.b = 1, 2\n"
+              "        self.c = self.b\n")
+    assert attributes_read(source) == {"b"}
+
+
+def test_no_dead_index_slots():
+    read = set().union(*(attributes_read(path.read_text()) for path in MODULES))
+    assert [name for name in GraphIndex.__slots__ if name not in read] == []

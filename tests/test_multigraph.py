@@ -367,13 +367,16 @@ class TestTextFormat:
             with pytest.raises(GraphError, match=repr(leaves[0])):
                 format_graph_text(g)
 
-    def test_subdivided_chain_id_refused(self):
-        # subdividing edge "e0#1" makes the vertex "e0#1.1"
+    def test_subdivided_chain_round_trip(self):
+        # subdividing the piece "e0-1" of "e0" makes the piece "e0-1-1" and
+        # the vertex "e0-1.1", which the line format carries
         g, _ = corpus.arc().subdivide("e0", 1)
-        g, fresh = g.subdivide("e0#1", 1)
-        assert fresh == ("e0#1.1",)
-        with pytest.raises(GraphError, match="e0#1.1"):
-            format_graph_text(g)
+        g, fresh = g.subdivide("e0-1", 1)
+        assert fresh == ("e0-1.1",)
+        assert [e.eid for e in g.edges] == ["e0", "e0-1", "e0-1-1"]
+        back = parse_graph_text(format_graph_text(g))
+        assert back.vertices == g.vertices
+        assert sorted((e.a, e.b) for e in back.edges) == sorted((e.a, e.b) for e in g.edges)
 
     def test_ids_sharing_a_name_refused(self):
         g = build([1, "1", "a"], [(1, "a"), ("1", "a")])

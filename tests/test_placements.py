@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from arcon.arcsearch import _find_covering_path, _uncovered
 from arcon.placements import (
     Placement,
     _WitnessIndex,
+    _edge_masks,
     _realize_masks,
     _supports,
     iter_placements_indexed,
@@ -36,7 +38,7 @@ GRAPHS = {"star(5)": lambda: corpus.star(5), "double-star": double_star}
 
 def key_of(g, p: Placement):
     gi = graph_index(g)
-    marks = tuple(sorted(gi.vpos[v] for v in p.marks))
+    marks = tuple(sorted(g.vertices.index(v) for v in p.marks))
     cm = p.count_map()
     return (marks, tuple(cm.get(e, 0) for e in gi.slot_eids))
 
@@ -109,7 +111,7 @@ class TestEnumerate:
             base = key_of(g, p)
             cm = p.count_map()
             for vmap, emap in pairs:
-                marks2 = tuple(sorted(gi.vpos[vmap[v]] for v in p.marks))
+                marks2 = tuple(sorted(g.vertices.index(vmap[v]) for v in p.marks))
                 cvec2 = [0] * len(eids)
                 for e, c in cm.items():
                     cvec2[eidx[emap[e]]] = c
@@ -187,7 +189,7 @@ def test_mark_sets_are_the_lex_least_subsets():
     for g, size in ((refined(corpus.k33()), 72), (refined(corpus.double_circle(4)), 48)):
         gi = graph_index(g)
         N = gi.n
-        vmaps = [[gi.vpos[vmap[v]] for v in gi.vids] for vmap, _ in automorphisms(g)]
+        vmaps = [[g.vertices.index(vmap[v]) for v in g.vertices] for vmap, _ in automorphisms(g)]
         assert len(vmaps) == size
 
         def key(marks):
@@ -196,7 +198,7 @@ def test_mark_sets_are_the_lex_least_subsets():
         for n in (1, 2, 3, 4):
             got = []
             for p in enumerate_placements(g, n):
-                marks = tuple(sorted(gi.vpos[v] for v in p.marks))
+                marks = tuple(sorted(g.vertices.index(v) for v in p.marks))
                 if not got or got[-1] != marks:
                     got.append(marks)
             subsets = sorted(c for k in range(n + 1) for c in itertools.combinations(range(N), k))
@@ -325,7 +327,7 @@ def test_shadow_realization_decides_like_realize(small_census, data):
     p = Placement.of(g, marks, counts)
     # the shadow in the scan's slot order
     gi = graph_index(g)
-    mm = sum(1 << gi.vpos[v] for v in marks)
+    mm = sum(1 << g.vertices.index(v) for v in marks)
     sm = sum(1 << (gi.nslots - 1 - s) for s, eid in enumerate(gi.slot_eids) if counts[eid])
     uncovered = _find_covering_path(*_realize_masks(gi.n, gi.slot_pairs, mm, sm)) is None
     assert uncovered == (covering_arc(*realize(g, p)) is None)
@@ -398,3 +400,17 @@ def test_scans_leave_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_edge_masks_are_the_simple_adjacency(census_to_seven):
+    # with no marks or counts, _edge_masks is the graph's simple adjacency,
+    # which is_planar and the leaf blocks read: parallel edges merged, loops
+    # dropped, vertices numbered by sorted id
+    for g in census_to_seven + [ce.builder() for ce in corpus.CORPUS]:
+        nxg = nx.Graph()
+        nxg.add_nodes_from(g.vertices)
+        nxg.add_edges_from((e.a, e.b) for e in g.edges)
+        nxg.remove_edges_from(list(nx.selfloop_edges(nxg)))
+        pos = {v: i for i, v in enumerate(g.vertices)}
+        want = [sum(1 << pos[w] for w in nxg[v]) for v in g.vertices]
+        assert _edge_masks(g) == (want, 0), g
